@@ -130,7 +130,7 @@ class ReplayInput:
 
     @property
     def event_count(self) -> int:
-        return len(self.lines)
+        return len(self.expected)
 
 
 def replay_input(seed: int, events: int = REPLAY_EVENTS) -> ReplayInput:
@@ -300,7 +300,6 @@ TABLE_PATTERNS = 256
 SWEEP_SMALL_LIST = 1_000
 SWEEP_FEW_PATTERNS = 16
 SEALED_STREAM = 200_000
-WARMUP_STREAM = 60_000
 WARM_HOST = 64
 WARM_INSTANCES = 16
 GLOBALS_PER_VM = 32
@@ -309,9 +308,8 @@ PRIVATE_POOL = 20_000
 _DIRS = ("\\RPC Control", "\\BaseNamedObjects", "\\Device\\NamedPipe", "\\Sessions\\1")
 
 # stream kinds; each maps to one decision step of the engine
-SHORT, GLOBAL, COLD, PRIVATE, HOST, FIRST, INSTANCE = (
-    "short_hit", "global_hit", "cold_long", "private_miss", "host_bypass",
-    "first_touch", "pattern_instance")
+SHORT, GLOBAL, COLD, PRIVATE, HOST = (
+    "short_hit", "global_hit", "cold_long", "private_miss", "host_bypass")
 
 
 def table_exact(count: int = TABLE_EXACT) -> list[str]:
@@ -401,56 +399,24 @@ def sealed_input(seed: int, count: int = SEALED_STREAM) -> ResolveInput:
     return out
 
 
-def warmup_input(seed: int, count: int = WARMUP_STREAM) -> ResolveInput:
-    """A stream on a fresh, unsealed engine: first-touch long-list hits
-    (short-list inserts), short hits (MRU moves), pattern instances and
-    private misses, each of which scans every pattern."""
+def private_misses(seed: int, count: int) -> list[tuple]:
+    """``count`` calls ``(pid, name, category, create)`` from VM processes on
+    private names, none of them on the long list: on an unsealed engine each
+    one scans every pattern."""
     rng = random.Random(seed)
-    out = ResolveInput()
-    exact = table_exact()
-    prefixes = table_prefixes()
-    untouched = list(range(TABLE_EXACT))
-    rng.shuffle(untouched)
-    touched: list[str] = []
-    touched_set: set[str] = set()
-    mix = ((0.25, FIRST), (0.60, SHORT), (0.75, INSTANCE), (1.00, PRIVATE))
-    for _ in range(count):
-        draw = rng.random()
-        kind = next(k for bound, k in mix if draw < bound)
-        if kind == SHORT and not touched:
-            kind = FIRST
-        pid = rng.choice(VM_PIDS)
-        if kind == FIRST:
-            name = exact[untouched.pop()]
-        elif kind == SHORT:
-            name = rng.choice(touched)
-        elif kind == INSTANCE:
-            name = f"{prefixes[rng.randrange(TABLE_PATTERNS)]}{rng.randrange(100)}"
-            if name in touched_set:
-                kind = SHORT
-        else:
-            name = _private_name(rng.randrange(PRIVATE_POOL))
-        if kind in (FIRST, INSTANCE):
-            touched.append(name)
-            touched_set.add(name)
-        route = (VM_PRIVATE, renamed(name, vm_of(pid))) if kind == PRIVATE else (PASSTHROUGH, name)
-        out.calls.append((pid, name, rng.choice(CATEGORIES), rng.random() < 0.2))
-        out.routes.append(route)
-        out.kinds.append(kind)
-    return out
+    return [(rng.choice(VM_PIDS), _private_name(rng.randrange(PRIVATE_POOL)),
+             rng.choice(CATEGORIES), rng.random() < 0.2) for _ in range(count)]
 
 
-def counter_deltas(kinds, sealed: bool) -> dict[str, int]:
-    """Engine counter increments that stream calls of these kinds make."""
-    miss = "post_seal_long_skips" if sealed else "long_misses"
+def counter_deltas(kinds) -> dict[str, int]:
+    """Engine counter increments that sealed-stream calls of these kinds make;
+    cold and private names are skipped, so the long list is never read."""
     counter_of = {
-        SHORT: "short_hits", GLOBAL: "global_table_hits", COLD: miss, PRIVATE: miss,
-        HOST: "host_bypass", FIRST: "long_hits", INSTANCE: "long_hits",
+        SHORT: "short_hits", GLOBAL: "global_table_hits", COLD: "post_seal_long_skips",
+        PRIVATE: "post_seal_long_skips", HOST: "host_bypass",
     }
     deltas = dict.fromkeys(("short_hits", "long_hits", "long_misses", "global_table_hits",
                             "post_seal_long_skips", "host_bypass", "long_list_reads"), 0)
     for kind in kinds:
         deltas[counter_of[kind]] += 1
-    if not sealed:
-        deltas["long_list_reads"] = deltas["long_hits"] + deltas["long_misses"]
     return deltas

@@ -3,12 +3,13 @@
 
     python3 perfbench/record_digests.py FIRST_SEED LAST_SEED
 
-For each seed in the inclusive range, replays the seed's trace in single and
-in dual mode, checks every outcome against the generator's predictions, and
-stores the sha256 of the report JSON and the divergence count in
-``perfbench/digests.json``. Existing entries for other seeds are kept. Run
-it only on a commit whose reports are meant to be the reference: a later run
-whose seed is recorded fails every event of a pass whose report differs.
+For each seed in the inclusive range, replays the seed's trace with the
+oracle in lockstep, checks every outcome against the generator's
+predictions, and stores the sha256 of the report JSON and the divergence
+count in ``perfbench/digests.json``. Existing entries for other seeds are
+kept. Run it only on a commit whose reports are meant to be the reference: a
+later run whose seed is recorded fails every event of a pass whose report
+differs.
 """
 
 from __future__ import annotations
@@ -29,19 +30,16 @@ def main(argv) -> int:
     pkg = import_package()
     for seed in range(first, last + 1):
         inp = inputs.replay_input(seed)
-        for workload, dual in (("replay_single", False), ("replay_dual", True)):
-            check = ReplayCheck(inp, dual, recorded=None)
-            checks = Checks()
-            replayer, report, out = pipeline(pkg, text_chunks(inp), dual)
-            check(checks, replayer, report, out)
-            if checks.failed:
-                print(f"seed {seed} {workload}: {checks.notes}", file=sys.stderr)
-                return 1
-            table.setdefault(workload, {})[str(seed)] = {
-                "report_sha256": check.digest, "divergences": len(report.divergences)}
-        print(f"seed {seed}: {table['replay_single'][str(seed)]['report_sha256'][:12]} "
-              f"{table['replay_dual'][str(seed)]['report_sha256'][:12]} "
-              f"{table['replay_dual'][str(seed)]['divergences']} divergences")
+        check = ReplayCheck(inp, recorded=None)
+        checks = Checks()
+        replayer, report, out = pipeline(pkg, text_chunks(inp))
+        check(checks, replayer, report, out)
+        if checks.failed:
+            print(f"seed {seed}: {checks.notes}", file=sys.stderr)
+            return 1
+        entry = {"report_sha256": check.digest, "divergences": len(report.divergences)}
+        table.setdefault("replay_dual", {})[str(seed)] = entry
+        print(f"seed {seed}: {check.digest[:12]} {entry['divergences']} divergences")
     write_table(table)
     return 0
 

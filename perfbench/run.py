@@ -15,27 +15,26 @@ Workloads, with inputs from ``inputs.py`` seeded by ``--seed``:
   ``ReplayReport.to_json``), so every layer runs, divergence records too.
 * ``resolve_sealed``: direct ``ConfinementEngine.resolve`` calls on a
   100k-entry host table after warm-up and seal; the read-only path.
-* ``replay_single`` (the trace without the oracle) and ``resolve_warmup``
-  (the table unsealed on a fresh engine: first touches, MRU moves, pattern
-  scans) also run, but are not in ``BENCHMARK.json``: on a busy shared
-  machine their figures do not repeat within the runs its budget allows.
 
 With ``--trace 0`` a run reports the end-to-end metrics:
 
-* ``setup_s``: median set-up time, each set-up a fresh import of the
-  package plus the replayer, or the engine built, loaded, warmed and
-  sealed as the workload needs;
+* ``setup_s``: the median over the run of set-up samples. A sample is the
+  fastest of ``SETUP_BURST`` set-ups made back to back, each a fresh import
+  of the package plus, for ``replay_dual``, the replayer, or, for
+  ``resolve_sealed``, the engine built, loaded, warmed and sealed;
 * ``events_per_s``: trace events from JSONL text to report JSON per second
-  on the replay workloads, resolve calls per second on the others;
+  on ``replay_dual``, resolve calls per second on ``resolve_sealed``;
 * ``resolves_per_s`` and ``resolve_p50_us``: direct ``resolve`` calls on
-  the workload's stream; on the replay workloads that stream is the trace's
-  own name resolutions, re-issued in order to a fresh engine;
+  the workload's stream; on ``replay_dual`` that stream is the trace's own
+  name resolutions, re-issued in order to a fresh engine;
 * ``peak_rss_mb``: the process's peak resident memory.
 
 Set-ups, timed passes and re-issued resolve passes take turns until
 ``--seconds`` have passed, and timings are floors over the passes (see
-``Floors``). ``resolve_p99_us`` and ``ops_failed_ratio`` are printed and
-written to the result file, but are not in the result line.
+``Floors``). ``resolve_p99_us``, ``ops_failed_ratio`` and
+``rss_before_setup_mb`` (the peak resident memory once the benchmark's own
+inputs are made, before the first set-up) are printed and written to the
+result file, but are not in the result line.
 
 With ``--trace 1`` the run records spans around the package's public
 callables (see ``spans.py``) for one pass and reports per-layer metrics
@@ -70,9 +69,11 @@ SRC = ROOT / "src"
 RESULTS = BENCH_DIR / "results"
 DIGESTS = BENCH_DIR / "digests.json"
 
-WORKLOADS = ("replay_single", "replay_dual", "resolve_sealed", "resolve_warmup")
+WORKLOADS = ("replay_dual", "resolve_sealed")
 MIN_ROUNDS = 3               # set-up plus timed passes, repeated until the time is up
+SETUP_BURST = 3              # set-ups back to back per set-up sample; the fastest counts
 REISSUES_PER_ROUND = 4       # re-issued resolve passes per replay pipeline pass
+STREAMS_PER_ROUND = 2        # timed resolve-stream passes per set-up sample
 UNTRACED_SHARE = 0.3         # of a traced run's seconds, spent untraced for the overhead ratio
 CHUNK_EVENTS = 500           # trace events per timed parse or replay chunk
 WINDOW = 1_000               # resolve calls per timed segment; its p99 has 10 calls beyond
@@ -118,7 +119,7 @@ def resolve_args(pkg, calls) -> list[tuple]:
              global_ if c[4:5] == (True,) else local) for c in calls]
 
 
-def build_engine(pkg, long_list, warm_args, seal: bool):
+def build_engine(pkg, long_list, warm_args=(), seal: bool = True):
     engine = pkg.engine.ConfinementEngine()
     engine.load_long_list(long_list)
     for args in warm_args:
@@ -233,16 +234,35 @@ class Checks:
             self.notes.append(note)
 
 
+def set_up_sample(set_up_once, samples: list[int]):
+    """Make ``SETUP_BURST`` set-ups back to back with ``set_up_once``, which
+    returns (timed ns, what it set up); append the fastest time to
+    ``samples`` and return what the last set-up made.
+
+    A set-up is short enough for a brief slow spell of a shared machine to
+    cover one whole; the fastest of a burst is its cost in a quiet moment.
+    """
+    times = []
+    made = None
+    for _ in range(SETUP_BURST):
+        made = None  # release the previous set-up before making the next
+        gc.collect()
+        ns, made = set_up_once()
+        times.append(ns)
+    samples.append(min(times))
+    return made
+
+
 # ---------------------------------------------------------------------------
-# replay workloads
+# replay workload
 # ---------------------------------------------------------------------------
 
-def recorded_digest(workload: str, seed: int):
+def recorded_digest(seed: int):
     try:
         table = json.loads(DIGESTS.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None
-    return table.get(workload, {}).get(str(seed))
+    return table.get("replay_dual", {}).get(str(seed))
 
 
 def text_chunks(inp: inputs.ReplayInput) -> list[str]:
@@ -250,8 +270,9 @@ def text_chunks(inp: inputs.ReplayInput) -> list[str]:
     return ["".join(lines[lo:lo + CHUNK_EVENTS]) for lo in range(0, len(lines), CHUNK_EVENTS)]
 
 
-def pipeline(pkg, chunks: list[str], dual: bool, floors: Floors | None = None):
-    """JSONL text to report JSON; returns (replayer, report, report JSON).
+def pipeline(pkg, chunks: list[str], floors: Floors | None = None):
+    """JSONL text to report JSON with the oracle in lockstep; returns
+    (replayer, report, report JSON).
 
     Each text chunk goes through one ``parse_trace`` call (seq stays
     increasing within a chunk, so each validates alone), and the replayer
@@ -278,7 +299,7 @@ def pipeline(pkg, chunks: list[str], dual: bool, floors: Floors | None = None):
         stamps.append(clock())
 
     start = clock()
-    replayer = pkg.trace.Replayer(dual=dual)
+    replayer = pkg.trace.Replayer(dual=True)
     report = replayer.run(feed())
     ran = clock()
     out = report.to_json()
@@ -294,9 +315,8 @@ class ReplayCheck:
     """Checks one pipeline pass against the generator's predictions and the
     recorded report digest (or, for an unrecorded seed, the run's first)."""
 
-    def __init__(self, inp: inputs.ReplayInput, dual: bool, recorded: dict | None):
+    def __init__(self, inp: inputs.ReplayInput, recorded: dict | None):
         self.inp = inp
-        self.dual = dual
         self.recorded = recorded
         self.digest = recorded["report_sha256"] if recorded else None
 
@@ -307,14 +327,13 @@ class ReplayCheck:
             self.digest = digest
         bad = sum(1 for exp, got in zip(inp.expected, replayer.outcomes)
                   if any(got.get(k) != v for k, v in exp.items()))
-        divergences = inp.divergences if self.dual else 0
         reads_after_seal = (report.counters.long_list_reads
                             - replayer.seal_snapshot.counters.long_list_reads)
         whole_pass_wrong = (
             len(replayer.outcomes) != inp.event_count
             or digest != self.digest
-            or len(report.divergences) != divergences
-            or (self.recorded is not None and self.recorded["divergences"] != divergences)
+            or len(report.divergences) != inp.divergences
+            or (self.recorded is not None and self.recorded["divergences"] != inp.divergences)
             or reads_after_seal != 0
         )
         if whole_pass_wrong:
@@ -329,7 +348,7 @@ def reissue_pass(pkg, inp: inputs.ReplayInput, args, floors: Floors | None):
     the trace seals. With ``floors`` the pass is timed in ``WINDOW``-call
     segments; without, its routes are checked. Returns the route mismatches
     and the engine's counters."""
-    engine = build_engine(pkg, inp.long_list, (), seal=False)
+    engine = build_engine(pkg, inp.long_list, seal=False)
     pre, post = args[:inp.seal_at], args[inp.seal_at:]
     if floors is None:
         bad = route_mismatches(engine.resolve, pre, inp.call_routes[:inp.seal_at])
@@ -344,32 +363,31 @@ def reissue_pass(pkg, inp: inputs.ReplayInput, args, floors: Floors | None):
     return 0, engine.counters.to_dict()
 
 
-def run_replay(workload: str, seed: int, seconds: float, traced: bool) -> dict:
-    dual = workload == "replay_dual"
+def run_replay(seed: int, seconds: float, traced: bool) -> dict:
     inp = inputs.replay_input(seed)
     chunks = text_chunks(inp)
-    check = ReplayCheck(inp, dual, recorded_digest(workload, seed))
+    inp.lines.clear()  # the chunks hold the text from here on
+    check = ReplayCheck(inp, recorded_digest(seed))
     checks = Checks()
     result = {"sizes": {"events": inp.event_count, "resolves": len(inp.calls),
                         "long_list_entries": len(inp.long_list),
-                        "predicted_divergences": inp.divergences if dual else 0}}
+                        "predicted_divergences": inp.divergences}}
+    rss_before_setup = peak_rss_mb()
 
     setup = []
 
-    def set_up():
-        """One timed set-up: a fresh import of the package and a replayer."""
-        gc.collect()
+    def set_up_once():
+        """A fresh import of the package and a replayer."""
         start = clock()
         pkg = import_package()
-        pkg.trace.Replayer(dual=dual)
-        setup.append(clock() - start)
-        return pkg
+        pkg.trace.Replayer(dual=True)
+        return clock() - start, pkg
 
-    pkg = set_up()
+    pkg = set_up_sample(set_up_once, setup)
 
     def checked_pass(floors=None):
         gc.collect()
-        replayer, report, out = pipeline(pkg, chunks, dual, floors)
+        replayer, report, out = pipeline(pkg, chunks, floors)
         check(checks, replayer, report, out)
         return replayer, report
 
@@ -395,13 +413,14 @@ def run_replay(workload: str, seed: int, seconds: float, traced: bool) -> dict:
             divergences=len(report.divergences),
             overhead=traced_floors.total_ns() / floors.total_ns())
         metrics.update(sweeps(pkg, seed))
-        tracer.write(RESULTS / f"spans-{workload}.csv")
+        tracer.write(RESULTS / "spans-replay_dual.csv")
         result.update(metrics=metrics, report_sha256=check.digest)
         return finish(result, checks)
 
     args = resolve_args(pkg, inp.calls)
     bad, checked_counters = reissue_pass(pkg, inp, args, None)
     checks.add(len(args), bad, "re-issued resolves: route mismatch")
+    inp.call_routes.clear()  # later passes are checked by their counters
 
     # Set-ups, pipeline passes and re-issued resolves take turns for the
     # whole run, so that each meets the machine's quiet spells. Set-up
@@ -411,7 +430,7 @@ def run_replay(workload: str, seed: int, seconds: float, traced: bool) -> dict:
     rounds = 0
     deadline = clock() + seconds * 1e9
     while rounds < MIN_ROUNDS or clock() < deadline:
-        set_up()
+        set_up_sample(set_up_once, setup)
         checked_pass(pipeline_floors)
         for _ in range(REISSUES_PER_ROUND):
             gc.collect()
@@ -423,6 +442,7 @@ def run_replay(workload: str, seed: int, seconds: float, traced: bool) -> dict:
 
     metrics = resolve_floors.resolve_metrics()
     ungated = metrics.pop("ungated")
+    ungated["rss_before_setup_mb"] = (rss_before_setup, "MB")
     result.update(
         metrics={
             "setup_s": (statistics.median(setup) / 1e9, "s"),
@@ -442,51 +462,40 @@ def run_replay(workload: str, seed: int, seconds: float, traced: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# resolve workloads
+# resolve workload
 # ---------------------------------------------------------------------------
 
-def run_resolve(workload: str, seed: int, seconds: float, traced: bool) -> dict:
-    sealed = workload == "resolve_sealed"
-    inp = inputs.sealed_input(seed) if sealed else inputs.warmup_input(seed)
+def run_resolve(seed: int, seconds: float, traced: bool) -> dict:
+    inp = inputs.sealed_input(seed)
     long_list = inputs.long_list(inputs.table_exact(), inputs.table_prefixes())
+    deltas = inputs.counter_deltas(inp.kinds)
+    inp.kinds.clear()
     checks = Checks()
     result = {"sizes": {"long_list_entries": len(long_list), "stream_calls": len(inp.calls),
-                        "warm_calls": len(inp.warm), "sealed": sealed}}
+                        "warm_calls": len(inp.warm)}}
+    rss_before_setup = peak_rss_mb()
 
     setup = []
 
-    def set_up():
-        """One timed set-up: a fresh import, then the engine built, loaded,
-        warmed and sealed as the workload needs (turning the warm-up
-        inputs into arguments is not timed)."""
-        gc.collect()
+    def set_up_once():
+        """A fresh import, then the engine built, loaded, warmed and sealed
+        (turning the warm-up inputs into arguments is not timed)."""
         start = clock()
         pkg = import_package()
         imported = clock()
         warm = resolve_args(pkg, inp.warm)
         built = clock()
-        engine = build_engine(pkg, long_list, warm, sealed)
-        setup.append((imported - start) + (clock() - built))
-        return pkg, warm, engine
+        engine = build_engine(pkg, long_list, warm)
+        return (imported - start) + (clock() - built), (pkg, engine)
 
-    pkg, warm, engine = set_up()
+    pkg, engine = set_up_sample(set_up_once, setup)
     args = resolve_args(pkg, inp.calls)
-    deltas = inputs.counter_deltas(inp.kinds, sealed)
 
-    def fresh():
-        """The engine for the next pass: the warmup stream needs a new one."""
-        if sealed and engine is not None:
-            return engine
-        gc.collect()
-        return build_engine(pkg, long_list, warm, sealed)
-
-    def checked_stream(run_stream) -> None:
-        """Run the whole stream with ``run_stream(engine)`` on the next
-        engine, which returns the calls it found wrong (or None). Every call
-        fails if the counters moved other than predicted; for the sealed
-        stream that includes any long-list read."""
-        nonlocal engine
-        engine = fresh()
+    def checked_stream(engine, run_stream) -> int:
+        """Run the whole stream on ``engine`` with ``run_stream(engine)``,
+        which returns the calls it found wrong (or None); return the
+        long-list reads it made. Every call fails if the counters moved other
+        than predicted, and so if the long list was read at all."""
         before = engine.counters.to_dict()
         bad = run_stream(engine) or 0
         after = engine.counters.to_dict()
@@ -494,36 +503,35 @@ def run_resolve(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         if wrong:
             bad = len(args)
         checks.add(len(args), bad, f"{bad} resolves wrong; counters off: {wrong}")
+        return after["long_list_reads"] - before["long_list_reads"]
 
-    reads_at_seal = engine.counters.long_list_reads
-    checked_stream(lambda engine: route_mismatches(engine.resolve, args, inp.routes))
+    reads_after_seal = checked_stream(
+        engine, lambda engine: route_mismatches(engine.resolve, args, inp.routes))
+    inp.routes.clear()  # later passes are checked by their counters
 
     if traced:
         rates = []
         deadline = clock() + seconds * UNTRACED_SHARE * 1e9
         while not rates or clock() < deadline:
-            checked_stream(lambda engine: rates.append(len(args) / plain_calls(engine.resolve, args)))
+            checked_stream(engine, lambda engine: rates.append(
+                len(args) / plain_calls(engine.resolve, args)))
         engine = None
+        warm = resolve_args(pkg, inp.warm)
         tracer = Tracer()
         install(tracer, pkg)
-        traced_pass = {}
-
-        def traced_stream(engine):
-            traced_pass["reads"] = engine.counters.long_list_reads
-            traced_pass["ns"] = plain_calls(engine.resolve, args)
-
+        traced_ns = []
         try:
-            checked_stream(traced_stream)   # the engine is built under the tracer too
+            engine = build_engine(pkg, long_list, warm)  # so that set-up spans are recorded
+            reads_after_seal = checked_stream(
+                engine, lambda engine: traced_ns.append(plain_calls(engine.resolve, args)))
         finally:
             tracer.uninstall()
-        counters = engine.counters.to_dict()
         metrics = layer_metrics(
-            tracer, checks, events=0, counters=counters,
-            reads_after_seal=counters["long_list_reads"] - traced_pass["reads"] if sealed else 0,
-            outcome_errors=0, divergences=0,
-            overhead=statistics.median(rates) * traced_pass["ns"] / len(args))
+            tracer, checks, events=0, counters=engine.counters.to_dict(),
+            reads_after_seal=reads_after_seal, outcome_errors=0, divergences=0,
+            overhead=statistics.median(rates) * traced_ns[0] / len(args))
         metrics.update(sweeps(pkg, seed))
-        tracer.write(RESULTS / f"spans-{workload}.csv")
+        tracer.write(RESULTS / "spans-resolve_sealed.csv")
         result["metrics"] = metrics
         return finish(result, checks)
 
@@ -531,20 +539,25 @@ def run_resolve(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         for lo in range(0, len(args), WINDOW):
             floors.add_calls(lo, timed_calls(engine.resolve, args[lo:lo + WINDOW]))
 
-    # Set-ups and timed passes take turns for the whole run; set-up samples
-    # replace the package in sys.modules, and the timed work keeps the first.
+    # Set-ups and timed passes take turns for the whole run. The passes of
+    # a round run on the engine of the set-up sample just made; the previous
+    # engine and its arguments are dropped first, so one table at a time is
+    # alive.
     floors = Floors()
     deadline = clock() + seconds * 1e9
-    passes = 0
-    while passes < MIN_ROUNDS or clock() < deadline:
-        set_up()
-        checked_stream(timed_stream)
-        passes += 1
+    rounds = 0
+    while rounds < MIN_ROUNDS or clock() < deadline:
+        pkg = engine = args = None
+        pkg, engine = set_up_sample(set_up_once, setup)
+        args = resolve_args(pkg, inp.calls)
+        for _ in range(STREAMS_PER_ROUND):
+            reads_after_seal += checked_stream(engine, timed_stream)
+        rounds += 1
     rss = peak_rss_mb()
-    reads_after_seal = engine.counters.long_list_reads - reads_at_seal if sealed else 0
 
     metrics = floors.resolve_metrics()
     ungated = metrics.pop("ungated")
+    ungated["rss_before_setup_mb"] = (rss_before_setup, "MB")
     result.update(
         metrics={
             "setup_s": (statistics.median(setup) / 1e9, "s"),
@@ -553,7 +566,7 @@ def run_resolve(workload: str, seed: int, seconds: float, traced: bool) -> dict:
             "peak_rss_mb": (rss, "MB"),
         },
         ungated=ungated,
-        samples={"setup": len(setup), "stream_passes": passes,
+        samples={"setup": len(setup), "stream_passes": rounds * STREAMS_PER_ROUND,
                  "resolve_segments": len(floors.best)},
         long_list_reads_after_seal=reads_after_seal,
     )
@@ -633,18 +646,6 @@ def layer_metrics(tracer: Tracer, checks: Checks, *, events: int, counters: dict
 def sweeps(pkg, seed: int) -> dict:
     """Resolve cost against table size after the seal, and private-miss cost
     against pattern count before it, both untraced."""
-    exact, prefixes = inputs.table_exact(), inputs.table_prefixes()
-    sealed_inp = inputs.sealed_input(seed, SWEEP_SEALED_CALLS)
-    warm = resolve_args(pkg, sealed_inp.warm)
-    sealed_args = resolve_args(pkg, sealed_inp.calls)
-    small = build_engine(pkg, inputs.long_list(exact[:inputs.SWEEP_SMALL_LIST], prefixes), warm, True)
-    large = build_engine(pkg, inputs.long_list(exact, prefixes), warm, True)
-
-    warm_inp = inputs.warmup_input(seed)
-    misses = [c for c, k in zip(warm_inp.calls, warm_inp.kinds) if k == inputs.PRIVATE]
-    miss_args = resolve_args(pkg, misses[:SWEEP_MISS_CALLS])
-    few = build_engine(pkg, inputs.long_list(exact, prefixes[:inputs.SWEEP_FEW_PATTERNS]), (), False)
-    many = build_engine(pkg, inputs.long_list(exact, prefixes), (), False)
 
     def ratio(slow, fast, args):
         """Median window time on ``slow`` over that on ``fast``; both engines
@@ -657,8 +658,19 @@ def sweeps(pkg, seed: int) -> dict:
                     times[id(engine)].append(plain_calls(engine.resolve, part))
         return statistics.median(times[id(slow)]) / statistics.median(times[id(fast)])
 
+    exact, prefixes = inputs.table_exact(), inputs.table_prefixes()
+    sealed_inp = inputs.sealed_input(seed, SWEEP_SEALED_CALLS)
+    warm = resolve_args(pkg, sealed_inp.warm)
+    small = build_engine(pkg, inputs.long_list(exact[:inputs.SWEEP_SMALL_LIST], prefixes), warm)
+    large = build_engine(pkg, inputs.long_list(exact, prefixes), warm)
+    list_ratio = ratio(large, small, resolve_args(pkg, sealed_inp.calls))
+    small = large = None
+
+    miss_args = resolve_args(pkg, inputs.private_misses(seed, SWEEP_MISS_CALLS))
+    few = build_engine(pkg, inputs.long_list(exact, prefixes[:inputs.SWEEP_FEW_PATTERNS]), seal=False)
+    many = build_engine(pkg, inputs.long_list(exact, prefixes), seal=False)
     return {
-        "engine.sealed_cost_ratio_list_100k_vs_1k": (ratio(large, small, sealed_args), "ratio"),
+        "engine.sealed_cost_ratio_list_100k_vs_1k": (list_ratio, "ratio"),
         "engine.miss_cost_ratio_patterns_256_vs_16": (ratio(many, few, miss_args), "ratio"),
     }
 
@@ -732,9 +744,9 @@ def main(argv=None) -> int:
         return 2
     RESULTS.mkdir(exist_ok=True)
 
-    runner = run_replay if opts.workload.startswith("replay") else run_resolve
+    runner = run_replay if opts.workload == "replay_dual" else run_resolve
     wall = time.monotonic()
-    result = runner(opts.workload, opts.seed, opts.seconds, bool(opts.trace))
+    result = runner(opts.seed, opts.seconds, bool(opts.trace))
     result = {"workload": opts.workload, "seed": opts.seed, "seconds": opts.seconds,
               "trace": opts.trace, "wall_s": time.monotonic() - wall,
               "environment": environment(), **result}
