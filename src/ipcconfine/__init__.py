@@ -49,7 +49,7 @@ from .trace import (
     serialize_trace,
     validate_events,
 )
-from .bench import BenchConfig, BenchResult, collect_counters, run_bench
+from .bench import BenchConfig, BenchResult, run_bench
 
 __version__ = "0.1.0"
 
@@ -64,6 +64,6 @@ __all__ = [
     "TraceEvent", "TraceParams", "ReplayReport", "Replayer",
     "parse_trace", "serialize_trace", "validate_events", "replay",
     "fixture_rpcss", "fixture_three_iis", "generate_random_trace",
-    "BenchConfig", "BenchResult", "run_bench", "collect_counters",
+    "BenchConfig", "BenchResult", "run_bench",
     "__version__",
 ]

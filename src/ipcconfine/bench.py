@@ -31,16 +31,11 @@ from .model import Intent, ProcessRef, Scope, VmId
 from .model import PORT as _PORT_CATEGORY
 from .model import SHARED_MEMORY as _SECTION_CATEGORY
 
-__all__ = ["BenchConfig", "BenchResult", "run_bench", "collect_counters"]
+__all__ = ["BenchConfig", "BenchResult", "run_bench"]
 
 _VM_PROC = ProcessRef(pid=1, vm=VmId(1))
 
 OPTIMIZED_PATHS = ("global_hit", "short_hit", "long_hit", "rename_miss", "post_seal_miss")
-
-
-def collect_counters(engine):
-    """Detached snapshot of the engine's counters."""
-    return engine.counters.copy()
 
 
 @dataclass(frozen=True)

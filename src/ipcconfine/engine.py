@@ -48,9 +48,12 @@ from .model import (
     Scope,
     VmId,
     check_object_name,
+    is_ascii_digits,
     is_global_name,
-    rename,
 )
+# Both engines check a name once, on entry to ``resolve``, so renaming skips
+# the re-check that the public ``model.rename`` makes.
+from .model import rename_unchecked as rename
 
 logger = logging.getLogger(__name__)
 
@@ -234,8 +237,7 @@ class HostObjectTable:
         if name in self.exact:
             return True
         for prefix in self.patterns:
-            suffix = name[len(prefix):]
-            if name.startswith(prefix) and suffix.isdigit():
+            if name.startswith(prefix) and is_ascii_digits(name[len(prefix):]):
                 return True
         return False
 
@@ -406,14 +408,16 @@ class ReferenceEngine:
     """Naive oracle: the same decisions with no short list and no flag.
 
     Every host-object lookup scans the entire long list (exact entries and
-    patterns alike), so it is never affected by sealing. It keeps its own
+    patterns alike), so it is never affected by sealing. Entries are split
+    into exact names and pattern prefixes once, at load. It keeps its own
     global-object tables so it can be driven over a trace in lockstep with
     the optimized engine.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._entries: list[str] = []
+        self._exact: list[str] = []
+        self._prefixes: list[str] = []
         self._loaded = False
         self._global_tables: dict[VmId, set[str]] = {}
         self.counters = EngineCounters()
@@ -422,12 +426,12 @@ class ReferenceEngine:
         with self._lock:
             if self._loaded:
                 raise AlreadyLoaded("long host-object list may be loaded only once")
-            entries = []
+            names = list(names)
             for name in names:
                 check_object_name(name, allow_pattern=True)
-                if name not in entries:
-                    entries.append(name)
-            self._entries = entries
+            entries = dict.fromkeys(names)  # drops repeats, keeps order
+            self._exact = [name for name in entries if not name.endswith("*")]
+            self._prefixes = [name[:-1] for name in entries if name.endswith("*")]
             self._loaded = True
             return len(entries)
 
@@ -479,12 +483,11 @@ class ReferenceEngine:
             return ResolveOutcome(rename(name, caller.vm), Route.VM_PRIVATE, Principle.ISOLATION)
 
     def _scan(self, name: str) -> bool:
-        # deliberate full scan, entry by entry
-        for entry in self._entries:
-            if entry.endswith("*"):
-                prefix = entry[:-1]
-                if name.startswith(prefix) and name[len(prefix):].isdigit():
-                    return True
-            elif entry == name:
+        # deliberate full scan, entry by entry: list membership compares the
+        # exact names one at a time, then every pattern prefix is tried
+        if name in self._exact:
+            return True
+        for prefix in self._prefixes:
+            if name.startswith(prefix) and is_ascii_digits(name[len(prefix):]):
                 return True
         return False

@@ -9,7 +9,6 @@ The host context (VM id 0) is never renamed.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -30,11 +29,13 @@ __all__ = [
     "IpcCategory",
     "Scope",
     "Intent",
+    "is_ascii_digits",
     "check_object_name",
     "is_valid_object_name",
     "has_reserved_vm_prefix",
     "vm_tag",
     "rename",
+    "rename_unchecked",
     "unrename",
     "is_global_name",
     "VmRegistry",
@@ -42,8 +43,19 @@ __all__ = [
 
 SEP = "\\"
 
-# First path component that collides with the rename image space.
-_RESERVED_COMPONENT = re.compile(r"^vm\d+$")
+
+def is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of the ASCII digits 0-9.
+
+    The one definition of a digit for pattern suffixes and ``vm<digits>``
+    tags; ``str.isdigit`` alone also accepts digits such as ``'²'``.
+    """
+    return text.isascii() and text.isdigit()
+
+
+def _is_reserved_component(component: str) -> bool:
+    """True if a path component collides with the rename image space."""
+    return component.startswith("vm") and is_ascii_digits(component[2:])
 
 
 @dataclass(frozen=True)
@@ -166,11 +178,9 @@ def check_object_name(name: str, allow_pattern: bool = False) -> str:
     """
     if not isinstance(name, str) or not name.startswith(SEP):
         raise InvalidName(f"object name must start with {SEP!r}: {name!r}")
-    body = name[1:]
-    if not body:
+    if len(name) == 1:
         raise InvalidName(f"object name has no components: {name!r}")
-    components = body.split(SEP)
-    if any(c == "" for c in components):
+    if SEP + SEP in name or name.endswith(SEP):
         raise InvalidName(f"empty component or trailing separator: {name!r}")
     star = name.count("*")
     if star:
@@ -189,8 +199,7 @@ def is_valid_object_name(name: str, allow_pattern: bool = False) -> bool:
 
 def has_reserved_vm_prefix(name: str) -> bool:
     """True if the first component looks like a rename tag (``vm<digits>``)."""
-    first = name[1:].split(SEP, 1)[0] if name.startswith(SEP) else ""
-    return bool(_RESERVED_COMPONENT.match(first))
+    return name.startswith(SEP) and _is_reserved_component(name[1:].partition(SEP)[0])
 
 
 def vm_tag(vm: VmId) -> str:
@@ -208,6 +217,12 @@ def rename(name: str, vm: VmId) -> str:
     if vm.is_host:
         raise HostRenameForbidden("host (vm 0) names are never renamed")
     check_object_name(name)
+    return rename_unchecked(name, vm)
+
+
+def rename_unchecked(name: str, vm: VmId) -> str:
+    """:func:`rename` without its checks, for callers that have already
+    validated ``name`` and know ``vm`` is not the host."""
     return SEP + vm_tag(vm) + name
 
 
@@ -216,7 +231,7 @@ def unrename(effective: str) -> tuple[VmId, str] | None:
     if not effective.startswith(SEP):
         return None
     first, sep, rest = effective[1:].partition(SEP)
-    if sep and _RESERVED_COMPONENT.match(first):
+    if sep and _is_reserved_component(first):
         return VmId(int(first[2:])), SEP + rest
     return None
 

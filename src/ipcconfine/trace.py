@@ -1,7 +1,8 @@
 r"""Trace format, validation, deterministic replay, and bundled fixtures.
 
 Wire format is JSONL: one event object per line, UTF-8. Every event carries a
-strictly increasing ``seq`` and an ``op``; remaining fields depend on the op:
+strictly increasing ``seq`` and an ``op``; remaining fields depend on the op,
+as ``OP_SCHEMA`` lists them with their exact types:
 
     {"seq": 1, "op": "load_long_list", "names": ["\\RPC Control\\ntsvcs"]}
     {"seq": 2, "op": "vm_create", "ip": "10.0.0.2"}
@@ -26,6 +27,8 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from operator import attrgetter
 
 from .engine import (
     ConfinementEngine,
@@ -37,6 +40,7 @@ from .engine import (
 from .errors import (
     ConfinementError,
     InvalidHandle,
+    InvalidName,
     InvalidParams,
     KernelError,
     ParseError,
@@ -44,7 +48,6 @@ from .errors import (
     ValidationError,
 )
 from .kernel import Delivery, HookScope, SimKernel
-from .errors import InvalidName
 from .model import (
     Intent,
     IpcCategory,
@@ -77,36 +80,6 @@ __all__ = [
     "RPCSS_HOST_OBJECTS",
 ]
 
-OPS = {
-    "load_long_list", "vm_create", "spawn", "create", "open", "close",
-    "send", "register_window", "find_window", "remote_thread", "set_hook",
-    "bind", "seal",
-}
-
-# op -> (required fields, optional fields); seq/op/expect handled separately
-_FIELDS = {
-    "load_long_list": ({"names"}, set()),
-    "vm_create": ({"ip"}, set()),
-    "spawn": ({"vm"}, set()),
-    "create": ({"actor", "name", "category"}, {"scope"}),
-    "open": ({"actor", "name", "category"}, set()),
-    "close": ({"actor", "name"}, set()),
-    "send": ({"actor", "target"}, {"subtype", "payload"}),
-    "register_window": ({"actor", "class_name"}, set()),
-    "find_window": ({"actor", "class_name"}, set()),
-    "remote_thread": ({"actor", "target"}, set()),
-    "set_hook": ({"actor", "hook_scope"}, set()),
-    "bind": ({"actor", "ip", "port"}, set()),
-    "seal": (set(), set()),
-}
-
-_EXPECT_KEYS = {"route", "decision", "effective_name", "error"}
-
-# Errors that are normal, assertable outcomes of an op contract; anything
-# else raised during replay is a precondition violation and aborts the run
-# unless the event expects it.
-_OUTCOME_ERRORS = {"NotFound", "AlreadyExists", "CategoryMismatch", "AddressInUse"}
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -129,25 +102,170 @@ class TraceEvent:
 
     def to_dict(self) -> dict:
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _EVENT_FIELDS:
+            value = getattr(self, name)
             if value is None:
                 continue
-            if f.name == "names":
+            if name == "names":
                 value = list(value)
-            out[f.name] = value
+            out[name] = value
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown fields: {sorted(unknown)}")
-        payload = dict(data)
-        if "names" in payload and payload["names"] is not None:
-            payload["names"] = tuple(payload["names"])
-        return cls(**payload)
+        if not _KNOWN_FIELDS.issuperset(data):
+            raise ValueError(f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}")
+        if type(data.get("names")) is list:
+            data = {**data, "names": tuple(data["names"])}
+        return cls(**data)
+
+
+_EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
+_KNOWN_FIELDS = frozenset(_EVENT_FIELDS)
+_PAYLOAD_FIELDS = tuple(f for f in _EVENT_FIELDS if f not in ("seq", "op", "expect"))
+
+
+class FieldType:
+    """A payload field's exact type and the rule its value must meet.
+
+    The type is matched exactly, so ``True`` is not an ``int``. ``rule``
+    takes a value of that type and returns an error message, or None.
+    ``label`` names the type in error messages, in trace (JSON) terms.
+    """
+
+    __slots__ = ("type", "rule", "label")
+
+    def __init__(self, type_: type, rule=None, label: str | None = None):
+        self.type = type_
+        self.rule = rule
+        self.label = label or type_.__name__
+
+    def check(self, seq: int, field_name: str, value) -> None:
+        if type(value) is not self.type:
+            raise ValidationError(seq, f"{field_name} must be of type {self.label}, "
+                                       f"got {type(value).__name__}")
+        if self.rule is not None:
+            error = self.rule(value)
+            if error is not None:
+                raise ValidationError(seq, f"{field_name}: {error}")
+
+
+class OpSpec:
+    """One trace op: the Replayer method that runs it and its payload fields,
+    each mapped to its :class:`FieldType`."""
+
+    __slots__ = ("handler", "required", "optional", "fields", "_absent", "_get_absent")
+
+    def __init__(self, handler: str, required: dict, optional: dict | None = None):
+        self.handler = handler
+        self.required = tuple(required.items())
+        self.optional = tuple((optional or {}).items())
+        self.fields = frozenset(required) | frozenset(optional or ())
+        # the payload fields this op must leave unset; every op leaves at
+        # least two, so the getter returns a tuple
+        self._absent = tuple(f for f in _PAYLOAD_FIELDS if f not in self.fields)
+        self._get_absent = attrgetter(*self._absent)
+
+    def validate(self, event: "TraceEvent") -> None:
+        seq = event.seq
+        for name, kind in self.required:
+            value = getattr(event, name)
+            if value is None:
+                missing = sorted(f for f, _ in self.required if getattr(event, f) is None)
+                raise ValidationError(seq, f"{event.op} requires {missing}")
+            kind.check(seq, name, value)
+        if self._get_absent(event).count(None) != len(self._absent):
+            extra = sorted(f for f in self._absent if getattr(event, f) is not None)
+            raise ValidationError(seq, f"{event.op} does not take {extra}")
+        for name, kind in self.optional:
+            value = getattr(event, name)
+            if value is not None:
+                kind.check(seq, name, value)
+
+
+# One parse per distinct category string; validation warms it for replay.
+_category = lru_cache(maxsize=64)(IpcCategory.parse)
+
+_SCOPES = {None: Scope.LOCAL, **{s.value: s for s in Scope}}
+_HOOK_SCOPES = {h.value: h for h in HookScope}
+
+
+def _name_error(name: str, allow_pattern: bool = False) -> str | None:
+    try:
+        check_object_name(name, allow_pattern=allow_pattern)
+    except InvalidName as exc:
+        return str(exc)
+    if has_reserved_vm_prefix(name):
+        return f"reserved vm-prefix name {name!r}"
+    return None
+
+
+def _names_error(names: tuple) -> str | None:
+    for name in names:
+        error = _name_error(name, allow_pattern=True)
+        if error is not None:
+            return error
+    return None
+
+
+def _category_error(text: str) -> str | None:
+    try:
+        category = _category(text)
+    except ValueError as exc:
+        return str(exc)
+    if not category.name_addressed:
+        return f"not a name-addressed category: {text}"
+    return None
+
+
+def _one_of(values):
+    return lambda value: None if value in values else f"must be one of {sorted(values)}, got {value!r}"
+
+
+PID = FieldType(int, lambda v: None if v >= 1 else "must be a positive pid")
+VM = FieldType(int, lambda v: None if v >= 0 else "must be a non-negative integer")
+PORT = FieldType(int)
+TEXT = FieldType(str)
+NAME = FieldType(str, _name_error)
+NAMES = FieldType(tuple, _names_error, "list")  # held as a tuple once parsed
+CATEGORY = FieldType(str, _category_error)
+SCOPE = FieldType(str, _one_of({s.value for s in Scope}))
+HOOK_SCOPE = FieldType(str, _one_of(set(_HOOK_SCOPES)))
+
+# The trace schema: every op, its handler and its payload fields. Parsing,
+# validation and replay dispatch all read this table. ``seq``, ``op`` and
+# ``expect`` are common to every op.
+OP_SCHEMA = {
+    "load_long_list": OpSpec("_load_long_list", {"names": NAMES}),
+    "vm_create": OpSpec("_vm_create", {"ip": TEXT}),
+    "spawn": OpSpec("_spawn", {"vm": VM}),
+    "create": OpSpec("_create", {"actor": PID, "name": NAME, "category": CATEGORY},
+                     {"scope": SCOPE}),
+    "open": OpSpec("_open", {"actor": PID, "name": NAME, "category": CATEGORY}),
+    "close": OpSpec("_close", {"actor": PID, "name": NAME}),
+    "send": OpSpec("_send", {"actor": PID, "target": PID},
+                   {"subtype": TEXT, "payload": TEXT}),
+    "register_window": OpSpec("_register_window", {"actor": PID, "class_name": TEXT}),
+    "find_window": OpSpec("_find_window", {"actor": PID, "class_name": TEXT}),
+    "remote_thread": OpSpec("_remote_thread", {"actor": PID, "target": PID}),
+    "set_hook": OpSpec("_set_hook", {"actor": PID, "hook_scope": HOOK_SCOPE}),
+    "bind": OpSpec("_bind", {"actor": PID, "ip": TEXT, "port": PORT}),
+    "seal": OpSpec("_seal", {}),
+}
+
+# expect key -> the string values it accepts (None: any string); null is
+# accepted for every key
+_EXPECT = {
+    "route": frozenset(r.value for r in Route),
+    "decision": frozenset({"Allow", "Deny"}),
+    "effective_name": None,
+    "error": None,
+}
+
+# Errors that are normal, assertable outcomes of an op contract; anything
+# else raised during replay is a precondition violation and aborts the run
+# unless the event expects it.
+_OUTCOME_ERRORS = {"NotFound", "AlreadyExists", "CategoryMismatch", "AddressInUse"}
 
 
 def serialize_trace(events) -> str:
@@ -164,6 +282,9 @@ def parse_trace(text: str) -> list[TraceEvent]:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(lineno, f"bad JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            # e.g. an integer too long to convert, or nesting too deep
+            raise ParseError(lineno, f"bad JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ParseError(lineno, "event must be a JSON object")
         try:
@@ -178,73 +299,33 @@ def validate_events(events) -> None:
     last_seq = 0
     for event in events:
         seq = event.seq
-        if not isinstance(seq, int) or seq <= last_seq:
-            raise ValidationError(seq if isinstance(seq, int) else -1,
+        if type(seq) is not int or seq <= last_seq:
+            raise ValidationError(seq if type(seq) is int else -1,
                                   f"seq must be a strictly increasing positive integer (after {last_seq})")
         last_seq = seq
-        _validate_event(event)
+        op = event.op
+        spec = OP_SCHEMA.get(op) if type(op) is str else None
+        if spec is None:
+            raise ValidationError(seq, f"unknown op {op!r}")
+        spec.validate(event)
+        if event.expect is not None:
+            _validate_expect(seq, event.expect)
 
 
-def _validate_event(event: TraceEvent) -> None:
-    seq = event.seq
-    if event.op not in OPS:
-        raise ValidationError(seq, f"unknown op {event.op!r}")
-    required, optional = _FIELDS[event.op]
-    payload_fields = {f.name for f in fields(TraceEvent)} - {"seq", "op", "expect"}
-    present = {name for name in payload_fields if getattr(event, name) is not None}
-    missing = required - present
-    if missing:
-        raise ValidationError(seq, f"{event.op} requires {sorted(missing)}")
-    extra = present - required - optional
-    if extra:
-        raise ValidationError(seq, f"{event.op} does not take {sorted(extra)}")
-
-    if event.op == "load_long_list":
-        for name in event.names:
-            _check_trace_name(seq, name, allow_pattern=True)
-    if event.name is not None:
-        _check_trace_name(seq, event.name)
-    if event.category is not None:
-        try:
-            category = IpcCategory.parse(event.category)
-        except ValueError as exc:
-            raise ValidationError(seq, str(exc)) from None
-        if event.op in ("create", "open") and not category.name_addressed:
-            raise ValidationError(seq, f"{event.op} takes a name-addressed category, got {event.category}")
-    if event.scope is not None and event.scope not in ("Local", "Global"):
-        raise ValidationError(seq, f"bad scope {event.scope!r}")
-    if event.hook_scope is not None and event.hook_scope not in ("SystemWide", "OwnVm"):
-        raise ValidationError(seq, f"bad hook_scope {event.hook_scope!r}")
-    if event.port is not None and not isinstance(event.port, int):
-        raise ValidationError(seq, "port must be an integer")
-    if event.vm is not None and (not isinstance(event.vm, int) or event.vm < 0):
-        raise ValidationError(seq, "vm must be a non-negative integer")
-    for label in ("actor", "target"):
-        value = getattr(event, label)
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise ValidationError(seq, f"{label} must be a positive pid")
-
-    if event.expect is not None:
-        if not isinstance(event.expect, dict):
-            raise ValidationError(seq, "expect must be an object")
-        unknown = set(event.expect) - _EXPECT_KEYS
-        if unknown:
-            raise ValidationError(seq, f"unknown expect keys {sorted(unknown)}")
-        route = event.expect.get("route")
-        if route is not None and route not in {r.value for r in Route}:
-            raise ValidationError(seq, f"bad expect.route {route!r}")
-        decision = event.expect.get("decision")
-        if decision is not None and decision not in ("Allow", "Deny"):
-            raise ValidationError(seq, f"bad expect.decision {decision!r}")
-
-
-def _check_trace_name(seq: int, name: str, allow_pattern: bool = False) -> None:
-    try:
-        check_object_name(name, allow_pattern=allow_pattern)
-    except InvalidName as exc:
-        raise ValidationError(seq, str(exc)) from None
-    if has_reserved_vm_prefix(name):
-        raise ValidationError(seq, f"reserved vm-prefix name {name!r}")
+def _validate_expect(seq: int, expect) -> None:
+    if not isinstance(expect, dict):
+        raise ValidationError(seq, "expect must be an object")
+    for key, value in expect.items():
+        if key not in _EXPECT:
+            unknown = sorted(map(str, set(expect) - set(_EXPECT)))
+            raise ValidationError(seq, f"unknown expect keys {unknown}")
+        if value is None:
+            continue
+        if type(value) is not str:
+            raise ValidationError(seq, f"expect.{key} must be a string or null")
+        allowed = _EXPECT[key]
+        if allowed is not None and value not in allowed:
+            raise ValidationError(seq, f"bad expect.{key} {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +376,7 @@ class Replayer:
         # (actor pid, original name) -> stack of open handles
         self._handles: dict[tuple[int, str], list] = {}
         self._divergences: list[dict] = []
+        self._handlers = {op: getattr(self, spec.handler) for op, spec in OP_SCHEMA.items()}
 
     def run(self, events) -> ReplayReport:
         report = ReplayReport()
@@ -316,8 +398,11 @@ class Replayer:
 
     def _execute(self, event: TraceEvent) -> dict:
         result = {"seq": event.seq, "op": event.op}
+        handler = self._handlers.get(event.op)
+        if handler is None:  # pragma: no cover - validation rejects unknown ops
+            raise ReplayError(event.seq, f"unknown op {event.op!r}")
         try:
-            self._dispatch(event, result)
+            handler(event, result)
         except ConfinementError as exc:
             result["error"] = exc.code
             if isinstance(exc, KernelError) and exc.outcome is not None:
@@ -328,88 +413,91 @@ class Replayer:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
         return result
 
-    def _dispatch(self, event: TraceEvent, result: dict) -> None:
-        op = event.op
-        if op == "load_long_list":
-            count = self.engine.load_long_list(event.names)
-            if self.reference is not None:
-                self.reference.load_long_list(event.names)
-            result["loaded"] = count
-        elif op == "vm_create":
-            vm = self.registry.vm_create(event.ip)
-            result["vm"] = vm.id
-        elif op == "spawn":
-            proc = self.registry.process_spawn(VmId(event.vm))
-            result["pid"] = proc.pid
-        elif op == "create":
-            caller = self.registry.process(event.actor)
-            category = IpcCategory.parse(event.category)
-            scope = Scope(event.scope) if event.scope else Scope.LOCAL
-            handle = self.kernel.create_object(caller, event.name, category, scope)
-            self._handles.setdefault((event.actor, event.name), []).append(handle)
-            result.update(handle.outcome.to_dict())
-            self._compare_reference(event, handle.outcome)
-        elif op == "open":
-            caller = self.registry.process(event.actor)
-            category = IpcCategory.parse(event.category)
-            handle = self.kernel.open_object(caller, event.name, category)
-            self._handles.setdefault((event.actor, event.name), []).append(handle)
-            result.update(handle.outcome.to_dict())
-            self._compare_reference(event, handle.outcome)
-        elif op == "close":
-            stack = self._handles.get((event.actor, event.name)) or []
-            if not stack:
-                raise InvalidHandle(f"pid {event.actor} has no open handle for {event.name}")
-            handle = stack.pop()
-            self.kernel.close(handle)
-        elif op == "send":
-            sender = self.registry.process(event.actor)
-            target = self.registry.process(event.target)
-            payload = (event.payload or "").encode()
-            outcome = self.kernel.send_message(sender, target,
-                                               event.subtype or "WindowsMessage", payload)
-            result["delivery"] = outcome.value
-            result["decision"] = "Allow" if outcome is Delivery.DELIVERED else "Deny"
-        elif op == "register_window":
-            owner = self.registry.process(event.actor)
-            self.kernel.register_window(owner, event.class_name)
-        elif op == "find_window":
-            caller = self.registry.process(event.actor)
-            found = self.kernel.find_window(caller, event.class_name)
-            result["found"] = found is not None
-            result["decision"] = "Allow" if found is not None else "Deny"
-        elif op == "remote_thread":
-            caller = self.registry.process(event.actor)
-            target = self.registry.process(event.target)
-            verdict = self.kernel.create_remote_thread(caller, target)
-            result["decision"] = verdict.decision.value
-            result["reason"] = verdict.reason
-        elif op == "set_hook":
-            caller = self.registry.process(event.actor)
-            grant = self.kernel.set_hook(caller, HookScope(event.hook_scope))
-            result["decision"] = "Allow"
-            result["effective_vm"] = grant.effective_vm.id
-            result["narrowed"] = grant.narrowed
-        elif op == "bind":
-            caller = self.registry.process(event.actor)
-            binding = self.kernel.bind_socket(caller, event.ip, event.port)
-            result["effective_ip"], result["effective_port"] = binding.effective
-        elif op == "seal":
-            self.engine.seal_host_objects()
-            if self.reference is not None:
-                self.reference.seal_host_objects()
-            self.seal_snapshot = self.engine.snapshot()
-        else:  # pragma: no cover - validation rejects unknown ops
-            raise ReplayError(event.seq, f"unknown op {op!r}")
+    # -- one handler per op, named in OP_SCHEMA -------------------------------
+
+    def _load_long_list(self, event: TraceEvent, result: dict) -> None:
+        result["loaded"] = self.engine.load_long_list(event.names)
+        if self.reference is not None:
+            self.reference.load_long_list(event.names)
+
+    def _vm_create(self, event: TraceEvent, result: dict) -> None:
+        result["vm"] = self.registry.vm_create(event.ip).id
+
+    def _spawn(self, event: TraceEvent, result: dict) -> None:
+        result["pid"] = self.registry.process_spawn(VmId(event.vm)).pid
+
+    def _create(self, event: TraceEvent, result: dict) -> None:
+        caller = self.registry.process(event.actor)
+        handle = self.kernel.create_object(caller, event.name, _category(event.category),
+                                           _SCOPES[event.scope])
+        self._opened(event, result, handle)
+
+    def _open(self, event: TraceEvent, result: dict) -> None:
+        caller = self.registry.process(event.actor)
+        handle = self.kernel.open_object(caller, event.name, _category(event.category))
+        self._opened(event, result, handle)
+
+    def _opened(self, event: TraceEvent, result: dict, handle) -> None:
+        self._handles.setdefault((event.actor, event.name), []).append(handle)
+        result.update(handle.outcome.to_dict())
+        self._compare_reference(event, handle.outcome)
+
+    def _close(self, event: TraceEvent, result: dict) -> None:
+        stack = self._handles.get((event.actor, event.name)) or []
+        if not stack:
+            raise InvalidHandle(f"pid {event.actor} has no open handle for {event.name}")
+        self.kernel.close(stack.pop())
+
+    def _send(self, event: TraceEvent, result: dict) -> None:
+        sender = self.registry.process(event.actor)
+        target = self.registry.process(event.target)
+        payload = (event.payload or "").encode()
+        outcome = self.kernel.send_message(sender, target,
+                                           event.subtype or "WindowsMessage", payload)
+        result["delivery"] = outcome.value
+        result["decision"] = "Allow" if outcome is Delivery.DELIVERED else "Deny"
+
+    def _register_window(self, event: TraceEvent, result: dict) -> None:
+        self.kernel.register_window(self.registry.process(event.actor), event.class_name)
+
+    def _find_window(self, event: TraceEvent, result: dict) -> None:
+        caller = self.registry.process(event.actor)
+        found = self.kernel.find_window(caller, event.class_name)
+        result["found"] = found is not None
+        result["decision"] = "Allow" if found is not None else "Deny"
+
+    def _remote_thread(self, event: TraceEvent, result: dict) -> None:
+        caller = self.registry.process(event.actor)
+        target = self.registry.process(event.target)
+        verdict = self.kernel.create_remote_thread(caller, target)
+        result["decision"] = verdict.decision.value
+        result["reason"] = verdict.reason
+
+    def _set_hook(self, event: TraceEvent, result: dict) -> None:
+        caller = self.registry.process(event.actor)
+        grant = self.kernel.set_hook(caller, _HOOK_SCOPES[event.hook_scope])
+        result["decision"] = "Allow"
+        result["effective_vm"] = grant.effective_vm.id
+        result["narrowed"] = grant.narrowed
+
+    def _bind(self, event: TraceEvent, result: dict) -> None:
+        caller = self.registry.process(event.actor)
+        binding = self.kernel.bind_socket(caller, event.ip, event.port)
+        result["effective_ip"], result["effective_port"] = binding.effective
+
+    def _seal(self, event: TraceEvent, result: dict) -> None:
+        self.engine.seal_host_objects()
+        if self.reference is not None:
+            self.reference.seal_host_objects()
+        self.seal_snapshot = self.engine.snapshot()
 
     def _compare_reference(self, event: TraceEvent, outcome) -> None:
         if self.reference is None:
             return
         caller = self.registry.process(event.actor)
-        category = IpcCategory.parse(event.category)
         intent = Intent.CREATE if event.op == "create" else Intent.OPEN
-        scope = Scope(event.scope) if event.scope else Scope.LOCAL
-        ref = self.reference.resolve(caller, event.name, category, intent, scope)
+        ref = self.reference.resolve(caller, event.name, _category(event.category), intent,
+                                     _SCOPES[event.scope])
         if ref != outcome:
             self._divergences.append({
                 "seq": event.seq,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ipcconfine.bench import BenchConfig, OPTIMIZED_PATHS, collect_counters, run_bench
+from ipcconfine.bench import BenchConfig, OPTIMIZED_PATHS, run_bench
 from ipcconfine.errors import InvalidConfig
 
 
@@ -65,8 +65,8 @@ class TestRun:
 class TestCollectCounters:
     def test_detached_snapshot(self, engine):
         from ipcconfine.model import Intent, PORT, ProcessRef, VmId
-        snap = collect_counters(engine)
+        snap = engine.counters.copy()
         assert snap == engine.counters and snap is not engine.counters
         engine.resolve(ProcessRef(5, VmId(1)), r"\a\b", PORT, Intent.OPEN)
         assert snap.resolves_total == 0
-        assert collect_counters(engine).resolves_total == 1
+        assert engine.counters.copy().resolves_total == 1

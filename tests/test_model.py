@@ -21,9 +21,11 @@ from ipcconfine.model import (
     VmRegistry,
     check_object_name,
     has_reserved_vm_prefix,
+    is_ascii_digits,
     is_global_name,
     is_valid_object_name,
     rename,
+    rename_unchecked,
     unrename,
     vm_tag,
 )
@@ -122,9 +124,23 @@ class TestObjectNames:
         (r"\vmx\a", False),
         (r"\a\vm1", False),
         (r"\virtual\a", False),
+        ("\\vm\u0661\\a", False),   # Arabic-Indic digit one
+        ("\\vm\u00b2\\a", False),   # superscript two
     ])
     def test_reserved_prefix(self, name, reserved):
         assert has_reserved_vm_prefix(name) == reserved
+
+    @pytest.mark.parametrize("text,digits", [
+        ("0", True),
+        ("0123456789", True),
+        ("", False),
+        ("1a", False),
+        ("\u00b2", False),
+        ("1\u0661", False),
+        ("\uff11", False),           # fullwidth digit one
+    ])
+    def test_ascii_digits(self, text, digits):
+        assert is_ascii_digits(text) is digits
 
 
 class TestRename:
@@ -146,6 +162,13 @@ class TestRename:
         assert unrename(r"\a\b") is None
         assert unrename(r"\vmx\a") is None
         assert unrename("plain") is None
+
+    def test_unrename_needs_ascii_digits(self):
+        assert unrename("\\vm\u0661\\x") is None
+        assert unrename("\\vm\u00b2\\x") is None
+
+    def test_unchecked_rename_matches_rename(self):
+        assert rename_unchecked(r"\a\b", VmId(7)) == rename(r"\a\b", VmId(7))
 
     @given(
         components=st.lists(

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ipcconfine.engine import ConfinementEngine, ReferenceEngine, Route
 from ipcconfine.errors import NotLoaded
-from ipcconfine.model import Intent, PORT, ProcessRef, Scope, VmId
+from ipcconfine.model import Intent, PORT, ProcessRef, Scope, VmId, unrename
 from ipcconfine.trace import (
     TraceParams,
     first_post_seal_host_touches,
@@ -58,6 +58,47 @@ class TestReferenceEngine:
                                  Intent.OPEN).route is Route.HOST_PASSTHROUGH
         assert reference.resolve(VM1, r"\srv\ctl\PipeX", PORT,
                                  Intent.OPEN).route is Route.VM_PRIVATE
+
+    def test_miss_compares_every_exact_entry(self):
+        compared = []
+
+        class Entry(str):
+            def __eq__(self, other):
+                compared.append(str(self))
+                return str.__eq__(self, other)
+
+            __hash__ = str.__hash__
+
+        entries = [Entry(rf"\srv\host-{i}") for i in range(20)]
+        reference = ReferenceEngine()
+        reference.load_long_list(entries + [r"\srv\ctl\Pipe*"])
+        out = reference.resolve(VM1, r"\srv\other", PORT, Intent.OPEN)
+        assert out.route is Route.VM_PRIVATE
+        assert compared == [str(e) for e in entries]
+
+
+class TestAsciiDigits:
+    """Pattern suffixes and ``vm<digits>`` tags take ASCII digits only, in
+    both engines."""
+
+    @pytest.mark.parametrize("seal", [False, True])
+    def test_unicode_digit_suffix_is_not_a_host_object(self, seal):
+        engine, reference = pair()
+        if seal:
+            engine.seal_host_objects()
+            reference.seal_host_objects()
+        for name in ("\\srv\\ctl\\Pipe\u00b2", "\\srv\\ctl\\Pipe\u0661"):
+            a, b = both(engine, reference, VM1, name)
+            assert a == b
+            assert a.route is Route.VM_PRIVATE and a.effective_name == "\\vm1" + name
+
+    def test_unicode_digit_tag_is_an_ordinary_name(self):
+        engine, reference = pair()
+        name = "\\vm\u0661\\x"
+        a, b = both(engine, reference, VM1, name)
+        assert a == b and a.route is Route.VM_PRIVATE
+        assert unrename(a.effective_name) == (VmId(1), name)
+        assert unrename(name) is None
 
 
 class TestAgreementBeforeSeal:

@@ -1,11 +1,17 @@
 """Trace parsing, validation, replay semantics, fixtures, random generation."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ipcconfine.cli import main
 from ipcconfine.errors import ParseError, InvalidParams, ReplayError, ValidationError
 from ipcconfine.trace import (
+    OP_SCHEMA,
     RPCSS_HOST_OBJECTS,
     RPCSS_ISOLATION,
     RPCSS_LONG_LIST,
@@ -107,6 +113,105 @@ class TestValidation:
             ev(1, "create", actor=1, name=r"\a\b", category="I_Port", scope="Global"),
             ev(2, "send", actor=1, target=2, subtype="Clipboard", payload="x"),
         ])
+
+
+# lines that give a field a value of the wrong type; each must fail validation
+_PREAMBLE_LINES = [
+    {"seq": 1, "op": "load_long_list", "names": []},
+    {"seq": 2, "op": "vm_create", "ip": "10.0.0.2"},
+    {"seq": 3, "op": "spawn", "vm": 1},
+]
+_MALFORMED = {
+    "category_int": {"seq": 4, "op": "open", "actor": 1, "name": r"\a\b", "category": 5},
+    "payload_int": {"seq": 4, "op": "send", "actor": 1, "target": 1, "payload": 5},
+    "port_bool": {"seq": 4, "op": "bind", "actor": 1, "ip": "0.0.0.0", "port": True},
+    "class_name_int": {"seq": 4, "op": "register_window", "actor": 1, "class_name": 7},
+    "seq_bool": {"seq": True, "op": "seal"},
+    "ip_int": {"seq": 4, "op": "vm_create", "ip": 7},
+    "names_string": {"seq": 4, "op": "load_long_list", "names": "\\abc"},
+}
+
+
+class TestFieldTypes:
+    @pytest.fixture(params=sorted(_MALFORMED))
+    def malformed(self, request, tmp_path):
+        bad = _MALFORMED[request.param]
+        lines = [bad] if bad["seq"] is True else _PREAMBLE_LINES + [bad]
+        path = tmp_path / f"{request.param}.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        return path
+
+    def test_validation_rejects(self, malformed):
+        with pytest.raises(ValidationError):
+            parse_trace(malformed.read_text(encoding="utf-8"))
+
+    def test_replay_exits_2(self, malformed, capsys):
+        assert main(["replay", str(malformed)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000 + "]" * 100_000,                      # nested too deep
+        '{"seq": ' + "1" * 5_000 + ', "op": "seal"}',       # integer too long
+    ])
+    def test_undecodable_json_is_a_parse_error(self, line):
+        with pytest.raises(ParseError):
+            parse_trace(line + "\n")
+
+
+class TestSchema:
+    def test_covers_every_payload_field(self):
+        payload = {f.name for f in fields(TraceEvent)} - {"seq", "op", "expect"}
+        covered = set().union(*(spec.fields for spec in OP_SCHEMA.values()))
+        assert covered == payload
+
+
+class TestReadme:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_example_trace_replays_clean(self):
+        block = re.search(r"```jsonl\n(.*?)```", self.text, re.S).group(1)
+        report = replay(parse_trace(block), dual=True)
+        assert report.ok and report.assertions_passed == 2
+
+    def test_op_list_matches_schema(self):
+        listed = re.search(r"^Ops: (.*?)\.\s", self.text, re.M | re.S).group(1)
+        assert re.findall(r"`(\w+)`", listed) == list(OP_SCHEMA)
+
+
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+           | st.text(max_size=6))
+_JSON = (_SCALAR | st.lists(_SCALAR, max_size=3)
+         | st.dictionaries(st.text(max_size=6), _SCALAR, max_size=3))
+# plausible values as well as arbitrary ones, so that events also get past
+# the type checks
+_VALUE = _JSON | st.sampled_from([
+    1, 2, 0, -1, "10.0.0.2", r"\a\b", r"\vm1\a", r"\p\Pipe*", "I_Port", "V_Message",
+    "Local", "Global", "SystemWide", [r"\a\b", r"\p\Pipe*"], {"route": "VmPrivate"},
+    {"error": "NotFound"},
+])
+_LINE = st.fixed_dictionaries(
+    {"seq": st.integers(min_value=1, max_value=4) | _JSON,
+     "op": st.sampled_from(sorted(OP_SCHEMA)) | _JSON},
+    optional={name: _VALUE for name in
+              [f.name for f in fields(TraceEvent) if f.name not in ("seq", "op")] + ["bogus"]},
+)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(_LINE, min_size=1, max_size=4))
+    def test_any_json_line_parses_or_is_rejected(self, lines, tmp_path_factory):
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+        try:
+            events = parse_trace(text)
+        except (ParseError, ValidationError):
+            pass
+        else:
+            assert len(events) == len(lines)
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) in (0, 2)
+        assert main(["replay", str(path), "--dual-oracle"]) in (0, 1, 2)
 
 
 class TestReplaySemantics:
