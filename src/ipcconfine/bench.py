@@ -61,7 +61,7 @@ class BenchResult:
     ratios: dict = field(default_factory=dict)
     post_seal_long_list_reads: int = 0
     long_list_structure: dict = field(default_factory=lambda: {
-        "exact": "hash set", "patterns": "prefix list", "short": "ordered dict (MRU first)",
+        "exact": "hash set", "patterns": "prefix set", "short": "ordered dict (MRU first)",
     })
 
     def to_dict(self) -> dict:

@@ -25,9 +25,15 @@ Resolve pipeline, in order:
       short list;
   (g) everything else is renamed into the caller VM's private namespace.
 
-:class:`ReferenceEngine` runs the same decision logic with no short list and
-no flag (every host lookup scans the full long list); it is the oracle the
-optimized engine is equivalence-tested against.
+Both engines run one pipeline, ``_ResolvePipeline._decide``: it checks a
+call once (category, name, reserved ``vm<digits>`` prefix, loaded state) and
+takes steps (a)-(c) and (g); each engine supplies only its host-object lookup,
+steps (d)-(f). :class:`ConfinementEngine` consults the MRU short list, the
+flag, and a long list of exact names (a hash set) and pattern prefixes (a set
+probed only at the name's trailing digits). :class:`ReferenceEngine`, the
+oracle it is equivalence-tested against, compares every exact entry and tries
+every prefix. A table hit returns the outcome stored with the name instead
+of renaming it again.
 """
 
 from __future__ import annotations
@@ -35,12 +41,13 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import AlreadyLoaded, BadCategory, NotLoaded
 from .model import (
-    HOST,
+    DIGITS,
+    TAG_START,
     Intent,
     IpcCategory,
     IpcGroup,
@@ -48,6 +55,7 @@ from .model import (
     Scope,
     VmId,
     check_object_name,
+    check_unreserved,
     is_ascii_digits,
     is_global_name,
 )
@@ -100,9 +108,18 @@ class DangerousKind(Enum):
 # Target sentinel for a hook that asks for system-wide scope.
 SYSTEM_WIDE = None
 
+# Enum members read on every resolve, bound once: a class-attribute read of
+# a member costs several times a module-global read.
+_PASSTHROUGH, _VM_GLOBAL, _VM_PRIVATE = Route.HOST_PASSTHROUGH, Route.VM_GLOBAL, Route.VM_PRIVATE
+_HOST_OBJECT, _GLOBAL_OBJECT, _ISOLATION = (
+    Principle.HOST_OBJECT, Principle.GLOBAL_OBJECT, Principle.ISOLATION)
+_CREATE = Intent.CREATE
+
 
 @dataclass(frozen=True)
 class ResolveOutcome:
+    """Immutable, so the tables may hand one instance to many callers."""
+
     effective_name: str
     route: Route
     principle: Principle
@@ -132,13 +149,15 @@ class Verdict:
 class EngineCounters:
     """Monotonic per-engine event counts.
 
-    ``host_bypass`` (host-caller resolves) and ``long_list_reads`` (a probe
-    incremented on every long-list consultation) are instrumentation on top
-    of the decision counts; together they make the conservation identity
-    checkable:
+    Each resolve counts the one step that decided it. ``host_bypass``
+    (host-caller resolves) and ``long_list_reads`` (a probe incremented on
+    every long-list consultation) are instrumentation on top of the decision
+    counts; together they make the conservation identity checkable:
 
         resolves_total == host_bypass + global_table_hits + short_hits
                           + long_hits + long_misses + post_seal_long_skips
+
+    ``renames`` and ``host_passthroughs`` are derived from the step counts.
     """
 
     resolves_total: int = 0
@@ -146,34 +165,35 @@ class EngineCounters:
     short_hits: int = 0
     long_hits: int = 0
     long_misses: int = 0
-    renames: int = 0
-    host_passthroughs: int = 0
     post_seal_long_skips: int = 0
     denials: int = 0
     host_bypass: int = 0
     long_list_reads: int = 0
 
+    @property
+    def renames(self) -> int:
+        return self.global_table_hits + self.long_misses + self.post_seal_long_skips
+
+    @property
+    def host_passthroughs(self) -> int:
+        return self.short_hits + self.long_hits
+
     def copy(self) -> "EngineCounters":
         return replace(self)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: getattr(self, key) for key in _COUNTER_KEYS}
 
     def conservation_holds(self) -> bool:
-        decided = (
-            self.host_bypass
-            + self.global_table_hits
-            + self.short_hits
-            + self.long_hits
-            + self.long_misses
-            + self.post_seal_long_skips
-        )
-        return (
-            self.resolves_total == decided
-            and self.host_passthroughs == self.short_hits + self.long_hits
-            and self.renames
-            == self.global_table_hits + self.long_misses + self.post_seal_long_skips
-        )
+        return self.resolves_total == (
+            self.host_bypass + self.global_table_hits + self.short_hits
+            + self.long_hits + self.long_misses + self.post_seal_long_skips)
+
+
+# the exported counters, derived ones included, in their report order
+_COUNTER_KEYS = ("resolves_total", "global_table_hits", "short_hits", "long_hits",
+                 "long_misses", "renames", "host_passthroughs", "post_seal_long_skips",
+                 "denials", "host_bypass", "long_list_reads")
 
 
 @dataclass(frozen=True)
@@ -201,83 +221,163 @@ class EngineSnapshot:
 class HostObjectTable:
     """Long boot-time list, MRU short list, and the one-way host-object flag.
 
-    The long list is a hash set of exact names plus an ordered list of
-    trailing-``*`` patterns (a pattern matches any non-empty decimal suffix).
-    The short list holds concrete names only, most recently used first; every
-    short entry matches the long list. Once the flag is set it never reverts,
-    and the short list is frozen.
+    The long list is a hash set of exact names plus a set of pattern
+    prefixes (``prefix*`` matches ``prefix`` and one or more ASCII digits),
+    probed only at the cut points inside the name's trailing digits: the
+    cost depends on neither list size nor pattern count. ``patterns`` keeps
+    the prefixes in load order for snapshots. The short list maps concrete
+    names, most recently used first, to their ``HOST_PASSTHROUGH`` outcome;
+    each matches the long list. Once set, the flag never reverts, and the
+    short list is frozen.
     """
 
     def __init__(self):
         self.exact: set[str] = set()
         self.patterns: list[str] = []
-        # value unused; key order is MRU-first
-        self.short: OrderedDict[str, None] = OrderedDict()
+        self.prefixes: frozenset[str] = frozenset()
+        self.short: OrderedDict[str, ResolveOutcome] = OrderedDict()
         self.flag = False
-        self.loaded = False
 
-    def load(self, names) -> int:
-        if self.loaded:
-            raise AlreadyLoaded("long host-object list may be loaded only once")
-        exact: set[str] = set()
-        patterns: list[str] = []
-        for name in names:
-            check_object_name(name, allow_pattern=True)
-            if name.endswith("*"):
-                if name[:-1] not in patterns:
-                    patterns.append(name[:-1])
-            else:
-                exact.add(name)
-        self.exact = exact
-        self.patterns = patterns
-        self.loaded = True
-        return len(exact) + len(patterns)
+    def load(self, exact: list[str], prefixes: list[str]) -> int:
+        self.exact = set(exact)
+        self.patterns = list(dict.fromkeys(prefixes))  # drops repeats, keeps order
+        self.prefixes = frozenset(self.patterns)
+        return len(self.exact) + len(self.patterns)
 
     def long_contains(self, name: str) -> bool:
         if name in self.exact:
             return True
-        for prefix in self.patterns:
-            if name.startswith(prefix) and is_ascii_digits(name[len(prefix):]):
+        prefixes = self.prefixes
+        for cut in range(len(name.rstrip(DIGITS)), len(name)):
+            if name[:cut] in prefixes:
                 return True
         return False
 
-    def short_hit(self, name: str) -> bool:
-        if name not in self.short:
-            return False
-        if not self.flag:
-            self.short.move_to_end(name, last=False)
-        return True
 
-    def short_insert(self, name: str):
-        if not self.flag:
-            self.short[name] = None
-            self.short.move_to_end(name, last=False)
+class _ResolvePipeline:
+    """The resolve pipeline both engines run: checks, steps (a)-(c) and (g).
 
-    def short_order(self) -> tuple[str, ...]:
-        return tuple(self.short)
-
-
-class ConfinementEngine:
-    """Optimized confinement engine: Figure-of-merit short list + flag.
-
-    All operations are linearizable; a single lock makes each resolve (and
-    its table updates) atomic with respect to concurrent callers.
+    An engine supplies its host-object lookup: ``_load(exact, prefixes)``
+    keeps the checked long-list entries and returns their count without
+    repeats; ``_host_lookup(name, counters)``, steps (d)-(f), counts the step
+    that decided and returns the name's pass-through outcome, or None to have
+    the name renamed into the caller's VM. A single lock makes each resolve,
+    with its table updates, atomic: all operations are linearizable.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._host = HostObjectTable()
-        self._global_tables: dict[VmId, set[str]] = {}
+        self._loaded = False
+        # vm id -> {name: its VM_GLOBAL outcome in that VM}
+        self._global_tables: dict[int, dict[str, ResolveOutcome]] = {}
         self.counters = EngineCounters()
-
-    # -- setup ---------------------------------------------------------------
 
     def load_long_list(self, names) -> int:
         """Load the boot-time host-object inventory. Callable once."""
         with self._lock:
-            count = self._host.load(names)
+            if self._loaded:
+                raise AlreadyLoaded("long host-object list may be loaded only once")
+            exact, prefixes = [], []
+            for name in names:
+                check_object_name(name, allow_pattern=True)
+                if name.startswith(TAG_START):
+                    check_unreserved(name)
+                if name[-1] == "*":
+                    prefixes.append(name[:-1])
+                else:
+                    exact.append(name)
+            count = self._load(exact, prefixes)
+            self._loaded = True
             logger.info("long host-object list loaded: %d entries", count)
             return count
+
+    def _require_loaded(self):
+        if not self._loaded:
+            raise NotLoaded("long host-object list not loaded")
+
+    def _decide(
+        self,
+        caller: ProcessRef,
+        name: str,
+        category: IpcCategory,
+        intent: Intent,
+        scope: Scope = Scope.LOCAL,
+    ) -> ResolveOutcome:
+        if not category.name_addressed:
+            raise BadCategory(f"resolve handles name-addressed categories only, got {category}")
+        check_object_name(name)
+        if name.startswith(TAG_START):
+            check_unreserved(name)
+        with self._lock:
+            if not self._loaded:
+                raise NotLoaded("long host-object list not loaded")
+            c = self.counters
+            c.resolves_total += 1
+            vm = caller.vm
+
+            # (a) host callers keep the original name, no table updates
+            if not vm.id:
+                c.host_bypass += 1
+                return ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)
+
+            # (c) globals created in this VM resolve to the VM's copy; a
+            # repeated Create of one is decided here too, with (b)'s outcome
+            table = self._global_tables.get(vm.id)
+            if table is not None and name in table:
+                c.global_table_hits += 1
+                return table[name]
+
+            # (b) creating a global object registers it for this VM
+            if intent is _CREATE and is_global_name(name, scope):
+                if table is None:
+                    table = self._global_tables[vm.id] = {}
+                outcome = table[name] = ResolveOutcome(rename(name, vm), _VM_GLOBAL, _GLOBAL_OBJECT)
+                c.global_table_hits += 1
+                return outcome
+
+            # (d)-(f) this engine's host-object lookup
+            outcome = self._host_lookup(name, c)
+            if outcome is not None:
+                return outcome
+
+            # (g) everything else is renamed into the caller VM's namespace
+            return ResolveOutcome(rename(name, vm), _VM_PRIVATE, _ISOLATION)
+
+
+class ConfinementEngine(_ResolvePipeline):
+    """Optimized confinement engine: MRU short list + one-way flag."""
+
+    def __init__(self):
+        super().__init__()
+        self._host = HostObjectTable()
+
+    resolve = _ResolvePipeline._decide
+
+    def _load(self, exact: list[str], prefixes: list[str]) -> int:
+        return self._host.load(exact, prefixes)
+
+    def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
+        host = self._host
+        short = host.short
+        # (d) recently used host-objects pass through
+        if name in short:
+            if not host.flag:
+                short.move_to_end(name, last=False)
+            c.short_hits += 1
+            return short[name]
+        # (e) after seal the long list is never consulted again
+        if host.flag:
+            c.post_seal_long_skips += 1
+            return None
+        # (f) a listed name passes through and enters the short list
+        c.long_list_reads += 1
+        if host.long_contains(name):
+            outcome = short[name] = ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)
+            short.move_to_end(name, last=False)
+            c.long_hits += 1
+            return outcome
+        c.long_misses += 1
+        return None
 
     def seal_host_objects(self):
         """Set the host-object flag: stop consulting the long list, freeze
@@ -292,68 +392,6 @@ class ConfinementEngine:
     @property
     def sealed(self) -> bool:
         return self._host.flag
-
-    # -- renaming decision (categories I-IV) ----------------------------------
-
-    def resolve(
-        self,
-        caller: ProcessRef,
-        name: str,
-        category: IpcCategory,
-        intent: Intent,
-        scope: Scope = Scope.LOCAL,
-    ) -> ResolveOutcome:
-        if not category.name_addressed:
-            raise BadCategory(f"resolve handles name-addressed categories only, got {category}")
-        check_object_name(name)
-        with self._lock:
-            self._require_loaded()
-            c = self.counters
-            c.resolves_total += 1
-
-            # (a) host callers keep the original name, no table updates
-            if caller.vm.is_host:
-                c.host_bypass += 1
-                return ResolveOutcome(name, Route.HOST_PASSTHROUGH, Principle.HOST_OBJECT)
-
-            table = self._global_tables.setdefault(caller.vm, set())
-
-            # (b) creating a global object registers it for this VM
-            if intent is Intent.CREATE and is_global_name(name, scope):
-                table.add(name)
-                c.global_table_hits += 1
-                c.renames += 1
-                return ResolveOutcome(rename(name, caller.vm), Route.VM_GLOBAL, Principle.GLOBAL_OBJECT)
-
-            # (c) globals created in this VM resolve to the VM's copy
-            if name in table:
-                c.global_table_hits += 1
-                c.renames += 1
-                return ResolveOutcome(rename(name, caller.vm), Route.VM_GLOBAL, Principle.GLOBAL_OBJECT)
-
-            # (d) recently used host-objects pass through
-            if self._host.short_hit(name):
-                c.short_hits += 1
-                c.host_passthroughs += 1
-                return ResolveOutcome(name, Route.HOST_PASSTHROUGH, Principle.HOST_OBJECT)
-
-            # (e) after seal the long list is never consulted again
-            if self._host.flag:
-                c.post_seal_long_skips += 1
-                c.renames += 1
-                return ResolveOutcome(rename(name, caller.vm), Route.VM_PRIVATE, Principle.ISOLATION)
-
-            # (f)/(g) consult the long list
-            c.long_list_reads += 1
-            if self._host.long_contains(name):
-                self._host.short_insert(name)
-                c.long_hits += 1
-                c.host_passthroughs += 1
-                return ResolveOutcome(name, Route.HOST_PASSTHROUGH, Principle.HOST_OBJECT)
-
-            c.long_misses += 1
-            c.renames += 1
-            return ResolveOutcome(rename(name, caller.vm), Route.VM_PRIVATE, Principle.ISOLATION)
 
     # -- access decision (categories V-VII) ------------------------------------
 
@@ -392,20 +430,16 @@ class ConfinementEngine:
             return EngineSnapshot(
                 long_list=frozenset(host.exact),
                 long_patterns=tuple(p + "*" for p in host.patterns),
-                short_list=host.short_order(),
+                short_list=tuple(host.short),
                 flag=host.flag,
-                global_tables={vm.id: frozenset(names)
-                               for vm, names in self._global_tables.items()},
+                global_tables={vm: frozenset(table)
+                               for vm, table in self._global_tables.items()},
                 counters=self.counters.copy(),
             )
 
-    def _require_loaded(self):
-        if not self._host.loaded:
-            raise NotLoaded("long host-object list not loaded")
 
-
-class ReferenceEngine:
-    """Naive oracle: the same decisions with no short list and no flag.
+class ReferenceEngine(_ResolvePipeline):
+    """Naive oracle: the same pipeline with no short list and no flag.
 
     Every host-object lookup scans the entire long list (exact entries and
     patterns alike), so it is never affected by sealing. Entries are split
@@ -415,72 +449,28 @@ class ReferenceEngine:
     """
 
     def __init__(self):
-        self._lock = threading.RLock()
+        super().__init__()
         self._exact: list[str] = []
         self._prefixes: list[str] = []
-        self._loaded = False
-        self._global_tables: dict[VmId, set[str]] = {}
-        self.counters = EngineCounters()
 
-    def load_long_list(self, names) -> int:
-        with self._lock:
-            if self._loaded:
-                raise AlreadyLoaded("long host-object list may be loaded only once")
-            names = list(names)
-            for name in names:
-                check_object_name(name, allow_pattern=True)
-            entries = dict.fromkeys(names)  # drops repeats, keeps order
-            self._exact = [name for name in entries if not name.endswith("*")]
-            self._prefixes = [name[:-1] for name in entries if name.endswith("*")]
-            self._loaded = True
-            return len(entries)
+    resolve = _ResolvePipeline._decide
+
+    def _load(self, exact: list[str], prefixes: list[str]) -> int:
+        # repeats dropped, load order kept
+        self._exact, self._prefixes = list(dict.fromkeys(exact)), list(dict.fromkeys(prefixes))
+        return len(self._exact) + len(self._prefixes)
 
     def seal_host_objects(self):
         # the oracle has no flag; sealing changes nothing
-        if not self._loaded:
-            raise NotLoaded("long host-object list not loaded")
+        self._require_loaded()
 
-    def resolve(
-        self,
-        caller: ProcessRef,
-        name: str,
-        category: IpcCategory,
-        intent: Intent,
-        scope: Scope = Scope.LOCAL,
-    ) -> ResolveOutcome:
-        if not category.name_addressed:
-            raise BadCategory(f"resolve handles name-addressed categories only, got {category}")
-        check_object_name(name)
-        with self._lock:
-            if not self._loaded:
-                raise NotLoaded("long host-object list not loaded")
-            c = self.counters
-            c.resolves_total += 1
-
-            if caller.vm.is_host:
-                c.host_bypass += 1
-                return ResolveOutcome(name, Route.HOST_PASSTHROUGH, Principle.HOST_OBJECT)
-
-            table = self._global_tables.setdefault(caller.vm, set())
-            if intent is Intent.CREATE and is_global_name(name, scope):
-                table.add(name)
-                c.global_table_hits += 1
-                c.renames += 1
-                return ResolveOutcome(rename(name, caller.vm), Route.VM_GLOBAL, Principle.GLOBAL_OBJECT)
-            if name in table:
-                c.global_table_hits += 1
-                c.renames += 1
-                return ResolveOutcome(rename(name, caller.vm), Route.VM_GLOBAL, Principle.GLOBAL_OBJECT)
-
-            c.long_list_reads += 1
-            if self._scan(name):
-                c.long_hits += 1
-                c.host_passthroughs += 1
-                return ResolveOutcome(name, Route.HOST_PASSTHROUGH, Principle.HOST_OBJECT)
-
-            c.long_misses += 1
-            c.renames += 1
-            return ResolveOutcome(rename(name, caller.vm), Route.VM_PRIVATE, Principle.ISOLATION)
+    def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
+        c.long_list_reads += 1
+        if self._scan(name):
+            c.long_hits += 1
+            return ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)
+        c.long_misses += 1
+        return None
 
     def _scan(self, name: str) -> bool:
         # deliberate full scan, entry by entry: list membership compares the

@@ -10,7 +10,7 @@ The host context (VM id 0) is never renamed.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -29,10 +29,12 @@ __all__ = [
     "IpcCategory",
     "Scope",
     "Intent",
+    "DIGITS",
     "is_ascii_digits",
     "check_object_name",
     "is_valid_object_name",
     "has_reserved_vm_prefix",
+    "check_unreserved",
     "vm_tag",
     "rename",
     "rename_unchecked",
@@ -42,14 +44,17 @@ __all__ = [
 ]
 
 SEP = "\\"
+TAG_START = SEP + "vm"  # how every name with a ``vm<digits>`` first component starts
+_EMPTY_COMPONENT = SEP + SEP
+_SEP_STAR = SEP + "*"
+
+# The one definition of a digit for pattern suffixes and ``vm<digits>`` tags:
+# ``str.isdigit`` alone also accepts digits such as ``'²'``.
+DIGITS = "0123456789"
 
 
 def is_ascii_digits(text: str) -> bool:
-    """True for a non-empty run of the ASCII digits 0-9.
-
-    The one definition of a digit for pattern suffixes and ``vm<digits>``
-    tags; ``str.isdigit`` alone also accepts digits such as ``'²'``.
-    """
+    """True for a non-empty run of the characters in :data:`DIGITS`."""
     return text.isascii() and text.isdigit()
 
 
@@ -129,9 +134,11 @@ class IpcCategory:
     group: IpcGroup
     subtype: str = ""
 
-    @property
-    def name_addressed(self) -> bool:
-        return self.group.name_addressed
+    # derived from ``group`` once, so ``resolve`` reads a plain attribute
+    name_addressed: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "name_addressed", self.group.name_addressed)
 
     def __str__(self) -> str:
         return f"{self.group.value}:{self.subtype}" if self.subtype else self.group.value
@@ -180,12 +187,11 @@ def check_object_name(name: str, allow_pattern: bool = False) -> str:
         raise InvalidName(f"object name must start with {SEP!r}: {name!r}")
     if len(name) == 1:
         raise InvalidName(f"object name has no components: {name!r}")
-    if SEP + SEP in name or name.endswith(SEP):
+    if _EMPTY_COMPONENT in name or name[-1] == SEP:
         raise InvalidName(f"empty component or trailing separator: {name!r}")
-    star = name.count("*")
-    if star:
-        if not allow_pattern or star > 1 or not name.endswith("*") or name.endswith(SEP + "*"):
-            raise InvalidName(f"'*' only allowed as a trailing suffix pattern: {name!r}")
+    if "*" in name and (not allow_pattern or name.count("*") > 1 or name[-1] != "*"
+                        or name.endswith(_SEP_STAR)):
+        raise InvalidName(f"'*' only allowed as a trailing suffix pattern: {name!r}")
     return name
 
 
@@ -202,6 +208,14 @@ def has_reserved_vm_prefix(name: str) -> bool:
     return name.startswith(SEP) and _is_reserved_component(name[1:].partition(SEP)[0])
 
 
+def check_unreserved(name: str) -> str:
+    """Reject a name whose first component is a ``vm<digits>`` tag and return
+    it unchanged otherwise: such a name would alias a VM's renamed copy."""
+    if has_reserved_vm_prefix(name):
+        raise InvalidName(f"reserved vm-prefix name {name!r}")
+    return name
+
+
 def vm_tag(vm: VmId) -> str:
     return f"vm{vm.id}"
 
@@ -211,7 +225,8 @@ def rename(name: str, vm: VmId) -> str:
 
     Deterministic and injective per VM; images for distinct VMs are disjoint,
     and disjoint from original names as long as originals never start with a
-    ``vm<digits>`` component (enforced by the trace validator, not here).
+    ``vm<digits>`` component (both engines' ``resolve`` and
+    ``load_long_list`` reject such names, see :func:`check_unreserved`).
     Host names are never renamed.
     """
     if vm.is_host:
@@ -223,24 +238,32 @@ def rename(name: str, vm: VmId) -> str:
 def rename_unchecked(name: str, vm: VmId) -> str:
     """:func:`rename` without its checks, for callers that have already
     validated ``name`` and know ``vm`` is not the host."""
-    return SEP + vm_tag(vm) + name
+    return f"{TAG_START}{vm.id}{name}"
 
 
 def unrename(effective: str) -> tuple[VmId, str] | None:
-    """Invert :func:`rename`: (vm, original) if ``effective`` carries a VM tag."""
+    """Invert :func:`rename`: (vm, original) if ``effective`` carries a tag
+    that ``rename`` makes, ``vm`` and a VM id with no leading zero."""
     if not effective.startswith(SEP):
         return None
     first, sep, rest = effective[1:].partition(SEP)
-    if sep and _is_reserved_component(first):
+    if sep and _is_reserved_component(first) and first[2] != "0":
         return VmId(int(first[2:])), SEP + rest
     return None
 
 
+_GLOBAL = Scope.GLOBAL
+_GLOBAL_COMPONENT = SEP + "Global" + SEP
+
+
 def is_global_name(name: str, declared_scope: Scope) -> bool:
-    """Global if declared so, or if any path component is literally "Global"."""
-    if declared_scope is Scope.GLOBAL:
-        return True
-    return "Global" in name[1:].split(SEP)
+    """Global if declared so, or if any path component is literally "Global".
+
+    For a valid name (leading separator, no empty component) that is one
+    substring test: with a separator appended, every component is enclosed
+    by separators.
+    """
+    return declared_scope is _GLOBAL or _GLOBAL_COMPONENT in name + SEP
 
 
 class VmRegistry:

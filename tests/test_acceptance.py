@@ -23,7 +23,7 @@ from ipcconfine import (
 )
 from ipcconfine.bench import BenchConfig, OPTIMIZED_PATHS, run_bench
 from ipcconfine.kernel import HookScope
-from ipcconfine.model import HOST, VmId, unrename
+from ipcconfine.model import HOST, PORT, Intent, ProcessRef, VmId, unrename
 from ipcconfine.trace import first_post_seal_host_touches, fixture_rpcss, fixture_three_iis
 
 V = "\\vm1"
@@ -221,7 +221,8 @@ def test_criterion_6_three_web_servers_one_port():
 
 def test_criterion_7_resolve_cost_flat_in_long_list_size():
     """Short-hit and post-seal-miss cost stays within 1.5x from a 1k to a
-    10k long list, and sealing ends all long-list reads."""
+    10k long list, a pre-seal rename miss within 1.5x from 10 to 1 000
+    wildcard patterns, and sealing ends all long-list reads."""
     # alternate the sizes and keep per-path minimum floors: load spikes and
     # frequency drift only ever add time, a real size dependence never hides
     configs = {
@@ -240,6 +241,26 @@ def test_criterion_7_resolve_cost_flat_in_long_list_size():
         bound = 1.5 if path in ("short_hit", "post_seal_miss") else 3.0
         ratio = floors["big"][path] / floors["small"][path]
         assert ratio <= bound, (path, ratio, floors)
+
+    # the same floors for a pre-seal rename miss, which looks up the wildcard
+    # patterns: unlisted names ending in six digits, against 10 and 1 000
+    exact = [rf"\bench\host-{i:06d}" for i in range(1000)]
+    probe = [rf"\bench\priv-{i:06d}" for i in range(300)]
+    proc = ProcessRef(pid=1, vm=VmId(1))
+    engines = {}
+    for count in (10, 1000):
+        engines[count] = ConfinementEngine()
+        engines[count].load_long_list(exact + [rf"\bench\pool{k:04d}_*" for k in range(count)])
+    pattern_floors = dict.fromkeys(engines, float("inf"))
+    for _ in range(3 * 5):
+        for count, engine in engines.items():
+            start = time.perf_counter_ns()
+            for name in probe:
+                engine.resolve(proc, name, PORT, Intent.OPEN)
+            per_call = (time.perf_counter_ns() - start) / len(probe)
+            pattern_floors[count] = min(pattern_floors[count], per_call)
+    ratio = pattern_floors[1000] / pattern_floors[10]
+    assert ratio <= 1.5, ("rename_miss by pattern count", ratio, pattern_floors)
 
 
 def test_criterion_8_replay_reports_byte_identical():

@@ -6,7 +6,9 @@ from ipcconfine.engine import (
     ConfinementEngine,
     DangerousKind,
     Decision,
+    EngineCounters,
     Principle,
+    ReferenceEngine,
     ResolveOutcome,
     Route,
     SYSTEM_WIDE,
@@ -65,6 +67,35 @@ class TestLifecycle:
             resolve(engine, VM1, "no-lead-sep")
 
 
+@pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])
+class TestReservedPrefix:
+    """A ``vm<digits>`` first component names a VM's renamed copy; neither
+    engine takes one from a caller or into its long list."""
+
+    @pytest.mark.parametrize("proc", [HOSTP, VM1, VM2])
+    def test_resolve_rejects(self, engine_class, proc):
+        engine = engine_class()
+        engine.load_long_list([r"\srv\alpha"])
+        for name in (r"\vm1\secret", r"\vm01\x", r"\vm0\x"):
+            with pytest.raises(InvalidName, match="reserved"):
+                resolve(engine, proc, name, Intent.CREATE)
+        assert engine.counters.resolves_total == 0
+
+    def test_load_rejects(self, engine_class):
+        engine = engine_class()
+        with pytest.raises(InvalidName, match="reserved"):
+            engine.load_long_list([r"\srv\alpha", r"\vm1\y"])
+        with pytest.raises(InvalidName, match="reserved"):
+            engine.load_long_list([r"\vm2\pipe*"])
+
+    def test_similar_names_are_ordinary(self, engine_class):
+        engine = engine_class()
+        engine.load_long_list([r"\vm\a", r"\vmx*"])
+        assert resolve(engine, VM1, r"\vm\a").route is Route.HOST_PASSTHROUGH
+        assert resolve(engine, VM1, r"\vmx1").route is Route.HOST_PASSTHROUGH
+        assert resolve(engine, VM1, r"\a\vm1").effective_name == r"\vm1\a\vm1"
+
+
 class TestPipeline:
     def test_host_caller_bypasses_everything(self, engine):
         # even a long-listed name: passthrough with no short-list update
@@ -120,6 +151,15 @@ class TestPipeline:
         assert engine.counters.short_hits == 1
         # short hits never consult the long list
         assert engine.counters.long_list_reads == reads
+
+    def test_table_hits_return_the_stored_outcome(self, engine):
+        created = resolve(engine, VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL)
+        assert resolve(engine, VM1, r"\obj\g") is created
+        assert resolve(engine, VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL) is created
+        first = resolve(engine, VM1, r"\srv\alpha")
+        assert resolve(engine, VM2, r"\srv\alpha") is first
+        engine.seal_host_objects()
+        assert resolve(engine, VM2, r"\srv\alpha") is first
 
     def test_miss_renames(self, engine):
         out = resolve(engine, VM1, r"\app\private")
@@ -228,6 +268,16 @@ class TestCounters:
             "host_bypass": 1,
             "long_list_reads": 2,
         }
+
+    def test_renames_and_passthroughs_are_derived(self):
+        c = EngineCounters(global_table_hits=2, short_hits=3, long_hits=5,
+                           long_misses=7, post_seal_long_skips=11)
+        assert c.renames == 2 + 7 + 11
+        assert c.host_passthroughs == 3 + 5
+        assert list(c.to_dict()) == [
+            "resolves_total", "global_table_hits", "short_hits", "long_hits",
+            "long_misses", "renames", "host_passthroughs", "post_seal_long_skips",
+            "denials", "host_bypass", "long_list_reads"]
 
     def test_copy_is_detached(self, engine):
         snap = engine.counters.copy()

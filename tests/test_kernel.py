@@ -7,6 +7,7 @@ from ipcconfine.errors import (
     AlreadyExists,
     CategoryMismatch,
     InvalidHandle,
+    InvalidName,
     InvalidPort,
     NotFound,
     UnknownProcess,
@@ -61,6 +62,15 @@ class TestNamedObjects:
         kernel.create_object(vm1_proc, r"\app\x", PORT)
         kernel.create_object(vm2_proc, r"\app\x", PORT)
         assert set(kernel.objects()) == {r"\app\x", r"\vm1\app\x", r"\vm2\app\x"}
+
+    def test_host_cannot_plant_a_vm_object(self, kernel, host_proc, vm1_proc):
+        # \vm1\secret is where vm1's own \secret lives
+        with pytest.raises(InvalidName, match="reserved"):
+            kernel.create_object(host_proc, r"\vm1\secret", PORT)
+        with pytest.raises(NotFound):
+            kernel.open_object(vm1_proc, r"\secret", PORT)
+        with pytest.raises(InvalidName, match="reserved"):
+            kernel.open_object(host_proc, r"\vm1\secret", PORT)
 
     def test_vm_opens_its_own_copy(self, kernel, host_proc, vm1_proc):
         kernel.create_object(host_proc, r"\app\x", PORT)

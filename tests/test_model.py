@@ -20,6 +20,7 @@ from ipcconfine.model import (
     VmId,
     VmRegistry,
     check_object_name,
+    check_unreserved,
     has_reserved_vm_prefix,
     is_ascii_digits,
     is_global_name,
@@ -56,6 +57,15 @@ class TestCategories:
         named = {IpcGroup.PORT, IpcGroup.PSEUDO_FILE, IpcGroup.SHARED_MEMORY, IpcGroup.SYNC}
         for group in IpcGroup:
             assert group.name_addressed == (group in named)
+
+    def test_category_name_addressed_is_derived_not_compared(self):
+        # a plain attribute set from the group, outside equality, hash, repr
+        for group in IpcGroup:
+            category = IpcCategory(group, "x")
+            assert category.name_addressed == group.name_addressed
+        a, b = IpcCategory(IpcGroup.SYNC, "Mutex"), IpcCategory.parse("IV_Sync:Mutex")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "IpcCategory(group=<IpcGroup.SYNC: 'IV_Sync'>, subtype='Mutex')"
 
     def test_parse_roundtrip(self):
         cat = IpcCategory.parse("IV_Sync:Mutex")
@@ -129,6 +139,11 @@ class TestObjectNames:
     ])
     def test_reserved_prefix(self, name, reserved):
         assert has_reserved_vm_prefix(name) == reserved
+        if reserved:
+            with pytest.raises(InvalidName, match="reserved"):
+                check_unreserved(name)
+        else:
+            assert check_unreserved(name) == name
 
     @pytest.mark.parametrize("text,digits", [
         ("0", True),
@@ -167,6 +182,14 @@ class TestRename:
         assert unrename("\\vm\u0661\\x") is None
         assert unrename("\\vm\u00b2\\x") is None
 
+    @pytest.mark.parametrize("effective", [r"\vm01\x", r"\vm0\x", r"\vm007\a\b"])
+    def test_unrename_rejects_tags_rename_never_makes(self, effective):
+        # rename writes a VM id >= 1 with no leading zero
+        assert unrename(effective) is None
+
+    def test_unrename_multi_digit_id(self):
+        assert unrename(r"\vm10\x") == (VmId(10), r"\x")
+
     def test_unchecked_rename_matches_rename(self):
         assert rename_unchecked(r"\a\b", VmId(7)) == rename(r"\a\b", VmId(7))
 
@@ -197,6 +220,12 @@ class TestRename:
 
 
 class TestGlobalName:
+    @given(st.lists(st.sampled_from(["Global", "global", "Globals", "xGlobal", "G", "a"]),
+                    min_size=1, max_size=5))
+    def test_substring_test_matches_component_split(self, components):
+        name = "\\" + "\\".join(components)
+        assert is_global_name(name, Scope.LOCAL) == ("Global" in components)
+
     def test_declared_scope_wins(self):
         assert is_global_name(r"\a\b", Scope.GLOBAL)
         assert not is_global_name(r"\a\b", Scope.LOCAL)

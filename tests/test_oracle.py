@@ -101,6 +101,39 @@ class TestAsciiDigits:
         assert unrename(name) is None
 
 
+class TestWildcardLookup:
+    """The engine probes a prefix set at the cut points inside a name's
+    trailing ASCII digits; the oracle tries every prefix. They agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prefixes=st.lists(st.text(alphabet="ab019", min_size=1, max_size=4), max_size=6),
+        exact=st.lists(st.text(alphabet="ab019", min_size=1, max_size=5), max_size=3),
+        names=st.lists(
+            st.tuples(st.text(alphabet="ab019", min_size=1, max_size=4),
+                      st.text(alphabet="0159\u00b2\u0661", max_size=4)),
+            min_size=1, max_size=10),
+    )
+    def test_engine_lookup_matches_full_scan(self, prefixes, exact, names):
+        long_list = [rf"\p\{p}*" for p in prefixes] + [rf"\p\{e}" for e in exact]
+        engine, reference = ConfinementEngine(), ReferenceEngine()
+        engine.load_long_list(long_list)
+        reference.load_long_list(long_list)
+        for stem, suffix in names:
+            a, b = both(engine, reference, VM1, rf"\p\{stem}{suffix}")
+            assert a == b
+
+    def test_prefix_ending_in_digits(self):
+        engine, reference = ConfinementEngine(), ReferenceEngine()
+        for e in (engine, reference):
+            e.load_long_list([r"\p\a1*", r"\p\b*"])
+        for name, listed in ((r"\p\a12", True), (r"\p\a1", False), (r"\p\a2", False),
+                             (r"\p\b0", True), (r"\p\b", False), ("\\p\\a1\u00b2", False)):
+            a, b = both(engine, reference, VM1, name)
+            assert a == b
+            assert (a.route is Route.HOST_PASSTHROUGH) is listed
+
+
 class TestAgreementBeforeSeal:
     def test_identical_on_mixed_preseal_stream(self):
         engine, reference = pair()

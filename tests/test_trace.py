@@ -481,3 +481,19 @@ class TestRandomTraces:
         assert snap.flag
         for name in snap.short_list:
             assert name in snap.long_list
+
+    def test_stress_replay_tolerates_a_close_without_handle(self):
+        # the open fails (nothing created it), so the close finds no handle:
+        # the outcome a racing open that lost leaves behind
+        events = preamble() + [
+            ev(4, "open", actor=1, name=r"\app\x", category="I_Port"),
+            ev(5, "close", actor=1, name=r"\app\x"),
+            ev(6, "create", actor=1, name=r"\app\y", category="I_Port"),
+        ]
+        snap = stress_replay(events, max_workers=2)
+        assert snap.counters.resolves_total == 2
+
+    def test_stress_replay_raises_other_replay_errors(self):
+        events = preamble() + [ev(4, "bind", actor=1, ip="0.0.0.0", port=0)]
+        with pytest.raises(ReplayError, match="InvalidPort"):
+            stress_replay(events, max_workers=2)
