@@ -18,12 +18,17 @@ the outcome: ``route`` / ``effective_name`` (create, open), ``decision``
 
 Original names whose first component matches ``vm<digits>`` collide with the
 rename image space and are rejected by validation.
+
+A parsed event is a :class:`TraceEvent`, a slotted, mutable record: it has no
+per-instance ``__dict__``, and it is neither frozen nor hashable. Nothing in
+parsing, validation or replay assigns to an event after it is built.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import json
+import json.scanner
 import logging
 import random
 from dataclasses import dataclass, field, fields
@@ -34,6 +39,7 @@ from .engine import (
     ConfinementEngine,
     EngineCounters,
     EngineSnapshot,
+    HostObjectTable,
     ReferenceEngine,
     Route,
 )
@@ -81,8 +87,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
+    """One trace event: ``seq``, ``op`` and the op's payload fields.
+
+    A slotted, mutable record: building one makes one slot store per field
+    and no per-instance ``__dict__``. Events are therefore not hashable, and
+    nothing stops an assignment to a field; parsing, validation and replay
+    never assign to one.
+    """
+
     seq: int
     op: str
     actor: int | None = None
@@ -270,19 +284,29 @@ def serialize_trace(events) -> str:
     return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
 
 
+# The C scanner behind ``json.loads``, bound once: ``_scan_once(line, 0)``
+# decodes the value that starts the line and returns it with its end index.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def parse_trace(text: str) -> list[TraceEvent]:
-    """Parse and validate a JSONL trace."""
+    """Parse and validate a JSONL trace.
+
+    Each line is decoded by one scanner call when the value spans the whole
+    line; anything else (surrounding whitespace, a BOM, trailing data, bad
+    JSON) is decoded by ``json.loads``, so results and errors are its own.
+    """
     events = []
+    scan = _scan_once
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"bad JSON: {exc.msg}") from None
-        except (ValueError, RecursionError) as exc:
-            # e.g. an integer too long to convert, or nesting too deep
-            raise ParseError(lineno, f"bad JSON: {exc}") from None
+            data, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            data = _loads(lineno, line)
         if not isinstance(data, dict):
             raise ParseError(lineno, "event must be a JSON object")
         try:
@@ -291,6 +315,17 @@ def parse_trace(text: str) -> list[TraceEvent]:
             raise ParseError(lineno, str(exc)) from None
     validate_events(events)
     return events
+
+
+def _loads(lineno: int, line: str):
+    """Decode one line with ``json.loads``; a failure is a ParseError."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"bad JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # e.g. an integer too long to convert, or nesting too deep
+        raise ParseError(lineno, f"bad JSON: {exc}") from None
 
 
 def validate_events(events) -> None:
@@ -718,6 +753,9 @@ def fixture_three_iis() -> list[TraceEvent]:
 # random traces
 # ---------------------------------------------------------------------------
 
+PATTERN_INSTANCES = 2
+
+
 @dataclass(frozen=True)
 class TraceParams:
     vm_count: int = 2
@@ -727,10 +765,14 @@ class TraceParams:
     global_fraction: float = 0.1
     event_count: int = 200
     seal_position: int = 100
+    # wildcard long-list entries, each matched by PATTERN_INSTANCES host objects
+    pattern_count: int = 0
 
     def check(self):
         if self.vm_count < 1 or self.process_count < 1 or self.name_pool_size < 1:
             raise InvalidParams("vm_count, process_count, name_pool_size must be positive")
+        if self.pattern_count < 0:
+            raise InvalidParams("pattern_count must be non-negative")
         if not 0.0 <= self.host_fraction <= 1.0 or not 0.0 <= self.global_fraction <= 1.0:
             raise InvalidParams("fractions must lie in [0, 1]")
         if self.event_count < 0 or not 0 <= self.seal_position <= self.event_count:
@@ -745,16 +787,23 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
     engine provably matches the reference oracle: global-scoped creates
     avoid host names, and after the seal only host names already touched
     before it may be used.
+
+    ``params.pattern_count`` wildcard entries ``\\srv\\pipe-<k>-*`` join the
+    long list, and the names ``\\srv\\pipe-<k>-<i>`` that match them join
+    the host names at the end of the pool; with none, the trace and its
+    random draws are as without the parameter.
     """
     params.check()
     rng = random.Random(seed)
     host_count = round(params.name_pool_size * params.host_fraction)
     host_names = [rf"\srv\host-{i:04d}" for i in range(host_count)]
     private_names = [rf"\app\obj-{i:04d}" for i in range(params.name_pool_size - host_count)]
-    pool = host_names + private_names
+    patterns = tuple(rf"\srv\pipe-{k:04d}-*" for k in range(params.pattern_count))
+    pattern_names = [p[:-1] + str(i) for p in patterns for i in range(1, PATTERN_INSTANCES + 1)]
+    pool = host_names + private_names + pattern_names
     categories = (_PORT, _PIPE, _SECTION, _MUTEX)
     category_of = {name: categories[i % len(categories)] for i, name in enumerate(pool)}
-    host_set = set(host_names)
+    host_set = set(host_names + pattern_names)
     if constrained and not private_names and params.seal_position == 0:
         raise InvalidParams("constrained mode needs private names or pre-seal events")
 
@@ -766,7 +815,7 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
         seq += 1
         events.append(TraceEvent(seq=seq, op=op, **kwargs))
 
-    emit("load_long_list", names=tuple(host_names))
+    emit("load_long_list", names=tuple(host_names) + patterns)
     for i in range(params.vm_count):
         emit("vm_create", ip=f"10.0.0.{2 + i}")
     emit("spawn", vm=0)   # pid 1: host service process
@@ -774,7 +823,7 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
     for i in range(params.process_count):
         emit("spawn", vm=(i % params.vm_count) + 1)
         vm_pids.append(2 + i)
-    for name in host_names:
+    for name in host_names + pattern_names:
         emit("create", actor=1, name=name, category=category_of[name])
 
     touched_host: set[str] = set()
@@ -817,9 +866,10 @@ def first_post_seal_host_touches(events) -> set[str]:
 
     Such a touch (an open, or a non-global create) is exactly where the
     optimized engine diverges from the full-scan oracle: the short list
-    never saw the name and the flag forbids the long-list search.
+    never saw the name and the flag forbids the long-list search. A name is
+    listed if the engine's long list holds it, exactly or by a pattern.
     """
-    long_list: set[str] = set()
+    long_list = HostObjectTable()
     vm_of_pid: dict[int, int] = {}
     next_pid = 1
     sealed = False
@@ -829,7 +879,8 @@ def first_post_seal_host_touches(events) -> set[str]:
 
     for event in events:
         if event.op == "load_long_list":
-            long_list = {n for n in event.names if not n.endswith("*")}
+            long_list.load([n for n in event.names if not n.endswith("*")],
+                           [n[:-1] for n in event.names if n.endswith("*")])
         elif event.op == "spawn":
             vm_of_pid[next_pid] = event.vm
             next_pid += 1
@@ -837,7 +888,7 @@ def first_post_seal_host_touches(events) -> set[str]:
             sealed = True
         elif event.op in ("create", "open") and vm_of_pid.get(event.actor, 0) != 0:
             name = event.name
-            if name not in long_list:
+            if not long_list.long_contains(name):
                 continue
             if not sealed:
                 touched_pre.add(name)

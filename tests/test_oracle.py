@@ -197,20 +197,37 @@ class TestTraceEquivalence:
         assert report.divergences == []
         assert report.counters.conservation_holds()
 
-    def test_unconstrained_divergences_have_the_predicted_shape(self):
-        params = TraceParams(event_count=120, seal_position=60)
-        seen = 0
-        for seed in range(15):
-            events = generate_random_trace(seed, params, constrained=False)
-            seal_seq = next(e.seq for e in events if e.op == "seal")
-            host_pool = set(next(e.names for e in events if e.op == "load_long_list"))
+    def test_constrained_traces_with_patterns_never_diverge(self):
+        params = TraceParams(event_count=120, seal_position=60, pattern_count=4)
+        for seed in range(10):
+            events = generate_random_trace(seed, params, constrained=True)
             report = replay(events, dual=True)
-            seen += bool(report.divergences)
-            for div in report.divergences:
-                assert div["seq"] > seal_seq
-                assert div["name"] in host_pool
-                assert div["engine"]["route"] == "VmPrivate"
-                assert div["reference"]["route"] == "HostPassthrough"
-            detected = first_post_seal_host_touches(events)
-            assert detected <= {d["name"] for d in report.divergences}
-        assert seen >= 5   # most seeds at these parameters diverge somewhere
+            assert report.divergences == []
+            assert report.counters.long_hits > 0
+
+    def test_unconstrained_divergences_have_the_predicted_shape(self):
+        # plain host names, then host names plus wildcard entries and the
+        # concrete names that match them
+        for params in (TraceParams(event_count=120, seal_position=60),
+                       TraceParams(event_count=120, seal_position=60, pattern_count=3)):
+            seen = 0
+            detected_by_pattern = set()
+            for seed in range(15):
+                events = generate_random_trace(seed, params, constrained=False)
+                seal_seq = next(e.seq for e in events if e.op == "seal")
+                long_list = next(e.names for e in events if e.op == "load_long_list")
+                # every host object the trace has: the host process's creates
+                host_pool = {e.name for e in events if e.op == "create" and e.actor == 1}
+                report = replay(events, dual=True)
+                seen += bool(report.divergences)
+                for div in report.divergences:
+                    assert div["seq"] > seal_seq
+                    assert div["name"] in host_pool
+                    assert div["engine"]["route"] == "VmPrivate"
+                    assert div["reference"]["route"] == "HostPassthrough"
+                detected = first_post_seal_host_touches(events)
+                assert detected <= {d["name"] for d in report.divergences}
+                detected_by_pattern |= detected - set(long_list)
+            assert seen >= 5   # most seeds at these parameters diverge somewhere
+            # names listed only by a pattern are predicted too
+            assert bool(detected_by_pattern) == (params.pattern_count > 0)

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipcconfine import trace
 from ipcconfine.cli import main
 from ipcconfine.errors import ParseError, InvalidParams, ReplayError, ValidationError
 from ipcconfine.trace import (
     OP_SCHEMA,
+    PATTERN_INSTANCES,
     RPCSS_HOST_OBJECTS,
     RPCSS_ISOLATION,
     RPCSS_LONG_LIST,
@@ -68,6 +70,79 @@ class TestParseSerialize:
         with pytest.raises(ParseError) as exc:
             parse_trace('{"seq": 1, "op": "seal", "bogus": 1}\n')
         assert "bogus" in str(exc.value)
+
+
+def outcome(text: str):
+    """The events ``parse_trace`` returns, or its error's type, line and text."""
+    try:
+        return parse_trace(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+
+
+def _never_scans(line, idx):
+    raise StopIteration(idx)
+
+
+_SEAL = '{"seq": 1, "op": "seal"}'
+
+# raw lines, each decoded the same whether or not the scanner takes it
+_RAW_LINES = {
+    "padded": " " + _SEAL + " ",
+    "tabbed": "\t" + _SEAL + "\t",
+    "nbsp_padded": "\u00a0" + _SEAL,   # str.strip() removes it, JSON does not
+    "bom": "\ufeff" + _SEAL,
+    "nan_seq": '{"seq": NaN, "op": "seal"}',
+    "infinity_port": '{"seq": 1, "op": "bind", "actor": 1, "ip": "0.0.0.0", "port": Infinity}',
+    "duplicate_keys": '{"seq": 1, "op": "vm_create", "op": "seal"}',
+    "trailing_data": '{"seq":1} x',
+    "truncated": '{"seq": 1, "op": "seal"',
+    "array": "[]",
+    "string": '"str"',
+    "nested_too_deep": "[" * 100_000 + "]" * 100_000,
+    "integer_too_long": '{"seq": ' + "1" * 5_000 + ', "op": "seal"}',
+    "plain": _SEAL,
+    "with_expect": '{"seq": 1, "op": "seal", "expect": {"error": null}}',
+}
+
+
+class TestParseEquivalence:
+    """The one-scanner-call decode gives what ``json.loads`` gives, events
+    and error messages alike."""
+
+    # the rpcss fixture: TestParseSerialize.test_roundtrip_fixture
+    @pytest.mark.parametrize("events", [
+        pytest.param(fixture_three_iis(), id="three_iis"),
+        *(pytest.param(generate_random_trace(seed, TraceParams(
+            vm_count=3, process_count=6, event_count=150, seal_position=70,
+            pattern_count=patterns)), id=f"random-{seed}-patterns{patterns}")
+          for seed in range(3) for patterns in (0, 4)),
+    ])
+    def test_roundtrip(self, events):
+        assert parse_trace(serialize_trace(events)) == events
+
+    @pytest.mark.parametrize("name", sorted(_RAW_LINES))
+    def test_raw_line_matches_json_loads_path(self, name, monkeypatch):
+        text = "\n".join([_RAW_LINES[name], '{"seq": 2, "op": "seal"}']) + "\n"
+        scanned = outcome(text)
+        monkeypatch.setattr(trace, "_scan_once", _never_scans)
+        assert outcome(text) == scanned
+
+
+class TestEventLayout:
+    """Events are slotted records with a fixed field list: no per-event
+    ``__dict__``, and none of the frozen class's per-field set-up."""
+
+    def test_no_instance_dict(self):
+        event = TraceEvent(seq=1, op="seal")
+        assert not hasattr(event, "__dict__")
+        assert "__setattr__" not in vars(TraceEvent)
+
+    def test_fields_in_order(self):
+        assert [f.name for f in fields(TraceEvent)] == [
+            "seq", "op", "actor", "vm", "ip", "port", "name", "names", "category",
+            "scope", "target", "subtype", "payload", "class_name", "hook_scope", "expect",
+        ]
 
 
 class TestValidation:
@@ -436,6 +511,8 @@ class TestRandomTraces:
         with pytest.raises(InvalidParams):
             TraceParams(event_count=10, seal_position=11).check()
         with pytest.raises(InvalidParams):
+            TraceParams(pattern_count=-1).check()
+        with pytest.raises(InvalidParams):
             generate_random_trace(0, TraceParams(host_fraction=1.0, seal_position=0,
                                                  event_count=10), constrained=True)
 
@@ -472,6 +549,35 @@ class TestRandomTraces:
             ev(10, "open", actor=2, name=r"\h\c", category="I_Port"),
         ]
         assert first_post_seal_host_touches(events) == {r"\h\b"}
+
+    def test_detector_sees_names_listed_by_a_pattern(self):
+        events = [
+            ev(1, "load_long_list", names=(r"\h\pipe*",)),
+            ev(2, "vm_create", ip="10.0.0.2"),
+            ev(3, "spawn", vm=0),
+            ev(4, "spawn", vm=1),
+            ev(5, "create", actor=1, name=r"\h\pipe1", category="I_Port"),
+            ev(6, "seal"),
+            ev(7, "open", actor=2, name=r"\h\pipe1", category="I_Port"),
+            ev(8, "open", actor=2, name=r"\h\pipeX", category="I_Port"),
+        ]
+        validate_events(events)
+        diverging = {d["name"] for d in replay(events, dual=True).divergences}
+        assert diverging == {r"\h\pipe1"}
+        assert first_post_seal_host_touches(events) == diverging
+
+    def test_pattern_entries(self):
+        params = TraceParams(event_count=40, seal_position=20, pattern_count=3)
+        events = generate_random_trace(5, params)
+        long_list = events[0].names
+        patterns = [n for n in long_list if n.endswith("*")]
+        assert patterns == [rf"\srv\pipe-{k:04d}-*" for k in range(3)]
+        host_creates = [e.name for e in events if e.op == "create" and e.actor == 1]
+        instances = [n for n in host_creates if n not in long_list]
+        assert instances == [p[:-1] + str(i) for p in patterns
+                             for i in range(1, PATTERN_INSTANCES + 1)]
+        report = replay(events, dual=True)
+        assert report.counters.conservation_holds()
 
     def test_stress_replay_invariants(self):
         params = TraceParams(vm_count=2, process_count=6, event_count=300,
