@@ -37,21 +37,22 @@ _VM_PROC = ProcessRef(pid=1, vm=VmId(1))
 
 OPTIMIZED_PATHS = ("global_hit", "short_hit", "long_hit", "rename_miss", "post_seal_miss")
 
+# host objects warmed onto the short list, and VM globals created, before
+# the short_hit and global_hit paths cycle over them
+SHORT_WARM_COUNT = 16
+GLOBAL_POOL = 8
+
 
 @dataclass(frozen=True)
 class BenchConfig:
     long_list_size: int = 1000
     batch_size: int = 200
     batches: int = 5
-    short_warm_count: int = 16
-    global_pool: int = 8
     include_reference: bool = False
 
     def check(self):
         if self.long_list_size < 1 or self.batch_size < 1 or self.batches < 1:
             raise InvalidConfig("long_list_size, batch_size, batches must be positive")
-        if self.short_warm_count < 1 or self.global_pool < 1:
-            raise InvalidConfig("short_warm_count and global_pool must be positive")
 
 
 @dataclass
@@ -70,8 +71,8 @@ class BenchResult:
                 "long_list_size": self.config.long_list_size,
                 "batch_size": self.config.batch_size,
                 "batches": self.config.batches,
-                "short_warm_count": self.config.short_warm_count,
-                "global_pool": self.config.global_pool,
+                "short_warm_count": SHORT_WARM_COUNT,
+                "global_pool": GLOBAL_POOL,
             },
             "paths": self.paths,
             "ratios_vs_baseline": self.ratios,
@@ -147,7 +148,7 @@ def run_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
 
     # global_hit: the caller VM's global-object table resolves the name
     engine = _loaded_engine(long_names)
-    globals_pool = [rf"\bench\global-{i:04d}" for i in range(config.global_pool)]
+    globals_pool = [rf"\bench\global-{i:04d}" for i in range(GLOBAL_POOL)]
     for name in globals_pool:
         engine.resolve(_VM_PROC, name, _SECTION_CATEGORY, Intent.CREATE, Scope.GLOBAL)
     probe = [globals_pool[i % len(globals_pool)] for i in range(batch)]
@@ -156,7 +157,7 @@ def run_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
 
     # short_hit: warm a few host objects, then cycle over them
     engine = _loaded_engine(long_names)
-    warm = long_names[: min(config.short_warm_count, len(long_names))]
+    warm = long_names[: min(SHORT_WARM_COUNT, len(long_names))]
     for name in warm:
         engine.resolve(_VM_PROC, name, _PORT_CATEGORY, Intent.OPEN)
     probe = [warm[i % len(warm)] for i in range(batch)]

@@ -50,12 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_p = sub.add_parser("scenario", help="build and replay a scenario")
     scenario_p.add_argument("name", choices=("rpcss", "three-iis", "random"))
     scenario_p.add_argument("--seed", type=int, default=0, help="random scenario seed")
-    scenario_p.add_argument("--events", type=int, default=200)
-    scenario_p.add_argument("--vms", type=int, default=2)
-    scenario_p.add_argument("--procs", type=int, default=4)
-    scenario_p.add_argument("--pool", type=int, default=40, help="name pool size")
-    scenario_p.add_argument("--host-fraction", type=float, default=0.3)
-    scenario_p.add_argument("--global-fraction", type=float, default=0.1)
+    defaults = TraceParams()
+    scenario_p.add_argument("--events", type=int, default=defaults.event_count)
+    scenario_p.add_argument("--vms", type=int, default=defaults.vm_count)
+    scenario_p.add_argument("--procs", type=int, default=defaults.process_count)
+    scenario_p.add_argument("--pool", type=int, default=defaults.name_pool_size,
+                            help="name pool size")
+    scenario_p.add_argument("--host-fraction", type=float, default=defaults.host_fraction)
+    scenario_p.add_argument("--global-fraction", type=float, default=defaults.global_fraction)
     scenario_p.add_argument("--seal-at", type=int, default=None,
                             help="events before the seal (default: half)")
     scenario_p.add_argument("--constrained", action="store_true",

@@ -149,15 +149,15 @@ class Verdict:
 class EngineCounters:
     """Monotonic per-engine event counts.
 
-    Each resolve counts the one step that decided it. ``host_bypass``
-    (host-caller resolves) and ``long_list_reads`` (a probe incremented on
-    every long-list consultation) are instrumentation on top of the decision
-    counts; together they make the conservation identity checkable:
+    Each resolve counts the one step that decided it, host-caller resolves
+    (``host_bypass``) included, so the conservation identity is checkable:
 
         resolves_total == host_bypass + global_table_hits + short_hits
                           + long_hits + long_misses + post_seal_long_skips
 
-    ``renames`` and ``host_passthroughs`` are derived from the step counts.
+    ``renames``, ``host_passthroughs`` and ``long_list_reads`` are derived
+    from the step counts: every long-list consultation ends in exactly one
+    long hit or long miss.
     """
 
     resolves_total: int = 0
@@ -168,7 +168,6 @@ class EngineCounters:
     post_seal_long_skips: int = 0
     denials: int = 0
     host_bypass: int = 0
-    long_list_reads: int = 0
 
     @property
     def renames(self) -> int:
@@ -177,6 +176,10 @@ class EngineCounters:
     @property
     def host_passthroughs(self) -> int:
         return self.short_hits + self.long_hits
+
+    @property
+    def long_list_reads(self) -> int:
+        return self.long_hits + self.long_misses
 
     def copy(self) -> "EngineCounters":
         return replace(self)
@@ -370,7 +373,6 @@ class ConfinementEngine(_ResolvePipeline):
             c.post_seal_long_skips += 1
             return None
         # (f) a listed name passes through and enters the short list
-        c.long_list_reads += 1
         if host.long_contains(name):
             outcome = short[name] = ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)
             short.move_to_end(name, last=False)
@@ -465,7 +467,6 @@ class ReferenceEngine(_ResolvePipeline):
         self._require_loaded()
 
     def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
-        c.long_list_reads += 1
         if self._scan(name):
             c.long_hits += 1
             return ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)

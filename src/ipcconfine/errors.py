@@ -116,7 +116,3 @@ class InvalidParams(ConfinementError):
 
 class InvalidConfig(ConfinementError):
     pass
-
-
-class UnknownScenario(ConfinementError):
-    pass

@@ -39,7 +39,6 @@ from .engine import (
     ConfinementEngine,
     EngineCounters,
     EngineSnapshot,
-    HostObjectTable,
     ReferenceEngine,
     Route,
 )
@@ -274,11 +273,6 @@ _EXPECT = {
     "error": None,
 }
 
-# Errors that are normal, assertable outcomes of an op contract; anything
-# else raised during replay is a precondition violation and aborts the run
-# unless the event expects it.
-_OUTCOME_ERRORS = {"NotFound", "AlreadyExists", "CategoryMismatch", "AddressInUse"}
-
 
 def serialize_trace(events) -> str:
     return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
@@ -438,11 +432,14 @@ class Replayer:
             handler(event, result)
         except ConfinementError as exc:
             result["error"] = exc.code
-            if isinstance(exc, KernelError) and exc.outcome is not None:
-                result.update(exc.outcome.to_dict())
-                self._compare_reference(event, exc.outcome)
-            expected = (event.expect or {}).get("error")
-            if expected is None and exc.code not in _OUTCOME_ERRORS:
+            # a KernelError is a normal, assertable outcome of an op contract;
+            # any other error is a precondition violation and aborts the run
+            # unless the event expects it
+            if isinstance(exc, KernelError):
+                if exc.outcome is not None:
+                    result.update(exc.outcome.to_dict())
+                    self._compare_reference(event, exc.outcome)
+            elif (event.expect or {}).get("error") is None:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
         return result
 
@@ -862,41 +859,18 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
 
 
 def first_post_seal_host_touches(events) -> set[str]:
-    """Host-list names whose first VM touch happens only after the seal.
+    """Names the engine confines by step (e): listed host objects it
+    renames after the seal.
 
-    Such a touch (an open, or a non-global create) is exactly where the
-    optimized engine diverges from the full-scan oracle: the short list
-    never saw the name and the flag forbids the long-list search. A name is
-    listed if the engine's long list holds it, exactly or by a pattern.
+    This is exactly where the engine and the full-scan oracle disagree. The
+    two keep identical global-object tables, so on every other step they
+    decide alike; a name the engine's long list holds is renamed
+    (``VmPrivate``) only by step (e), while the oracle, with no flag, passes
+    it through. The events are replayed once in single mode, so a trace the
+    replay rejects raises as :func:`replay` would.
     """
-    long_list = HostObjectTable()
-    vm_of_pid: dict[int, int] = {}
-    next_pid = 1
-    sealed = False
-    touched_pre: set[str] = set()
-    diverging: set[str] = set()
-    skip: set[str] = set()
-
-    for event in events:
-        if event.op == "load_long_list":
-            long_list.load([n for n in event.names if not n.endswith("*")],
-                           [n[:-1] for n in event.names if n.endswith("*")])
-        elif event.op == "spawn":
-            vm_of_pid[next_pid] = event.vm
-            next_pid += 1
-        elif event.op == "seal":
-            sealed = True
-        elif event.op in ("create", "open") and vm_of_pid.get(event.actor, 0) != 0:
-            name = event.name
-            if not long_list.long_contains(name):
-                continue
-            if not sealed:
-                touched_pre.add(name)
-            elif name not in touched_pre and name not in diverging and name not in skip:
-                if event.op == "open" or event.scope != "Global":
-                    diverging.add(name)
-                else:
-                    # first post-seal touch creates a VM-global copy in both
-                    # engines; later touches are not guaranteed to diverge
-                    skip.add(name)
-    return diverging
+    replayer = Replayer()
+    replayer.run(events)
+    listed = replayer.engine._host.long_contains
+    return {event.name for event, result in zip(events, replayer.outcomes)
+            if result.get("route") == Route.VM_PRIVATE.value and listed(event.name)}

@@ -122,7 +122,7 @@ def test_criterion_2_namespace_disjointness():
 
 def test_criterion_3_oracle_equivalence_and_divergence():
     """Constrained workloads match the full-scan oracle; unconstrained ones
-    diverge exactly at post-seal first touches of host-listed names."""
+    diverge exactly where the engine confines a listed name by step (e)."""
     constrained = TraceParams(event_count=120, seal_position=60)
     for seed in range(100):
         report = replay(generate_random_trace(seed, constrained, constrained=True),
@@ -141,7 +141,7 @@ def test_criterion_3_oracle_equivalence_and_divergence():
         report = replay(events, dual=True)
         assert len(report.divergences) >= 1, seed
         names = {d["name"] for d in report.divergences}
-        assert detected <= names, seed
+        assert detected == names, seed
         for div in report.divergences:
             assert div["seq"] > seal_seq
             assert div["name"] in host_pool

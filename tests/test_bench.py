@@ -20,8 +20,6 @@ class TestConfig:
         {"long_list_size": 0},
         {"batch_size": 0},
         {"batches": 0},
-        {"short_warm_count": 0},
-        {"global_pool": 0},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(InvalidConfig):
@@ -50,7 +48,8 @@ class TestRun:
     def test_json_and_text_render(self):
         result = run_bench(SMALL)
         data = json.loads(result.to_json())
-        assert data["config"]["long_list_size"] == 64
+        assert data["config"] == {"long_list_size": 64, "batch_size": 32, "batches": 3,
+                                  "short_warm_count": 16, "global_pool": 8}
         assert data["post_seal_long_list_reads"] == 0
         assert data["long_list_structure"]["exact"] == "hash set"
         text = result.text()

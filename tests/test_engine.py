@@ -274,6 +274,7 @@ class TestCounters:
                            long_misses=7, post_seal_long_skips=11)
         assert c.renames == 2 + 7 + 11
         assert c.host_passthroughs == 3 + 5
+        assert c.long_list_reads == 5 + 7
         assert list(c.to_dict()) == [
             "resolves_total", "global_table_hits", "short_hits", "long_hits",
             "long_misses", "renames", "host_passthroughs", "post_seal_long_skips",

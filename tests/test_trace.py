@@ -566,6 +566,38 @@ class TestRandomTraces:
         assert diverging == {r"\h\pipe1"}
         assert first_post_seal_host_touches(events) == diverging
 
+    @pytest.mark.parametrize("tail, expected", [
+        # a VM's global create decides in step (b) and leaves the short list
+        # empty, so another VM's first post-seal open is confined
+        pytest.param([
+            ev(6, "create", actor=1, name=r"\h\a", category="I_Port", scope="Global"),
+            ev(7, "seal"),
+            ev(8, "open", actor=2, name=r"\h\a", category="I_Port"),
+        ], {r"\h\a"}, id="global_create_before_seal"),
+        pytest.param([
+            ev(6, "seal"),
+            ev(7, "create", actor=1, name=r"\h\a", category="I_Port", scope="Global"),
+            ev(8, "open", actor=2, name=r"\h\a", category="I_Port"),
+        ], {r"\h\a"}, id="global_create_after_seal"),
+        # a "Global" component makes a Local-scope create global: step (b)
+        pytest.param([
+            ev(6, "seal"),
+            ev(7, "create", actor=1, name=r"\h\Global\a", category="I_Port"),
+        ], set(), id="global_component_after_seal"),
+    ])
+    def test_detector_matches_dual_replay(self, tail, expected):
+        events = [
+            ev(1, "load_long_list", names=(r"\h\a", r"\h\Global\a")),
+            ev(2, "vm_create", ip="10.0.0.2"),
+            ev(3, "vm_create", ip="10.0.0.3"),
+            ev(4, "spawn", vm=1),
+            ev(5, "spawn", vm=2),
+        ] + tail
+        validate_events(events)
+        diverging = {d["name"] for d in replay(events, dual=True).divergences}
+        assert diverging == expected
+        assert first_post_seal_host_touches(events) == diverging
+
     def test_pattern_entries(self):
         params = TraceParams(event_count=40, seal_position=20, pattern_count=3)
         events = generate_random_trace(5, params)
