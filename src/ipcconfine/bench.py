@@ -24,6 +24,7 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .engine import ConfinementEngine, ReferenceEngine
 from .errors import InvalidConfig
@@ -31,7 +32,7 @@ from .model import Intent, ProcessRef, Scope, VmId
 from .model import PORT as _PORT_CATEGORY
 from .model import SHARED_MEMORY as _SECTION_CATEGORY
 
-__all__ = ["BenchConfig", "BenchResult", "run_bench"]
+__all__ = ["BenchConfig", "BenchResult", "path_timers", "run_bench"]
 
 _VM_PROC = ProcessRef(pid=1, vm=VmId(1))
 
@@ -128,11 +129,19 @@ def _stats(batch_means) -> dict:
     }
 
 
-def run_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
+def path_timers(config: BenchConfig = BenchConfig()) -> tuple[dict, ConfinementEngine]:
+    """One timer per path, in report order, and the sealed engine that the
+    ``post_seal_miss`` timer resolves on.
+
+    Each timer call times one batch and returns its mean ns per call. The
+    engines are built and warmed here (``long_hit`` builds a fresh one per
+    batch, outside the timed region), so the batches of several
+    configurations can be interleaved.
+    """
     config.check()
     long_names = _long_names(config.long_list_size)
     batch = min(config.batch_size, config.long_list_size)
-    result = BenchResult(config=config)
+    timers = {}
 
     def open_resolver(engine):
         def resolve(name):
@@ -142,9 +151,7 @@ def run_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
     # baseline: dict membership on the same key population
     table = dict.fromkeys(long_names)
     probe = [long_names[i % len(long_names)] for i in range(batch)]
-    sink = table.__contains__
-    means = [_time_batch(sink, probe) for _ in range(config.batches)]
-    result.paths["baseline"] = _stats(means)
+    timers["baseline"] = partial(_time_batch, table.__contains__, probe)
 
     # global_hit: the caller VM's global-object table resolves the name
     engine = _loaded_engine(long_names)
@@ -152,8 +159,7 @@ def run_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
     for name in globals_pool:
         engine.resolve(_VM_PROC, name, _SECTION_CATEGORY, Intent.CREATE, Scope.GLOBAL)
     probe = [globals_pool[i % len(globals_pool)] for i in range(batch)]
-    means = [_time_batch(open_resolver(engine), probe) for _ in range(config.batches)]
-    result.paths["global_hit"] = _stats(means)
+    timers["global_hit"] = partial(_time_batch, open_resolver(engine), probe)
 
     # short_hit: warm a few host objects, then cycle over them
     engine = _loaded_engine(long_names)
@@ -161,37 +167,38 @@ def run_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
     for name in warm:
         engine.resolve(_VM_PROC, name, _PORT_CATEGORY, Intent.OPEN)
     probe = [warm[i % len(warm)] for i in range(batch)]
-    means = [_time_batch(open_resolver(engine), probe) for _ in range(config.batches)]
-    result.paths["short_hit"] = _stats(means)
+    timers["short_hit"] = partial(_time_batch, open_resolver(engine), probe)
 
-    # long_hit: every call is a first touch, so rebuild the engine per batch
-    means = []
-    for _ in range(config.batches):
-        engine = _loaded_engine(long_names)
-        means.append(_time_batch(open_resolver(engine), long_names[:batch]))
-    result.paths["long_hit"] = _stats(means)
+    # long_hit: every call is a first touch, so each batch gets a fresh engine
+    def long_hit() -> float:
+        return _time_batch(open_resolver(_loaded_engine(long_names)), long_names[:batch])
+    timers["long_hit"] = long_hit
 
     # rename_miss: unlisted names before the seal (no state is mutated)
-    engine = _loaded_engine(long_names)
     probe = _miss_names(batch)
-    means = [_time_batch(open_resolver(engine), probe) for _ in range(config.batches)]
-    result.paths["rename_miss"] = _stats(means)
+    timers["rename_miss"] = partial(_time_batch, open_resolver(_loaded_engine(long_names)), probe)
 
     # post_seal_miss: same probe after the flag; the long list must stay cold
-    engine = _loaded_engine(long_names)
-    engine.seal_host_objects()
-    reads_before = engine.counters.long_list_reads
-    means = [_time_batch(open_resolver(engine), probe) for _ in range(config.batches)]
-    result.paths["post_seal_miss"] = _stats(means)
-    result.post_seal_long_list_reads = engine.counters.long_list_reads - reads_before
+    sealed = _loaded_engine(long_names)
+    sealed.seal_host_objects()
+    timers["post_seal_miss"] = partial(_time_batch, open_resolver(sealed), probe)
 
     if config.include_reference:
         reference = ReferenceEngine()
         reference.load_long_list(long_names)
         def ref_resolve(name):
             reference.resolve(_VM_PROC, name, _PORT_CATEGORY, Intent.OPEN)
-        means = [_time_batch(ref_resolve, probe) for _ in range(config.batches)]
-        result.paths["reference_scan"] = _stats(means)
+        timers["reference_scan"] = partial(_time_batch, ref_resolve, probe)
+    return timers, sealed
+
+
+def run_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
+    timers, sealed = path_timers(config)
+    result = BenchResult(config=config)
+    for name, timer in timers.items():
+        result.paths[name] = _stats([timer() for _ in range(config.batches)])
+    # the sealed engine made no resolve before its flag was set
+    result.post_seal_long_list_reads = sealed.counters.long_list_reads
 
     base = result.paths["baseline"]["median_ns"]
     for name, stats in result.paths.items():

@@ -25,15 +25,24 @@ Resolve pipeline, in order:
       short list;
   (g) everything else is renamed into the caller VM's private namespace.
 
-Both engines run one pipeline, ``_ResolvePipeline._decide``: it checks a
-call once (category, name, reserved ``vm<digits>`` prefix, loaded state) and
-takes steps (a)-(c) and (g); each engine supplies only its host-object lookup,
-steps (d)-(f). :class:`ConfinementEngine` consults the MRU short list, the
-flag, and a long list of exact names (a hash set) and pattern prefixes (a set
-probed only at the name's trailing digits). :class:`ReferenceEngine`, the
-oracle it is equivalence-tested against, compares every exact entry and tries
-every prefix. A table hit returns the outcome stored with the name instead
-of renaming it again.
+Both engines run one pipeline, ``_ResolvePipeline._decide``, in three
+phases:
+
+  1. stored outcomes: for a VM caller, a hit in a table that holds decided
+     outcomes, the VM's global-object table (c) or the engine's short list
+     (d), returns the stored outcome before any name check; every stored
+     name passed the check when it went in;
+  2. the check: category, name, reserved ``vm<digits>`` prefix, loaded
+     state, in that order of errors;
+  3. the decision: steps (a), (b), this engine's host-object lookup
+     (e)-(f), and (g).
+
+:class:`ConfinementEngine` supplies the MRU short list, the flag, and a long
+list of exact names (a hash set) and pattern prefixes (a set probed only at
+the name's trailing digits). :class:`ReferenceEngine`, the oracle it is
+equivalence-tested against, supplies no short list; it compares every exact
+entry and tries every prefix. A table hit returns the outcome stored with
+the name instead of renaming it again.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import AlreadyLoaded, BadCategory, NotLoaded
 from .model import (
@@ -116,20 +126,30 @@ _HOST_OBJECT, _GLOBAL_OBJECT, _ISOLATION = (
 _CREATE = Intent.CREATE
 
 
-@dataclass(frozen=True)
-class ResolveOutcome:
-    """Immutable, so the tables may hand one instance to many callers."""
+class ResolveOutcome(NamedTuple):
+    """The decided outcome of one resolve.
+
+    A tuple: immutable, so the tables may hand one instance to many callers,
+    and equal to a plain tuple of the same three values.
+    """
 
     effective_name: str
     route: Route
     principle: Principle
 
     def to_dict(self) -> dict:
+        # ``_value_`` is the member's stored value; the ``value`` property
+        # reads the same through a Python-level descriptor call
         return {
             "effective_name": self.effective_name,
-            "route": self.route.value,
-            "principle": self.principle.value,
+            "route": self.route._value_,
+            "principle": self.principle._value_,
         }
+
+
+# Builds an outcome in one C call; ``ResolveOutcome(...)`` runs the
+# generated Python ``__new__`` around the same call.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -143,6 +163,12 @@ class Verdict:
 
     def to_dict(self) -> dict:
         return {"decision": self.decision.value, "reason": self.reason}
+
+
+# The three verdicts the engine gives, shared by every call.
+_SAME_VM = Verdict(Decision.ALLOW, "SameVm")
+_CROSS_VM = Verdict(Decision.DENY, "CrossVm")
+_SCOPED_TO_VM = Verdict(Decision.ALLOW, "ScopedToVm")
 
 
 @dataclass
@@ -258,15 +284,20 @@ class HostObjectTable:
 
 
 class _ResolvePipeline:
-    """The resolve pipeline both engines run: checks, steps (a)-(c) and (g).
+    """The resolve pipeline both engines run: stored outcomes, checks, and
+    steps (a), (b) and (g).
 
     An engine supplies its host-object lookup: ``_load(exact, prefixes)``
     keeps the checked long-list entries and returns their count without
-    repeats; ``_host_lookup(name, counters)``, steps (d)-(f), counts the step
-    that decided and returns the name's pass-through outcome, or None to have
-    the name renamed into the caller's VM. A single lock makes each resolve,
-    with its table updates, atomic: all operations are linearizable.
+    repeats; ``_host_lookup(name, counters)``, the host-object steps after
+    the short list, counts the step that decided and returns the name's
+    pass-through outcome, or None to have the name renamed into the caller's
+    VM. An engine with a short list, step (d), sets ``_host`` to its
+    :class:`HostObjectTable`. A single lock makes each resolve, with its
+    table updates, atomic: all operations are linearizable.
     """
+
+    _host: HostObjectTable | None = None
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -308,43 +339,65 @@ class _ResolvePipeline:
     ) -> ResolveOutcome:
         if not category.name_addressed:
             raise BadCategory(f"resolve handles name-addressed categories only, got {category}")
-        check_object_name(name)
-        if name.startswith(TAG_START):
-            check_unreserved(name)
+        vm = caller.vm
+        vm_id = vm.id
         with self._lock:
+            c = self.counters
+            table = None
+            # 1. stored outcomes. Each stored name passed the check when it
+            # went in, so a hit skips it; a name that is no str is never
+            # probed and fails the check below.
+            if vm_id and isinstance(name, str):
+                # (c) globals created in this VM resolve to the VM's copy; a
+                # repeated Create of one is decided here too, with (b)'s outcome
+                table = self._global_tables.get(vm_id)
+                if table is not None and name in table:
+                    c.resolves_total += 1
+                    c.global_table_hits += 1
+                    return table[name]
+                # (d) recently used host objects pass through, unless this is
+                # a Create of a global name, which (b) decides
+                host = self._host
+                if host is not None:
+                    outcome = host.short.get(name)  # the one short-list probe
+                    if outcome is not None and not (
+                            intent is _CREATE and is_global_name(name, scope)):
+                        if not host.flag:
+                            host.short.move_to_end(name, last=False)
+                        c.resolves_total += 1
+                        c.short_hits += 1
+                        return outcome
+
+            # 2. every other resolve is checked
+            check_object_name(name)
+            if name.startswith(TAG_START):
+                check_unreserved(name)
             if not self._loaded:
                 raise NotLoaded("long host-object list not loaded")
-            c = self.counters
             c.resolves_total += 1
-            vm = caller.vm
 
+            # 3. the decision
             # (a) host callers keep the original name, no table updates
-            if not vm.id:
+            if not vm_id:
                 c.host_bypass += 1
-                return ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)
-
-            # (c) globals created in this VM resolve to the VM's copy; a
-            # repeated Create of one is decided here too, with (b)'s outcome
-            table = self._global_tables.get(vm.id)
-            if table is not None and name in table:
-                c.global_table_hits += 1
-                return table[name]
+                return _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
 
             # (b) creating a global object registers it for this VM
             if intent is _CREATE and is_global_name(name, scope):
                 if table is None:
-                    table = self._global_tables[vm.id] = {}
-                outcome = table[name] = ResolveOutcome(rename(name, vm), _VM_GLOBAL, _GLOBAL_OBJECT)
+                    table = self._global_tables[vm_id] = {}
+                outcome = table[name] = _new(
+                    ResolveOutcome, (rename(name, vm), _VM_GLOBAL, _GLOBAL_OBJECT))
                 c.global_table_hits += 1
                 return outcome
 
-            # (d)-(f) this engine's host-object lookup
+            # (e)-(f) this engine's host-object lookup
             outcome = self._host_lookup(name, c)
             if outcome is not None:
                 return outcome
 
             # (g) everything else is renamed into the caller VM's namespace
-            return ResolveOutcome(rename(name, vm), _VM_PRIVATE, _ISOLATION)
+            return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE, _ISOLATION))
 
 
 class ConfinementEngine(_ResolvePipeline):
@@ -360,22 +413,16 @@ class ConfinementEngine(_ResolvePipeline):
         return self._host.load(exact, prefixes)
 
     def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
+        # the short list, step (d), missed in the pipeline's first phase
         host = self._host
-        short = host.short
-        # (d) recently used host-objects pass through
-        if name in short:
-            if not host.flag:
-                short.move_to_end(name, last=False)
-            c.short_hits += 1
-            return short[name]
         # (e) after seal the long list is never consulted again
         if host.flag:
             c.post_seal_long_skips += 1
             return None
         # (f) a listed name passes through and enters the short list
         if host.long_contains(name):
-            outcome = short[name] = ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)
-            short.move_to_end(name, last=False)
+            outcome = host.short[name] = _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
+            host.short.move_to_end(name, last=False)
             c.long_hits += 1
             return outcome
         c.long_misses += 1
@@ -404,10 +451,10 @@ class ConfinementEngine(_ResolvePipeline):
         if category.group is not IpcGroup.MESSAGE:
             raise BadCategory(f"access_decide handles message IPC only, got {category}")
         if sender.vm == receiver.vm:
-            return Verdict(Decision.ALLOW, "SameVm")
+            return _SAME_VM
         with self._lock:
             self.counters.denials += 1
-        return Verdict(Decision.DENY, "CrossVm")
+        return _CROSS_VM
 
     def dangerous_decide(self, caller: ProcessRef, target_vm: VmId | None,
                          kind: DangerousKind) -> Verdict:
@@ -417,12 +464,12 @@ class ConfinementEngine(_ResolvePipeline):
         narrowed to the caller's own VM.
         """
         if kind is DangerousKind.SET_WINDOW_HOOK and target_vm is SYSTEM_WIDE:
-            return Verdict(Decision.ALLOW, "ScopedToVm")
+            return _SCOPED_TO_VM
         if target_vm is not None and caller.vm == target_vm:
-            return Verdict(Decision.ALLOW, "SameVm")
+            return _SAME_VM
         with self._lock:
             self.counters.denials += 1
-        return Verdict(Decision.DENY, "CrossVm")
+        return _CROSS_VM
 
     # -- inspection -------------------------------------------------------------
 
@@ -469,7 +516,7 @@ class ReferenceEngine(_ResolvePipeline):
     def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
         if self._scan(name):
             c.long_hits += 1
-            return ResolveOutcome(name, _PASSTHROUGH, _HOST_OBJECT)
+            return _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
         c.long_misses += 1
         return None
 

@@ -54,8 +54,10 @@ from .errors import (
 )
 from .kernel import Delivery, HookScope, SimKernel
 from .model import (
+    TAG_START,
     Intent,
     IpcCategory,
+    ProcessRef,
     Scope,
     VmId,
     VmRegistry,
@@ -205,7 +207,9 @@ _HOOK_SCOPES = {h.value: h for h in HookScope}
 
 def _name_error(name: str, allow_pattern: bool = False) -> str | None:
     try:
-        check_unreserved(check_object_name(name, allow_pattern=allow_pattern))
+        check_object_name(name, allow_pattern=allow_pattern)
+        if name.startswith(TAG_START):
+            check_unreserved(name)
     except InvalidName as exc:
         return str(exc)
     return None
@@ -237,7 +241,9 @@ PID = FieldType(int, lambda v: None if v >= 1 else "must be a positive pid")
 VM = FieldType(int, lambda v: None if v >= 0 else "must be a non-negative integer")
 PORT = FieldType(int)
 TEXT = FieldType(str)
-NAME = FieldType(str, _name_error)
+# A trace repeats a few hundred names thousands of times: each distinct name
+# is decided once. ``NAMES`` holds raw JSON values, not all hashable.
+NAME = FieldType(str, lru_cache(maxsize=4096)(_name_error))
 NAMES = FieldType(tuple, _names_error, "list")  # held as a tuple once parsed
 CATEGORY = FieldType(str, _category_error)
 SCOPE = FieldType(str, _one_of({s.value for s in Scope}))
@@ -438,7 +444,6 @@ class Replayer:
             if isinstance(exc, KernelError):
                 if exc.outcome is not None:
                     result.update(exc.outcome.to_dict())
-                    self._compare_reference(event, exc.outcome)
             elif (event.expect or {}).get("error") is None:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
         return result
@@ -456,21 +461,35 @@ class Replayer:
     def _spawn(self, event: TraceEvent, result: dict) -> None:
         result["pid"] = self.registry.process_spawn(VmId(event.vm)).pid
 
+    # A create or open derives its arguments once, for the kernel and, in
+    # dual mode, for the oracle; an outcome that ends in a KernelError is
+    # compared too.
+
     def _create(self, event: TraceEvent, result: dict) -> None:
         caller = self.registry.process(event.actor)
-        handle = self.kernel.create_object(caller, event.name, _category(event.category),
-                                           _SCOPES[event.scope])
+        category, scope = _category(event.category), _SCOPES[event.scope]
+        try:
+            handle = self.kernel.create_object(caller, event.name, category, scope)
+        except KernelError as exc:
+            self._compare_reference(event, exc.outcome, caller, category, Intent.CREATE, scope)
+            raise
         self._opened(event, result, handle)
+        self._compare_reference(event, handle.outcome, caller, category, Intent.CREATE, scope)
 
     def _open(self, event: TraceEvent, result: dict) -> None:
         caller = self.registry.process(event.actor)
-        handle = self.kernel.open_object(caller, event.name, _category(event.category))
+        category = _category(event.category)
+        try:
+            handle = self.kernel.open_object(caller, event.name, category)
+        except KernelError as exc:
+            self._compare_reference(event, exc.outcome, caller, category, Intent.OPEN, Scope.LOCAL)
+            raise
         self._opened(event, result, handle)
+        self._compare_reference(event, handle.outcome, caller, category, Intent.OPEN, Scope.LOCAL)
 
     def _opened(self, event: TraceEvent, result: dict, handle) -> None:
         self._handles.setdefault((event.actor, event.name), []).append(handle)
         result.update(handle.outcome.to_dict())
-        self._compare_reference(event, handle.outcome)
 
     def _close(self, event: TraceEvent, result: dict) -> None:
         stack = self._handles.get((event.actor, event.name)) or []
@@ -521,13 +540,11 @@ class Replayer:
             self.reference.seal_host_objects()
         self.seal_snapshot = self.engine.snapshot()
 
-    def _compare_reference(self, event: TraceEvent, outcome) -> None:
-        if self.reference is None:
+    def _compare_reference(self, event: TraceEvent, outcome, caller: ProcessRef,
+                           category: IpcCategory, intent: Intent, scope: Scope) -> None:
+        if self.reference is None or outcome is None:
             return
-        caller = self.registry.process(event.actor)
-        intent = Intent.CREATE if event.op == "create" else Intent.OPEN
-        ref = self.reference.resolve(caller, event.name, _category(event.category), intent,
-                                     _SCOPES[event.scope])
+        ref = self.reference.resolve(caller, event.name, category, intent, scope)
         if ref != outcome:
             self._divergences.append({
                 "seq": event.seq,

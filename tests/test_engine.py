@@ -1,5 +1,7 @@
 """Resolve pipeline, host-object table mechanics, and VM-id access decisions."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from ipcconfine.engine import (
@@ -33,6 +35,7 @@ from ipcconfine.model import (
 VM1 = ProcessRef(10, VmId(1))
 VM2 = ProcessRef(11, VmId(2))
 HOSTP = ProcessRef(1, HOST)
+LONG_LIST = (r"\srv\alpha", r"\srv\beta", r"\srv\gamma", r"\Device\NamedPipe\ctl\Pipe*")
 
 
 def resolve(engine, proc, name, intent=Intent.OPEN, scope=Scope.LOCAL, category=PORT):
@@ -94,6 +97,89 @@ class TestReservedPrefix:
         assert resolve(engine, VM1, r"\vm\a").route is Route.HOST_PASSTHROUGH
         assert resolve(engine, VM1, r"\vmx1").route is Route.HOST_PASSTHROUGH
         assert resolve(engine, VM1, r"\a\vm1").effective_name == r"\vm1\a\vm1"
+
+
+@pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])
+class TestStoredOutcomes:
+    """A VM's hit in a table of stored outcomes returns before the name
+    check; every other resolve is checked, errors in the same order."""
+
+    def warm(self, engine_class):
+        engine = engine_class()
+        engine.load_long_list(LONG_LIST + (r"\srv\Global\h",))
+        resolve(engine, VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL)
+        for name in (r"\srv\alpha", r"\srv\Global\h"):
+            resolve(engine, VM1, name)
+        return engine
+
+    @pytest.mark.parametrize("seal", [False, True])
+    @pytest.mark.parametrize("name", [123, ["x"], None, b"\\srv\\alpha"])
+    def test_non_str_name_is_invalid(self, engine_class, seal, name):
+        engine = self.warm(engine_class)
+        if seal:
+            engine.seal_host_objects()
+        before = engine.counters.copy()
+        for proc in (VM1, VM2, HOSTP):
+            with pytest.raises(InvalidName):
+                resolve(engine, proc, name)
+            with pytest.raises(InvalidName):
+                resolve(engine, proc, name, Intent.CREATE, Scope.GLOBAL)
+        assert engine.counters == before
+
+    def test_error_order_before_load(self, engine_class):
+        engine = engine_class()
+        for name in ("no-lead-sep", r"\vm1\x", 123, ["x"]):
+            with pytest.raises(BadCategory):
+                resolve(engine, VM1, name, category=MESSAGE)
+            with pytest.raises(InvalidName):
+                resolve(engine, VM1, name)
+        with pytest.raises(NotLoaded):
+            resolve(engine, VM1, r"\a\b")
+
+    def test_global_create_of_short_listed_name_is_vm_global(self, engine_class):
+        engine = self.warm(engine_class)
+        out = resolve(engine, VM2, r"\srv\alpha", Intent.CREATE, Scope.GLOBAL)
+        assert out == ResolveOutcome(r"\vm2\srv\alpha", Route.VM_GLOBAL, Principle.GLOBAL_OBJECT)
+        # a literal Global component makes a Local create global too
+        out = resolve(engine, VM2, r"\srv\Global\h", Intent.CREATE)
+        assert out == ResolveOutcome(r"\vm2\srv\Global\h", Route.VM_GLOBAL,
+                                     Principle.GLOBAL_OBJECT)
+        assert resolve(engine, VM2, r"\srv\alpha").route is Route.VM_GLOBAL
+        assert resolve(engine, VM1, r"\srv\alpha").route is Route.HOST_PASSTHROUGH
+        # an Open of the same names still passes through for other VMs
+        assert resolve(engine, VM1, r"\srv\Global\h").route is Route.HOST_PASSTHROUGH
+
+
+class TestResolveOutcome:
+    def test_is_a_named_tuple(self):
+        out = ResolveOutcome(r"\a\b", Route.VM_PRIVATE, Principle.ISOLATION)
+        assert out == (r"\a\b", Route.VM_PRIVATE, Principle.ISOLATION)
+        assert (out.effective_name, out.route, out.principle) == tuple(out)
+        assert out.to_dict() == {"effective_name": r"\a\b", "route": "VmPrivate",
+                                 "principle": "Isolation"}
+        assert repr(out) == ("ResolveOutcome(effective_name='\\\\a\\\\b', "
+                             "route=<Route.VM_PRIVATE: 'VmPrivate'>, "
+                             "principle=<Principle.ISOLATION: 'Isolation'>)")
+        with pytest.raises(AttributeError):
+            out.route = Route.VM_GLOBAL
+        assert hash(out) == hash(tuple(out))
+
+    @pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])
+    def test_every_step_returns_one(self, engine_class):
+        engine = engine_class()
+        engine.load_long_list(LONG_LIST)
+        calls = [
+            (HOSTP, r"\srv\alpha", Intent.OPEN, Scope.LOCAL),
+            (VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL),
+            (VM1, r"\obj\g", Intent.OPEN, Scope.LOCAL),
+            (VM1, r"\srv\alpha", Intent.OPEN, Scope.LOCAL),
+            (VM2, r"\srv\alpha", Intent.OPEN, Scope.LOCAL),
+            (VM1, r"\app\x", Intent.OPEN, Scope.LOCAL),
+        ]
+        for proc, name, intent, scope in calls:
+            assert type(resolve(engine, proc, name, intent, scope)) is ResolveOutcome
+        engine.seal_host_objects()
+        assert type(resolve(engine, VM1, r"\srv\beta")) is ResolveOutcome
 
 
 class TestPipeline:
@@ -335,6 +421,17 @@ class TestAccessDecisions:
         assert not engine.dangerous_decide(VM1, VmId(2), kind).allowed
         assert not engine.dangerous_decide(VM1, HOST, kind).allowed
         assert not engine.dangerous_decide(HOSTP, VmId(1), kind).allowed
+
+    def test_verdicts_are_shared(self, engine):
+        assert engine.access_decide(VM1, VM2, MESSAGE) is engine.dangerous_decide(
+            VM2, VmId(1), DangerousKind.CREATE_REMOTE_THREAD)
+        assert engine.access_decide(VM1, VM1, MESSAGE) is engine.dangerous_decide(
+            VM1, VmId(1), DangerousKind.SET_WINDOW_HOOK)
+        hook = DangerousKind.SET_WINDOW_HOOK
+        assert engine.dangerous_decide(VM1, SYSTEM_WIDE, hook) is engine.dangerous_decide(
+            VM2, SYSTEM_WIDE, hook)
+        with pytest.raises(FrozenInstanceError):
+            engine.access_decide(VM1, VM1, MESSAGE).reason = "CrossVm"
 
     def test_system_wide_hook_narrowed_not_denied(self, engine):
         verdict = engine.dangerous_decide(VM1, SYSTEM_WIDE, DangerousKind.SET_WINDOW_HOOK)
