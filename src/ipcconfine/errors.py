@@ -10,9 +10,11 @@ from __future__ import annotations
 class ConfinementError(Exception):
     """Base class for all simulator errors."""
 
-    @property
-    def code(self) -> str:
-        return type(self).__name__
+    code = "ConfinementError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
 
 # --- identity / registry errors -------------------------------------------
@@ -57,7 +59,11 @@ class KernelError(ConfinementError):
     """Kernel op failure; may carry the resolve outcome that led to it."""
 
     def __init__(self, message: str = "", outcome=None):
-        super().__init__(message)
+        # ``BaseException.__new__`` has already set ``args`` to the positional
+        # arguments; a replay raises one of these per failed create or open,
+        # so the base ``__init__`` call is skipped unless ``args`` must change
+        if len(self.args) != 1:
+            self.args = (message,)
         self.outcome = outcome
 
 

@@ -128,11 +128,16 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
-        if not _KNOWN_FIELDS.issuperset(data):
-            raise ValueError(f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}")
         if type(data.get("names")) is list:
             data = {**data, "names": tuple(data["names"])}
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError:
+            # the constructor takes field names only; the field check runs
+            # when it fails, not before each event
+            if not _KNOWN_FIELDS.issuperset(data):
+                raise ValueError(f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}") from None
+            raise
 
 
 _EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
@@ -288,14 +293,64 @@ def serialize_trace(events) -> str:
 # decodes the value that starts the line and returns it with its end index.
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 
+# Whole-text decode. The non-blank lines are joined into one JSON array,
+# with the string "\u2028" (written as that escape, so an ASCII text stays
+# ASCII) as an item between each two lines. ``str.splitlines`` splits at a
+# raw U+2028, so no line holds one, and a text without the escape decodes
+# to no string that holds one: every such string in the array is a
+# separator. A value that runs past its line's end takes the separator
+# after it into its own nesting, so when every odd item of the array is a
+# separator, each even item was decoded from one line alone.
+_BREAK = "\u2028"
+_BREAK_ESCAPE = "\\u2028"
+_SEPARATOR = ',"' + _BREAK_ESCAPE + '",'
+
 
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse and validate a JSONL trace.
 
-    Each line is decoded by one scanner call when the value spans the whole
-    line; anything else (surrounding whitespace, a BOM, trailing data, bad
-    JSON) is decoded by ``json.loads``, so results and errors are its own.
+    The text is decoded by one scanner call when that gives one event per
+    non-blank line (see ``_decode_whole``). Otherwise each line is decoded
+    by one scanner call when the value spans the whole line; anything else
+    (surrounding whitespace, a BOM, trailing data, bad JSON) is decoded by
+    ``json.loads``, so results and errors are its own.
     """
+    events = _decode_whole(text)
+    if events is None:
+        events = _decode_lines(text)
+    validate_events(events)
+    return events
+
+
+def _decode_whole(text: str) -> list[TraceEvent] | None:
+    """The events of every non-blank line from one scanner call, or None if
+    any line is not one JSON object that makes an event."""
+    if _BREAK_ESCAPE in text:
+        return None
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        return None
+    doc = "[" + _SEPARATOR.join(lines) + "]"
+    try:
+        items, end = _scan_once(doc, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if (end != len(doc) or len(items) != 2 * len(lines) - 1
+            or items[1::2].count(_BREAK) != len(lines) - 1):
+        return None
+    values = items[::2]
+    if not all(type(data) is dict for data in values):
+        return None
+    from_dict = TraceEvent.from_dict
+    try:
+        return [from_dict(data) for data in values]
+    except (TypeError, ValueError):
+        return None
+
+
+def _decode_lines(text: str) -> list[TraceEvent]:
+    """The events of every non-blank line, one line at a time; the first
+    line that is not one JSON object that makes an event is a ParseError."""
     events = []
     scan = _scan_once
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -313,7 +368,6 @@ def parse_trace(text: str) -> list[TraceEvent]:
             events.append(TraceEvent.from_dict(data))
         except (TypeError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from None
-    validate_events(events)
     return events
 
 
@@ -438,12 +492,13 @@ class Replayer:
             handler(event, result)
         except ConfinementError as exc:
             result["error"] = exc.code
-            # a KernelError is a normal, assertable outcome of an op contract;
-            # any other error is a precondition violation and aborts the run
-            # unless the event expects it
+            # a KernelError is a normal, assertable outcome of an op contract
+            # (create and open record theirs in ``_failed``); any other error
+            # is a precondition violation and aborts the run unless the event
+            # expects it
             if isinstance(exc, KernelError):
                 if exc.outcome is not None:
-                    result.update(exc.outcome.to_dict())
+                    _put_outcome(result, exc.outcome)
             elif (event.expect or {}).get("error") is None:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
         return result
@@ -462,8 +517,8 @@ class Replayer:
         result["pid"] = self.registry.process_spawn(VmId(event.vm)).pid
 
     # A create or open derives its arguments once, for the kernel and, in
-    # dual mode, for the oracle; an outcome that ends in a KernelError is
-    # compared too.
+    # dual mode, for the oracle. A KernelError from the kernel is caught once,
+    # here, and recorded by ``_failed``; the handler then returns normally.
 
     def _create(self, event: TraceEvent, result: dict) -> None:
         caller = self.registry.process(event.actor)
@@ -471,8 +526,8 @@ class Replayer:
         try:
             handle = self.kernel.create_object(caller, event.name, category, scope)
         except KernelError as exc:
-            self._compare_reference(event, exc.outcome, caller, category, Intent.CREATE, scope)
-            raise
+            self._failed(event, result, exc, caller, category, Intent.CREATE, scope)
+            return
         self._opened(event, result, handle)
         self._compare_reference(event, handle.outcome, caller, category, Intent.CREATE, scope)
 
@@ -482,14 +537,30 @@ class Replayer:
         try:
             handle = self.kernel.open_object(caller, event.name, category)
         except KernelError as exc:
-            self._compare_reference(event, exc.outcome, caller, category, Intent.OPEN, Scope.LOCAL)
-            raise
+            self._failed(event, result, exc, caller, category, Intent.OPEN, Scope.LOCAL)
+            return
         self._opened(event, result, handle)
         self._compare_reference(event, handle.outcome, caller, category, Intent.OPEN, Scope.LOCAL)
 
     def _opened(self, event: TraceEvent, result: dict, handle) -> None:
-        self._handles.setdefault((event.actor, event.name), []).append(handle)
-        result.update(handle.outcome.to_dict())
+        key = (event.actor, event.name)
+        stack = self._handles.get(key)
+        if stack is None:
+            self._handles[key] = [handle]
+        else:
+            stack.append(handle)
+        _put_outcome(result, handle.outcome)
+
+    def _failed(self, event: TraceEvent, result: dict, exc: KernelError, caller: ProcessRef,
+                category: IpcCategory, intent: Intent, scope: Scope) -> None:
+        """Record a create or open that ended in a KernelError, as ``_execute``
+        records one from any other op: the error code, then the outcome's
+        fields; the outcome is compared with the oracle's as well."""
+        result["error"] = exc.code
+        outcome = exc.outcome
+        if outcome is not None:
+            _put_outcome(result, outcome)
+        self._compare_reference(event, outcome, caller, category, intent, scope)
 
     def _close(self, event: TraceEvent, result: dict) -> None:
         stack = self._handles.get((event.actor, event.name)) or []
@@ -566,6 +637,14 @@ class Replayer:
             diffs.append({"field": "error", "expected": expected_error,
                           "actual": actual_error})
         return diffs
+
+
+def _put_outcome(result: dict, outcome) -> None:
+    """Write an outcome's fields into an event result, in ``to_dict`` order."""
+    name, route, principle = outcome
+    result["effective_name"] = name
+    result["route"] = route._value_
+    result["principle"] = principle._value_
 
 
 def replay(events, dual: bool = False) -> ReplayReport:

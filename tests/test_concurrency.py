@@ -2,9 +2,18 @@
 
 import threading
 
-from ipcconfine import ConfinementEngine, SimKernel, VmRegistry
-from ipcconfine.errors import AlreadyExists
-from ipcconfine.model import HOST, Intent, PORT, ProcessRef, Scope, VmId
+import pytest
+
+from ipcconfine import ConfinementEngine, ReferenceEngine, SimKernel, VmRegistry
+from ipcconfine.errors import (
+    AlreadyExists,
+    CategoryMismatch,
+    InvalidHandle,
+    InvalidName,
+    NotFound,
+    NotLoaded,
+)
+from ipcconfine.model import HOST, Intent, PORT, ProcessRef, SYNC, Scope, VmId
 
 
 def run_threads(workers):
@@ -187,3 +196,85 @@ class TestKernelStress:
         # only same-VM senders land; host senders are all blocked
         assert len(kernel.inbox(receiver)) == 400
         assert engine.counters.denials == 200
+
+
+def free_in_another_thread(lock) -> bool:
+    """True if a second thread can take ``lock`` at once. The locks are
+    re-entrant, so the thread that raised could take one it still holds."""
+    got = []
+
+    def probe():
+        acquired = lock.acquire(blocking=False)
+        if acquired:
+            lock.release()
+        got.append(acquired)
+
+    run_threads([probe])
+    return got == [True]
+
+
+class TestLockRelease:
+    """Each critical section that takes its lock with explicit calls
+    releases it when an error is raised inside it."""
+
+    @pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])
+    @pytest.mark.parametrize("name", ["no-leading-backslash", r"\vm7\x"])
+    def test_resolve_releases_on_invalid_name(self, engine_class, name):
+        engine = engine_class()
+        engine.load_long_list([r"\srv\alpha"])
+        proc = ProcessRef(10, VmId(1))
+        with pytest.raises(InvalidName):
+            engine.resolve(proc, name, PORT, Intent.OPEN)
+        assert free_in_another_thread(engine._lock)
+
+    @pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])
+    def test_resolve_releases_on_not_loaded(self, engine_class):
+        engine = engine_class()
+        with pytest.raises(NotLoaded):
+            engine.resolve(ProcessRef(10, VmId(1)), r"\srv\alpha", PORT, Intent.OPEN)
+        assert free_in_another_thread(engine._lock)
+
+    @pytest.fixture
+    def kernel_proc(self):
+        registry = VmRegistry()
+        engine = ConfinementEngine()
+        engine.load_long_list([])
+        kernel = SimKernel(registry, engine)
+        return kernel, registry.process_spawn(registry.vm_create("10.0.0.2"))
+
+    def test_create_releases_on_already_exists(self, kernel_proc):
+        kernel, proc = kernel_proc
+        kernel.create_object(proc, r"\app\a", PORT)
+        with pytest.raises(AlreadyExists):
+            kernel.create_object(proc, r"\app\a", PORT)
+        assert free_in_another_thread(kernel._lock)
+        assert free_in_another_thread(kernel.engine._lock)
+
+    def test_create_releases_on_category_mismatch(self, kernel_proc):
+        kernel, proc = kernel_proc
+        kernel.create_object(proc, r"\app\a", PORT)
+        with pytest.raises(CategoryMismatch):
+            kernel.create_object(proc, r"\app\a", SYNC)
+        assert free_in_another_thread(kernel._lock)
+
+    def test_open_releases_on_not_found(self, kernel_proc):
+        kernel, proc = kernel_proc
+        with pytest.raises(NotFound):
+            kernel.open_object(proc, r"\app\missing", PORT)
+        assert free_in_another_thread(kernel._lock)
+        assert free_in_another_thread(kernel.engine._lock)
+
+    def test_open_releases_on_category_mismatch(self, kernel_proc):
+        kernel, proc = kernel_proc
+        kernel.create_object(proc, r"\app\a", PORT)
+        with pytest.raises(CategoryMismatch):
+            kernel.open_object(proc, r"\app\a", SYNC)
+        assert free_in_another_thread(kernel._lock)
+
+    def test_close_releases_on_invalid_handle(self, kernel_proc):
+        kernel, proc = kernel_proc
+        handle = kernel.create_object(proc, r"\app\a", PORT)
+        kernel.close(handle)
+        with pytest.raises(InvalidHandle):
+            kernel.close(handle)
+        assert free_in_another_thread(kernel._lock)

@@ -2,13 +2,17 @@
 
 import pytest
 
+from ipcconfine import errors
+from ipcconfine.engine import Principle, ResolveOutcome, Route
 from ipcconfine.errors import (
     AddressInUse,
     AlreadyExists,
     CategoryMismatch,
+    ConfinementError,
     InvalidHandle,
     InvalidName,
     InvalidPort,
+    KernelError,
     NotFound,
     UnknownProcess,
 )
@@ -223,3 +227,40 @@ class TestSockets:
     def test_invalid_port(self, kernel, vm1_proc, port):
         with pytest.raises(InvalidPort):
             kernel.bind_socket(vm1_proc, "0.0.0.0", port)
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+class TestErrors:
+    """A failed create or open raises one KernelError per call; its text,
+    arguments and code are those of a plain exception with one message."""
+
+    OUTCOME = ResolveOutcome(r"\vm1\app\a", Route.VM_PRIVATE, Principle.ISOLATION)
+
+    @pytest.mark.parametrize("cls", [KernelError, *subclasses(KernelError)],
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("how", ["keyword", "positional", "bare"])
+    def test_kernel_error_fields(self, cls, how):
+        if how == "keyword":
+            exc, message, outcome = cls("msg", outcome=self.OUTCOME), "msg", self.OUTCOME
+        elif how == "positional":
+            exc, message, outcome = cls("msg", self.OUTCOME), "msg", self.OUTCOME
+        else:
+            exc, message, outcome = cls(), "", None
+        assert str(exc) == message
+        assert exc.args == (message,)
+        assert repr(exc) == f"{cls.__name__}({message!r})"
+        assert exc.outcome is outcome
+        assert exc.code == cls.__name__
+
+    def test_every_code_is_the_class_name(self):
+        classes = [value for value in vars(errors).values()
+                   if isinstance(value, type) and issubclass(value, ConfinementError)]
+        assert {ConfinementError, KernelError, NotFound} <= set(classes)
+        for cls in classes:
+            assert cls.code == cls.__name__
+        assert errors.ParseError(3, "bad").code == "ParseError"

@@ -17,6 +17,8 @@ from ipcconfine.engine import ConfinementEngine, ReferenceEngine, Route
 from ipcconfine.errors import NotLoaded
 from ipcconfine.model import Intent, PORT, ProcessRef, Scope, VmId, unrename
 from ipcconfine.trace import (
+    Replayer,
+    TraceEvent,
     TraceParams,
     first_post_seal_host_touches,
     generate_random_trace,
@@ -188,6 +190,37 @@ class TestConstructedDivergence:
         a, b = both(engine, reference, VM2, r"\srv\alpha")
         assert a.route is Route.VM_PRIVATE
         assert b.route is Route.HOST_PASSTHROUGH
+
+
+    def test_failed_open_diverges(self):
+        # after the seal vm1 opens a listed name it never touched: the engine
+        # renames it into vm1, where nothing exists, while the oracle passes
+        # it through
+        events = [
+            TraceEvent(seq=1, op="load_long_list", names=(r"\srv\alpha",)),
+            TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
+            TraceEvent(seq=3, op="spawn", vm=1),
+            TraceEvent(seq=4, op="seal"),
+            TraceEvent(seq=5, op="open", actor=1, name=r"\srv\alpha", category="I_Port",
+                       expect={"error": "NotFound", "route": "VmPrivate"}),
+        ]
+        replayer = Replayer(dual=True)
+        report = replayer.run(events)
+        result = replayer.outcomes[-1]
+        assert list(result) == ["seq", "op", "error", "effective_name", "route", "principle"]
+        assert result == {"seq": 5, "op": "open", "error": "NotFound",
+                          "effective_name": r"\vm1\srv\alpha", "route": "VmPrivate",
+                          "principle": "Isolation"}
+        assert report.assertions_passed == 1 and not report.assertions_failed
+        assert report.divergences == [{
+            "seq": 5,
+            "name": r"\srv\alpha",
+            "engine": {"effective_name": r"\vm1\srv\alpha", "route": "VmPrivate",
+                       "principle": "Isolation"},
+            "reference": {"effective_name": r"\srv\alpha", "route": "HostPassthrough",
+                          "principle": "HostObject"},
+        }]
+        assert first_post_seal_host_touches(events) == {r"\srv\alpha"}
 
 
 class TestTraceEquivalence:

@@ -12,7 +12,8 @@ import pytest
 
 import ipcconfine.engine as engine_module
 from ipcconfine.engine import ConfinementEngine, ReferenceEngine
-from ipcconfine.model import DIGITS, HOST, Intent, PORT, ProcessRef, Scope, VmId
+from ipcconfine.kernel import SimKernel
+from ipcconfine.model import DIGITS, HOST, Intent, PORT, ProcessRef, Scope, VmId, VmRegistry
 
 LONG_LIST = (r"\srv\alpha", r"\srv\beta", r"\srv\gamma", r"\Device\NamedPipe\ctl\Pipe*")
 
@@ -189,3 +190,44 @@ def test_counting_copies_keep_decisions(probes):
         for call in calls:
             assert resolve(plain, *call) == resolve(counted, *call)
     assert plain.snapshot() == counted.snapshot()
+
+
+def test_window_lookups_are_flat_in_vm_count():
+    """A window lookup compares class names only within the caller's VM:
+    the same number of comparisons at 4 and at 1 024 VMs, each VM holding
+    20 windows."""
+    compared = []
+
+    class ClassName(str):
+        def __eq__(self, other):
+            compared.append(str(self))
+            return str.__eq__(self, other)
+
+        __hash__ = str.__hash__
+
+    seen = {}
+    for vm_count in (4, 1_024):
+        registry = VmRegistry()
+        engine = ConfinementEngine()
+        engine.load_long_list([])
+        kernel = SimKernel(registry, engine)
+        procs = [registry.process_spawn(registry.vm_create(f"10.{i // 250}.{i % 250}.2"))
+                 for i in range(vm_count)]
+        for proc in procs:
+            for k in range(20):
+                kernel.register_window(proc, ClassName(f"W{k}"))
+        counts = []
+        for proc in (procs[0], procs[-1]):
+            for class_name in ("W0", "W19", "Missing"):
+                compared.clear()
+                found = kernel.find_window(proc, ClassName(class_name))
+                assert (found is None) == (class_name == "Missing")
+                assert found is None or found.owner is proc
+                counts.append(len(compared))
+            compared.clear()
+            windows = kernel.enumerate_windows(proc)
+            assert [w.class_name for w in windows] == [f"W{k}" for k in range(20)]
+            assert all(w.owner is proc for w in windows)
+            counts.append(len(compared))
+        seen[vm_count] = counts
+    assert seen[4] == seen[1_024], seen

@@ -128,6 +128,59 @@ class TestParseEquivalence:
         monkeypatch.setattr(trace, "_scan_once", _never_scans)
         assert outcome(text) == scanned
 
+    # multi-line texts: the whole-text decode gives what the line-by-line
+    # path through ``json.loads`` gives, events or error
+    @pytest.mark.parametrize("text", [
+        pytest.param(_SEAL + ", " + _SEAL.replace("1", "2") + "\n" + _SEAL.replace("1", "3"),
+                     id="two_values_on_one_line"),
+        pytest.param(_SEAL + "]\n" + _SEAL.replace("1", "2"), id="line_ends_in_bracket"),
+        pytest.param("[" + _SEAL + "\n" + _SEAL.replace("1", "2") + "]", id="array_across_lines"),
+        pytest.param(_SEAL + "\n\n   \n\t\n" + _SEAL.replace("1", "2") + "\n\u00a0\n"
+                     + _SEAL.replace("1", "3") + "\n\n", id="blank_lines"),
+        pytest.param(_SEAL + "\n" + _SEAL.replace("1", "2") + "\n"
+                     + '{"seq": 3, "op": "seal", "bogus": 1}', id="unknown_field_line_3"),
+        pytest.param(_SEAL + "\n" + '{"seq": "2", "op": "seal"}\n' + _SEAL.replace("1", "3"),
+                     id="bad_seq_line_2"),
+        # a value that runs past its line, made up for by a line with two
+        # values: the lines join into one event per line, but the first
+        # line alone is bad JSON
+        pytest.param('{"seq": 1, "op": "load_long_list", "names": [{"a": 1}\n'
+                     '{"b": 2}]}\n' + _SEAL.replace("1", "2") + ", " + _SEAL.replace("1", "3"),
+                     id="value_across_lines"),
+        # the same, made up for by a line with three values
+        pytest.param('{"seq": 1, "op": "load_long_list", "names": [{"a": 1}\n'
+                     '{"b": 2}]}\n' + _SEAL.replace("1", "2") + ", 0, " + _SEAL.replace("1", "3"),
+                     id="value_across_lines_three_values"),
+        # a value that runs past its line, with a separator forged as an
+        # escape on the next line
+        pytest.param('{"seq": 1, "op": "load_long_list", "names": [1\n'
+                     '2]}, "\\u2028", ' + _SEAL.replace("1", "2"), id="escaped_separator"),
+        pytest.param('{"seq": 1, "op": "load_long_list", "names": ["\\\\a\\u2028"]}\n'
+                     + _SEAL.replace("1", "2"), id="escape_in_a_name"),
+        pytest.param("", id="empty"),
+        pytest.param("\n \n", id="only_blank"),
+    ])
+    def test_text_matches_json_loads_path(self, text, monkeypatch):
+        scanned = outcome(text)
+        monkeypatch.setattr(trace, "_scan_once", _never_scans)
+        assert outcome(text) == scanned
+
+    def test_whole_text_is_one_scanner_call(self, monkeypatch):
+        calls = []
+
+        def counted(doc, idx):
+            calls.append(idx)
+            return scan(doc, idx)
+
+        scan = trace._scan_once
+        monkeypatch.setattr(trace, "_scan_once", counted)
+        events = fixture_three_iis()
+        assert parse_trace(serialize_trace(events)) == events
+        assert len(calls) == 1
+        calls.clear()
+        parse_trace("\n" + serialize_trace(events).replace("\n", "\n \n"))
+        assert len(calls) == 1
+
 
 class TestEventLayout:
     """Events are slotted records with a fixed field list: no per-event
