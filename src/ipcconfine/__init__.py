@@ -5,8 +5,8 @@ ports, pipes, shared memory, and sync objects are renamed into that VM's
 private namespace unless a per-VM global-object table or the host-object
 table (long list, MRU short list, one-way flag) says otherwise. Messages and
 dangerous cross-process calls are decided by comparing VM ids. A small
-simulated kernel, a JSONL trace replayer with a full-scan reference oracle,
-and resolve-path microbenchmarks sit on top.
+simulated kernel and a JSONL trace replayer with a full-scan reference
+oracle sit on top.
 """
 
 from .engine import (
@@ -49,7 +49,6 @@ from .trace import (
     serialize_trace,
     validate_events,
 )
-from .bench import BenchConfig, BenchResult, run_bench
 
 __version__ = "0.1.0"
 
@@ -64,6 +63,5 @@ __all__ = [
     "TraceEvent", "TraceParams", "ReplayReport", "Replayer",
     "parse_trace", "serialize_trace", "validate_events", "replay",
     "fixture_rpcss", "fixture_three_iis", "generate_random_trace",
-    "BenchConfig", "BenchResult", "run_bench",
     "__version__",
 ]

@@ -4,7 +4,6 @@ Subcommands:
 
 * ``replay``    run a JSONL trace, check its expect clauses
 * ``scenario``  build a bundled or random trace, then replay it
-* ``bench``     time the resolve fast paths
 * ``inspect``   replay a trace and dump the final engine state
 * ``validate``  parse and validate a trace without running it
 
@@ -20,7 +19,6 @@ import logging
 import os
 import sys
 
-from .bench import BenchConfig, run_bench
 from .errors import ConfinementError, ParseError, ReplayError, ValidationError
 from .trace import (
     Replayer,
@@ -65,14 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_p.add_argument("--save-trace", metavar="PATH",
                             help="write the generated trace as JSONL")
     _add_replay_options(scenario_p)
-
-    bench_p = sub.add_parser("bench", help="microbenchmark the resolve paths")
-    bench_p.add_argument("--long-list", type=int, default=1000)
-    bench_p.add_argument("--batch", type=int, default=200)
-    bench_p.add_argument("--batches", type=int, default=5)
-    bench_p.add_argument("--include-reference", action="store_true",
-                         help="also time the full-scan reference oracle")
-    bench_p.add_argument("--json", action="store_true", dest="as_json")
 
     inspect_p = sub.add_parser("inspect", help="replay and dump final engine state")
     inspect_p.add_argument("trace", help="path to the trace (JSONL)")
@@ -146,14 +136,6 @@ def cmd_scenario(args) -> int:
     return _run_events(events, args, bindings_table=args.name == "three-iis")
 
 
-def cmd_bench(args) -> int:
-    config = BenchConfig(long_list_size=args.long_list, batch_size=args.batch,
-                         batches=args.batches, include_reference=args.include_reference)
-    result = run_bench(config)
-    sys.stdout.write(result.to_json() if args.as_json else result.text())
-    return 0
-
-
 def cmd_inspect(args) -> int:
     events = _read_events(args.trace)
     replayer = Replayer(dual=False)
@@ -172,7 +154,6 @@ def cmd_validate(args) -> int:
 _COMMANDS = {
     "replay": cmd_replay,
     "scenario": cmd_scenario,
-    "bench": cmd_bench,
     "inspect": cmd_inspect,
     "validate": cmd_validate,
 }

@@ -116,9 +116,3 @@ class ReplayError(ConfinementError):
 
 class InvalidParams(ConfinementError):
     pass
-
-
-# --- bench / cli errors -----------------------------------------------------
-
-class InvalidConfig(ConfinementError):
-    pass

@@ -32,10 +32,7 @@ __all__ = [
     "DIGITS",
     "is_ascii_digits",
     "check_object_name",
-    "is_valid_object_name",
-    "has_reserved_vm_prefix",
     "check_unreserved",
-    "vm_tag",
     "rename",
     "rename_unchecked",
     "unrename",
@@ -195,29 +192,12 @@ def check_object_name(name: str, allow_pattern: bool = False) -> str:
     return name
 
 
-def is_valid_object_name(name: str, allow_pattern: bool = False) -> bool:
-    try:
-        check_object_name(name, allow_pattern=allow_pattern)
-    except InvalidName:
-        return False
-    return True
-
-
-def has_reserved_vm_prefix(name: str) -> bool:
-    """True if the first component looks like a rename tag (``vm<digits>``)."""
-    return name.startswith(SEP) and _is_reserved_component(name[1:].partition(SEP)[0])
-
-
 def check_unreserved(name: str) -> str:
     """Reject a name whose first component is a ``vm<digits>`` tag and return
     it unchanged otherwise: such a name would alias a VM's renamed copy."""
-    if has_reserved_vm_prefix(name):
+    if name.startswith(SEP) and _is_reserved_component(name[1:].partition(SEP)[0]):
         raise InvalidName(f"reserved vm-prefix name {name!r}")
     return name
-
-
-def vm_tag(vm: VmId) -> str:
-    return f"vm{vm.id}"
 
 
 def rename(name: str, vm: VmId) -> str:
@@ -303,9 +283,6 @@ class VmRegistry:
             self._processes[proc.pid] = proc
             return proc
 
-    def vm_exists(self, vm: VmId) -> bool:
-        return vm.is_host or vm in self._aliases
-
     def alias_of(self, vm: VmId) -> str:
         if vm not in self._aliases:
             raise UnknownVm(f"no such VM: {vm}")
@@ -319,11 +296,3 @@ class VmRegistry:
 
     def process_exists(self, pid: int) -> bool:
         return pid in self._processes
-
-    @property
-    def vms(self) -> list[VmId]:
-        return sorted(self._aliases, key=lambda v: v.id)
-
-    @property
-    def processes(self) -> list[ProcessRef]:
-        return [self._processes[pid] for pid in sorted(self._processes)]

@@ -21,9 +21,8 @@ from ipcconfine import (
     replay,
     serialize_trace,
 )
-from ipcconfine.bench import BenchConfig, OPTIMIZED_PATHS, path_timers
 from ipcconfine.kernel import HookScope
-from ipcconfine.model import HOST, PORT, Intent, ProcessRef, VmId, unrename
+from ipcconfine.model import HOST, PORT, SHARED_MEMORY, Intent, ProcessRef, Scope, VmId, unrename
 from ipcconfine.trace import first_post_seal_host_touches, fixture_rpcss, fixture_three_iis
 
 V = "\\vm1"
@@ -219,6 +218,92 @@ def test_criterion_6_three_web_servers_one_port():
     assert "AddressInUse" not in errors
 
 
+# the resolve paths criterion 7 times, each named for the pipeline step that
+# decides its calls, and the counter that step increments
+FLAT_COST_STEPS = {
+    "global_hit": "global_table_hits",
+    "short_hit": "short_hits",
+    "long_hit": "long_hits",
+    "rename_miss": "long_misses",
+    "post_seal_miss": "post_seal_long_skips",
+}
+STEP_COUNTERS = ("host_bypass", "global_table_hits", "short_hits", "long_hits",
+                 "long_misses", "post_seal_long_skips")
+# host objects warmed onto the short list, and VM globals created, before
+# the short_hit and global_hit paths cycle over them
+SHORT_WARM_COUNT = 16
+GLOBAL_POOL = 8
+BATCH_SIZE = 300
+TIMED_PROC = ProcessRef(pid=1, vm=VmId(1))
+
+
+def _loaded_engine(long_names):
+    engine = ConfinementEngine()
+    engine.load_long_list(long_names)
+    return engine
+
+
+def _flat_cost_paths(size):
+    """For each path in FLAT_COST_STEPS, in that order: a callable returning
+    the engine one batch resolves on, and the batch's names.
+
+    The engines are built and warmed here, outside any timed region.
+    ``long_hit`` gets a fresh engine per batch, so every call is a first touch.
+    """
+    long_names = [rf"\bench\host-{i:06d}" for i in range(size)]
+    batch = min(BATCH_SIZE, size)
+
+    globals_engine = _loaded_engine(long_names)
+    globals_pool = [rf"\bench\global-{i:04d}" for i in range(GLOBAL_POOL)]
+    for name in globals_pool:
+        globals_engine.resolve(TIMED_PROC, name, SHARED_MEMORY, Intent.CREATE, Scope.GLOBAL)
+
+    short_engine = _loaded_engine(long_names)
+    warm = long_names[:SHORT_WARM_COUNT]
+    for name in warm:
+        short_engine.resolve(TIMED_PROC, name, PORT, Intent.OPEN)
+
+    # unlisted names, before the seal (no state is mutated) and after it
+    misses = [rf"\bench\priv-{i:06d}" for i in range(batch)]
+    unsealed = _loaded_engine(long_names)
+    sealed = _loaded_engine(long_names)
+    sealed.seal_host_objects()
+
+    return {
+        "global_hit": (lambda: globals_engine,
+                       [globals_pool[i % len(globals_pool)] for i in range(batch)]),
+        "short_hit": (lambda: short_engine, [warm[i % len(warm)] for i in range(batch)]),
+        "long_hit": (lambda: _loaded_engine(long_names), long_names[:batch]),
+        "rename_miss": (lambda: unsealed, misses),
+        "post_seal_miss": (lambda: sealed, misses),
+    }
+
+
+def _time_batch(engine, names):
+    """Mean ns per call of one batch of opens, each through a wrapper closure."""
+    def resolve(name):
+        engine.resolve(TIMED_PROC, name, PORT, Intent.OPEN)
+    start = time.perf_counter_ns()
+    for name in names:
+        resolve(name)
+    return (time.perf_counter_ns() - start) / len(names)
+
+
+def test_flat_cost_paths_take_the_step_they_name():
+    paths = _flat_cost_paths(1000)
+    assert list(paths) == list(FLAT_COST_STEPS)
+    for path, (engine_for_batch, names) in paths.items():
+        engine = engine_for_batch()
+        before = engine.counters.copy()
+        _time_batch(engine, names)
+        after = engine.counters.copy()
+        moved = {key: getattr(after, key) - getattr(before, key) for key in STEP_COUNTERS}
+        expected = dict.fromkeys(STEP_COUNTERS, 0)
+        expected[FLAT_COST_STEPS[path]] = len(names)
+        assert len(names) == BATCH_SIZE and moved == expected, (path, moved)
+    assert paths["post_seal_miss"][0]().counters.long_list_reads == 0
+
+
 def test_criterion_7_resolve_cost_flat_in_long_list_size():
     """Short-hit and post-seal-miss cost stays within 1.5x from a 1k to a
     10k long list, a pre-seal rename miss within 1.5x from 10 to 1 000
@@ -229,17 +314,16 @@ def test_criterion_7_resolve_cost_flat_in_long_list_size():
     # that take time away; alternating every batch, not every five, lets
     # both sizes meet them. 70 rounds of one batch per path and size.
     rounds = 70
-    timers, sealed = {}, []
-    for label, size in (("small", 1000), ("big", 10000)):
-        timers[label], engine = path_timers(BenchConfig(long_list_size=size, batch_size=300))
-        sealed.append(engine)
-    floors = {label: dict.fromkeys(OPTIMIZED_PATHS, float("inf")) for label in timers}
+    paths = {"small": _flat_cost_paths(1000), "big": _flat_cost_paths(10000)}
+    floors = {label: dict.fromkeys(FLAT_COST_STEPS, float("inf")) for label in paths}
     for _ in range(rounds):
-        for label, paths in timers.items():
-            for path in OPTIMIZED_PATHS:
-                floors[label][path] = min(floors[label][path], paths[path]())
+        for label, by_path in paths.items():
+            for path, (engine_for_batch, names) in by_path.items():
+                engine = engine_for_batch()
+                floors[label][path] = min(floors[label][path], _time_batch(engine, names))
+    sealed = [by_path["post_seal_miss"][0]() for by_path in paths.values()]
     assert [engine.counters.long_list_reads for engine in sealed] == [0, 0]
-    for path in OPTIMIZED_PATHS:
+    for path in FLAT_COST_STEPS:
         bound = 1.5 if path in ("short_hit", "post_seal_miss") else 3.0
         ratio = floors["big"][path] / floors["small"][path]
         assert ratio <= bound, (path, ratio, floors)

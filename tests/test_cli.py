@@ -108,20 +108,6 @@ class TestValidate:
         assert "reserved" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_text_output(self, capsys):
-        assert main(["bench", "--long-list", "32", "--batch", "16",
-                     "--batches", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "post-seal long-list reads: 0" in out
-
-    def test_json_output(self, capsys):
-        assert main(["bench", "--long-list", "32", "--batch", "16",
-                     "--batches", "2", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["post_seal_long_list_reads"] == 0
-
-
 class TestInspect:
     def test_snapshot_dump(self, rpcss_path, capsys):
         assert main(["inspect", rpcss_path]) == 0

@@ -437,3 +437,13 @@ class TestAccessDecisions:
         verdict = engine.dangerous_decide(VM1, SYSTEM_WIDE, DangerousKind.SET_WINDOW_HOOK)
         assert verdict.allowed and verdict.reason == "ScopedToVm"
         assert engine.counters.denials == 0
+
+
+class TestCollectCounters:
+    def test_detached_snapshot(self, engine):
+        from ipcconfine.model import Intent, PORT, ProcessRef, VmId
+        snap = engine.counters.copy()
+        assert snap == engine.counters and snap is not engine.counters
+        engine.resolve(ProcessRef(5, VmId(1)), r"\a\b", PORT, Intent.OPEN)
+        assert snap.resolves_total == 0
+        assert engine.counters.copy().resolves_total == 1

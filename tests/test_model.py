@@ -21,14 +21,11 @@ from ipcconfine.model import (
     VmRegistry,
     check_object_name,
     check_unreserved,
-    has_reserved_vm_prefix,
     is_ascii_digits,
     is_global_name,
-    is_valid_object_name,
     rename,
     rename_unchecked,
     unrename,
-    vm_tag,
 )
 
 
@@ -122,11 +119,6 @@ class TestObjectNames:
         with pytest.raises(InvalidName):
             check_object_name(r"\pipe\a*b*", allow_pattern=True)
 
-    def test_is_valid_mirror(self):
-        assert is_valid_object_name(r"\a\b")
-        assert not is_valid_object_name("a\\b")
-        assert is_valid_object_name(r"\a\b*", allow_pattern=True)
-
     @pytest.mark.parametrize("name,reserved", [
         (r"\vm1\a", True),
         (r"\vm42\x\y", True),
@@ -138,7 +130,6 @@ class TestObjectNames:
         ("\\vm\u00b2\\a", False),   # superscript two
     ])
     def test_reserved_prefix(self, name, reserved):
-        assert has_reserved_vm_prefix(name) == reserved
         if reserved:
             with pytest.raises(InvalidName, match="reserved"):
                 check_unreserved(name)
@@ -160,7 +151,6 @@ class TestObjectNames:
 
 class TestRename:
     def test_rename_prefixes_tag(self):
-        assert vm_tag(VmId(1)) == "vm1"
         assert rename(r"\a\b", VmId(1)) == r"\vm1\a\b"
         assert rename(r"\RPC Control\epmapper", VmId(12)) == r"\vm12\RPC Control\epmapper"
 
@@ -249,8 +239,8 @@ class TestVmRegistry:
         p1 = reg.process_spawn(VmId(1))
         p2 = reg.process_spawn(HOST)
         assert (p1.pid, p2.pid) == (1, 2)
-        assert reg.vms == [VmId(1), VmId(2)]
-        assert reg.processes == [p1, p2]
+        assert (reg.process(1), reg.process(2)) == (p1, p2)
+        assert (p1.vm, p2.vm) == (VmId(1), HOST)
 
     def test_duplicate_alias(self):
         reg = VmRegistry()
@@ -273,8 +263,7 @@ class TestVmRegistry:
         proc = reg.process_spawn(vm)
         assert reg.alias_of(vm) == "10.9.9.9"
         assert reg.process(proc.pid) is proc
-        assert reg.vm_exists(vm) and reg.vm_exists(HOST)
-        assert not reg.vm_exists(VmId(9))
+        assert reg.process(proc.pid).vm == vm
         assert reg.process_exists(proc.pid)
         with pytest.raises(UnknownProcess):
             reg.process(99)

@@ -433,6 +433,34 @@ class TestReplaySemantics:
         with pytest.raises(ReplayError):
             replayer.run([ev(8, "close", actor=1, name=r"\app\x")])
 
+    def test_vm_can_plant_a_listed_host_object(self):
+        """A listed name is one shared host object, whoever creates it first,
+        a VM included: vm2 and then the host reach the object vm1 created."""
+        events = [
+            ev(1, "load_long_list", names=(r"\srv\h",)),
+            ev(2, "vm_create", ip="10.0.0.2"),
+            ev(3, "vm_create", ip="10.0.0.3"),
+            ev(4, "spawn", vm=1),
+            ev(5, "spawn", vm=2),
+            ev(6, "spawn", vm=0),
+            ev(7, "create", actor=1, name=r"\srv\h", category="I_Port",
+               expect={"route": "HostPassthrough", "effective_name": r"\srv\h"}),
+            ev(8, "open", actor=2, name=r"\srv\h", category="I_Port",
+               expect={"route": "HostPassthrough", "effective_name": r"\srv\h"}),
+            ev(9, "create", actor=3, name=r"\srv\h", category="I_Port",
+               expect={"route": "HostPassthrough", "error": "AlreadyExists"}),
+        ]
+        replayer = Replayer(dual=True)
+        report = replayer.run(events)
+        assert report.ok and report.assertions_passed == 3
+        assert report.divergences == []
+        assert replayer.outcomes[6]["principle"] == "HostObject"
+        record = replayer.kernel.objects()[r"\srv\h"]
+        assert replayer.kernel.objects() == {r"\srv\h": record}
+        assert record.creator == replayer.registry.process(1)
+        # vm1's handle from its create and vm2's from its open
+        assert replayer.kernel.live_handle_count(record) == 2
+
     def test_seal_snapshot_captured(self):
         events = preamble() + [
             ev(4, "open", actor=1, name=r"\srv\alpha", category="I_Port",
