@@ -38,11 +38,13 @@ phases:
      (e)-(f), and (g).
 
 :class:`ConfinementEngine` supplies the MRU short list, the flag, and a long
-list of exact names (a hash set) and pattern prefixes (a set probed only at
-the name's trailing digits). :class:`ReferenceEngine`, the oracle it is
-equivalence-tested against, supplies no short list; it compares every exact
-entry and tries every prefix. A table hit returns the outcome stored with
-the name instead of renaming it again.
+list of exact names (a hash set) and pattern prefixes (a set probed at the
+name's digit stem, the name without its trailing digits, and inside those
+digits only when a prefix that ends in a digit has that stem).
+:class:`ReferenceEngine`, the oracle it is equivalence-tested against,
+supplies no short list; it compares every exact entry and tries every
+prefix. A table hit returns the outcome stored with the name instead of
+renaming it again.
 """
 
 from __future__ import annotations
@@ -249,19 +251,24 @@ class HostObjectTable:
     """Long boot-time list, MRU short list, and the one-way host-object flag.
 
     The long list is a hash set of exact names plus a set of pattern
-    prefixes (``prefix*`` matches ``prefix`` and one or more ASCII digits),
-    probed only at the cut points inside the name's trailing digits: the
-    cost depends on neither list size nor pattern count. ``patterns`` keeps
-    the prefixes in load order for snapshots. The short list maps concrete
-    names, most recently used first, to their ``HOST_PASSTHROUGH`` outcome;
-    each matches the long list. Once set, the flag never reverts, and the
-    short list is frozen.
+    prefixes (``prefix*`` matches ``prefix`` and one or more ASCII digits).
+    Such a name's digit stem, the name without its trailing ASCII digits,
+    equals the prefix's, so a lookup probes the exact set once and, for a
+    name with a trailing digit, the prefix set once, at its stem.
+    ``digit_stems`` holds the stems of the prefixes that end in a digit;
+    only when it holds the name's stem are the cut points inside the
+    name's digits probed too. The cost depends on neither list size nor
+    pattern count. ``patterns`` keeps the prefixes in load order for
+    snapshots. The short list maps concrete names, most recently used
+    first, to their ``HOST_PASSTHROUGH`` outcome; each matches the long
+    list. Once set, the flag never reverts, and the short list is frozen.
     """
 
     def __init__(self):
         self.exact: set[str] = set()
         self.patterns: list[str] = []
         self.prefixes: frozenset[str] = frozenset()
+        self.digit_stems: frozenset[str] = frozenset()
         self.short: OrderedDict[str, ResolveOutcome] = OrderedDict()
         self.flag = False
 
@@ -269,13 +276,26 @@ class HostObjectTable:
         self.exact = set(exact)
         self.patterns = list(dict.fromkeys(prefixes))  # drops repeats, keeps order
         self.prefixes = frozenset(self.patterns)
+        # the digit stems of the prefixes that end in a digit
+        self.digit_stems = frozenset(
+            stem for p in self.patterns if (stem := p.rstrip(DIGITS)) != p)
         return len(self.exact) + len(self.patterns)
 
     def long_contains(self, name: str) -> bool:
         if name in self.exact:
             return True
+        # ``prefix*`` matches only names whose digit stem is the prefix's
+        stem = name.rstrip(DIGITS)
+        end = len(stem)
+        if end == len(name):
+            return False
+        if stem in self.prefixes:
+            return True
+        if stem not in self.digit_stems:
+            return False
+        # a prefix that ends in digits: try the cuts inside the name's digits
         prefixes = self.prefixes
-        for cut in range(len(name.rstrip(DIGITS)), len(name)):
+        for cut in range(end + 1, len(name)):
             if name[:cut] in prefixes:
                 return True
         return False

@@ -62,13 +62,16 @@ class ObjectRecord:
 
 @dataclass(slots=True)
 class Handle:
-    """An open reference to an object record; usable only by its owner."""
+    """An open reference to an object record; usable only by its owner.
+
+    A handle is open exactly while its kernel maps its id to it: ids never
+    repeat, and closing deletes the entry.
+    """
 
     id: int
     owner: ProcessRef
     object: ObjectRecord
     outcome: ResolveOutcome
-    valid: bool = True
 
 
 @dataclass(frozen=True)
@@ -174,10 +177,8 @@ class SimKernel:
         lock = self._lock
         lock.acquire()
         try:
-            live = self._handles.get(handle.id)
-            if live is not handle or not handle.valid:
+            if self._handles.get(handle.id) is not handle:
                 raise InvalidHandle(f"handle {handle.id} is not open")
-            handle.valid = False
             del self._handles[handle.id]
             record = handle.object
             record.refcount -= 1
@@ -282,8 +283,7 @@ class SimKernel:
 
     def live_handle_count(self, record: ObjectRecord) -> int:
         with self._lock:
-            return sum(1 for h in self._handles.values()
-                       if h.object is record and h.valid)
+            return sum(1 for h in self._handles.values() if h.object is record)
 
     def _check_live(self, proc: ProcessRef):
         if not self.registry.process_exists(proc.pid):

@@ -463,7 +463,10 @@ class Replayer:
         # (actor pid, original name) -> stack of open handles
         self._handles: dict[tuple[int, str], list] = {}
         self._divergences: list[dict] = []
-        self._handlers = {op: getattr(self, spec.handler) for op, spec in OP_SCHEMA.items()}
+        # plain functions, not bound methods: a bound method held here would
+        # put the replayer, with its kernel, engines and outcomes, in a
+        # reference cycle that only the cyclic GC frees
+        self._handlers = {op: getattr(Replayer, spec.handler) for op, spec in OP_SCHEMA.items()}
 
     def run(self, events) -> ReplayReport:
         report = ReplayReport()
@@ -489,7 +492,7 @@ class Replayer:
         if handler is None:  # pragma: no cover - validation rejects unknown ops
             raise ReplayError(event.seq, f"unknown op {event.op!r}")
         try:
-            handler(event, result)
+            handler(self, event, result)
         except ConfinementError as exc:
             result["error"] = exc.code
             # a KernelError is a normal, assertable outcome of an op contract

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ipcconfine import errors
+from ipcconfine import ConfinementEngine, SimKernel, errors
 from ipcconfine.engine import Principle, ResolveOutcome, Route
 from ipcconfine.errors import (
     AddressInUse,
@@ -49,9 +49,29 @@ class TestNamedObjects:
 
     def test_double_close_rejected(self, kernel, vm1_proc):
         handle = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        second = kernel.open_object(vm1_proc, r"\app\x", PORT)
         kernel.close(handle)
         with pytest.raises(InvalidHandle):
             kernel.close(handle)
+        # the failed close touched neither the record nor the other handle
+        assert handle.object.refcount == 1
+        assert kernel.live_handle_count(handle.object) == 1
+        kernel.close(second)
+        assert kernel.live_handle_count(handle.object) == 0
+
+    def test_handle_of_another_kernel_rejected(self, registry, kernel, vm1_proc):
+        other_engine = ConfinementEngine()
+        other_engine.load_long_list([])
+        other = SimKernel(registry, other_engine)
+        mine = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        foreign = other.create_object(vm1_proc, r"\app\x", PORT)
+        assert foreign.id == mine.id  # each kernel counts its own ids
+        with pytest.raises(InvalidHandle):
+            kernel.close(foreign)
+        assert kernel.live_handle_count(mine.object) == 1
+        assert other.live_handle_count(foreign.object) == 1
+        kernel.close(mine)
+        other.close(foreign)
 
     def test_duplicate_create_same_vm(self, kernel, vm1_proc):
         kernel.create_object(vm1_proc, r"\app\x", PORT)

@@ -106,9 +106,23 @@ class TestAsciiDigits:
         assert unrename(name) is None
 
 
+def lookups(long_list):
+    """The engine's long-list lookup and the oracle's scan, both loaded with
+    ``long_list``."""
+    engine, reference = ConfinementEngine(), ReferenceEngine()
+    engine.load_long_list(long_list)
+    reference.load_long_list(long_list)
+    return engine._host.long_contains, reference._scan
+
+
 class TestWildcardLookup:
-    """The engine probes a prefix set at the cut points inside a name's
-    trailing ASCII digits; the oracle tries every prefix. They agree."""
+    """The engine probes its prefix set at a name's digit stem, the name
+    without its trailing ASCII digits, and inside those digits only when a
+    prefix ending in a digit has that stem; the oracle tries every prefix.
+    They agree, on the stems that force the inner probes too: many
+    digit-ended prefixes of one stem, a stem that is itself an exact entry
+    or a prefix, names equal to a prefix, names with no trailing digit and
+    names ending in non-ASCII digits."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -127,6 +141,46 @@ class TestWildcardLookup:
         for stem, suffix in names:
             a, b = both(engine, reference, VM1, rf"\p\{stem}{suffix}")
             assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stem=st.text(alphabet="ab0", min_size=1, max_size=3),
+        tails=st.lists(st.text(alphabet="0129", min_size=1, max_size=4),
+                       min_size=1, max_size=12),
+        stem_exact=st.booleans(),
+        stem_pattern=st.booleans(),
+        suffixes=st.lists(st.text(alphabet="0129a\u00b2\u0661", max_size=5), max_size=12),
+    )
+    def test_digit_ended_prefixes_of_one_stem_match_full_scan(
+            self, stem, tails, stem_exact, stem_pattern, suffixes):
+        base = rf"\p\{stem}"
+        long_list = ([base + t + "*" for t in tails] + [base] * stem_exact
+                     + [base + "*"] * stem_pattern)
+        contains, scan = lookups(long_list)
+        # every prefix as a name, the stem itself, and the stem with any tail
+        names = [base + t for t in tails] + [base] + [base + s for s in suffixes]
+        for name in names:
+            assert contains(name) == scan(name), (long_list, name)
+
+    def test_stem_lookup_edges(self):
+        long_list = [r"\p\a1*", r"\p\a12*", r"\p\a*", r"\p\b", r"\p\b7*", r"\p\c*"]
+        contains, scan = lookups(long_list)
+        cases = {
+            r"\p\a": False,          # a stem that is a prefix, no digit after it
+            r"\p\a1": True,          # a prefix as a name, matched by \p\a*
+            r"\p\a123": True,
+            r"\p\b": True,           # a stem that is an exact entry
+            r"\p\b7": False,         # a prefix as a name, its own pattern unmatched
+            r"\p\b70": True,
+            r"\p\b8": False,         # the stem of a digit-ended prefix, another digit
+            r"\p\cx": False,         # no trailing digit
+            "\\p\\c\u00b2": False,    # non-ASCII digits are no digits
+            "\\p\\c\u0661": False,
+            "\\p\\b7\u0661": False,
+            "\\p\\c1\u00b2": False,
+        }
+        for name, listed in cases.items():
+            assert contains(name) is scan(name) is listed, name
 
     def test_prefix_ending_in_digits(self):
         engine, reference = ConfinementEngine(), ReferenceEngine()

@@ -14,6 +14,7 @@ import ipcconfine.engine as engine_module
 from ipcconfine.engine import ConfinementEngine, ReferenceEngine
 from ipcconfine.kernel import SimKernel
 from ipcconfine.model import DIGITS, HOST, Intent, PORT, ProcessRef, Scope, VmId, VmRegistry
+from ipcconfine.trace import Replayer, TraceEvent, validate_events
 
 LONG_LIST = (r"\srv\alpha", r"\srv\beta", r"\srv\gamma", r"\Device\NamedPipe\ctl\Pipe*")
 
@@ -21,7 +22,7 @@ VM1 = ProcessRef(10, VmId(1))
 VM2 = ProcessRef(11, VmId(2))
 HOSTP = ProcessRef(1, HOST)
 
-LONG_PROBES = ("exact", "prefix")
+LONG_PROBES = ("exact", "prefix", "digit_stem")
 
 
 def counting(base: type, probes: Counter, label: str) -> type:
@@ -45,6 +46,37 @@ def counting(base: type, probes: Counter, label: str) -> type:
     return type(f"Counting{base.__name__}", (base,), attrs)
 
 
+def scanning(base: type, probes: Counter, label: str) -> type:
+    """``counting(base, ...)`` that also counts, under ``label``, each
+    element that iterating the container or its views yields, so a scan
+    costs one count per element it reads."""
+
+    def counted_scan(method):
+        def scan(self):
+            for item in method(self):
+                probes[label] += 1
+                yield item
+        return scan
+
+    return type(f"Scanning{base.__name__}", (counting(base, probes, label),),
+                {name: counted_scan(getattr(base, name))
+                 for name in ("__iter__", "keys", "values", "items")})
+
+
+def recording(compared: list) -> type:
+    """A ``str`` subclass for window class names that appends itself to
+    ``compared`` on each equality comparison made with it."""
+
+    class ClassName(str):
+        def __eq__(self, other):
+            compared.append(str(self))
+            return str.__eq__(self, other)
+
+        __hash__ = str.__hash__
+
+    return ClassName
+
+
 @pytest.fixture
 def probes(monkeypatch) -> Counter:
     """Lookup counts by label, with the engine module's name checks counted
@@ -66,6 +98,7 @@ def count_tables(engine, probes: Counter) -> None:
         host = engine._host
         host.exact = counting(set, probes, "exact")(host.exact)
         host.prefixes = counting(frozenset, probes, "prefix")(host.prefixes)
+        host.digit_stems = counting(frozenset, probes, "digit_stem")(host.digit_stems)
         host.short = counting(OrderedDict, probes, "short")(host.short)
     else:
         # the oracle's one long-list read is a full scan
@@ -139,9 +172,27 @@ def test_sealed_resolve_makes_no_long_list_probe_and_one_short_probe(probes):
     assert engine.counters.long_list_reads == 2  # both made before the seal
 
 
+def preseal_probes(engine, probes, names) -> list[tuple]:
+    """Probe counts of one pre-seal resolve of each name by ``VM1``, with the
+    bounds every lookup keeps: at most one exact, digit-stem and short-list
+    probe, and at most one prefix probe per trailing digit."""
+    count_tables(engine, probes)
+    counts = []
+    for name in names:
+        probes.clear()
+        resolve(engine, VM1, name)
+        assert probes["exact"] <= 1, name
+        assert probes["digit_stem"] <= 1, name
+        assert probes["prefix"] <= trailing_digits(name), name
+        assert probes["short"] <= 1, name
+        counts.append(tuple(probes[label] for label in LONG_PROBES + ("short",)))
+    return counts
+
+
 def test_preseal_lookup_probes_are_flat_in_list_size_and_pattern_count(probes):
-    """At most one exact probe plus one prefix probe per trailing digit, and
-    the same counts at 1k and 100k exact entries and 10 and 10 000 patterns."""
+    """With no prefix ending in a digit, at most one exact probe and one
+    prefix probe, whatever the number of trailing digits; the same counts
+    at 1k and 100k exact entries and 10 and 10 000 patterns."""
     names = [
         r"\srv\host-000007",     # exact entry
         r"\pipe\pool00003_42",   # pattern instance
@@ -155,18 +206,25 @@ def test_preseal_lookup_probes_are_flat_in_list_size_and_pattern_count(probes):
             engine = ConfinementEngine()
             engine.load_long_list([rf"\srv\host-{i:06d}" for i in range(size)]
                                   + [rf"\pipe\pool{k:05d}_*" for k in range(pattern_count)])
-            count_tables(engine, probes)
-            counts = []
-            for name in names:
-                probes.clear()
-                resolve(engine, VM1, name)
-                assert probes["exact"] <= 1, name
-                assert probes["prefix"] <= trailing_digits(name), name
-                assert probes["short"] <= 1, name
-                counts.append((probes["exact"], probes["prefix"], probes["short"]))
+            counts = preseal_probes(engine, probes, names)
+            for name, (_, prefix, *_) in zip(names, counts):
+                assert prefix <= 1, name
             seen[size, pattern_count] = counts
             assert engine.counters.long_hits == 2 and engine.counters.long_misses == 3
     assert len(set(map(tuple, seen.values()))) == 1, seen
+
+
+def test_preseal_lookup_probes_inside_the_digits_only_for_a_digit_ended_prefix(probes):
+    """A prefix ending in a digit, ``\\pipe\\x1*``, shares its digit stem with
+    names it may not match; their lookups keep one prefix probe per
+    trailing digit, and a name of another stem still makes one."""
+    engine = ConfinementEngine()
+    engine.load_long_list([r"\srv\alpha", r"\pipe\x1*", r"\pipe\y*"])
+    names = [r"\pipe\x12", r"\pipe\x1", r"\pipe\x2", r"\pipe\y12", r"\app\z123"]
+    counts = preseal_probes(engine, probes, names)
+    assert [prefix for _, prefix, *_ in counts] == [2, 1, 1, 1, 1]
+    assert [stem for _, _, stem, _ in counts] == [1, 1, 1, 0, 1]
+    assert engine.counters.long_hits == 2 and engine.counters.long_misses == 3
 
 
 def test_counting_copies_keep_decisions(probes):
@@ -197,14 +255,7 @@ def test_window_lookups_are_flat_in_vm_count():
     the same number of comparisons at 4 and at 1 024 VMs, each VM holding
     20 windows."""
     compared = []
-
-    class ClassName(str):
-        def __eq__(self, other):
-            compared.append(str(self))
-            return str.__eq__(self, other)
-
-        __hash__ = str.__hash__
-
+    ClassName = recording(compared)
     seen = {}
     for vm_count in (4, 1_024):
         registry = VmRegistry()
@@ -231,3 +282,90 @@ def test_window_lookups_are_flat_in_vm_count():
             counts.append(len(compared))
         seen[vm_count] = counts
     assert seen[4] == seen[1_024], seen
+
+
+IIS_SERVICE_OBJECTS = (
+    (r"\RPC Control\epmapper", "I_Port"),
+    (r"\Device\NamedPipe\iisadmin", "II_PseudoFile:NamedPipe"),
+    (r"\BaseNamedObjects\IisWebContent", "III_SharedMemory:Section"),
+)
+
+
+def iis_instances(count: int) -> tuple[list[TraceEvent], list[list[TraceEvent]]]:
+    """The three-web-server fixture scaled to ``count`` instances, one VM
+    and one process each: the setup events, then each instance's events.
+
+    An instance binds port 80, creates the service objects and a uniquely
+    named pipe, registers a window and finds it, sends one message to
+    itself and one to the next instance, and sets a system-wide hook.
+    """
+    setup = [TraceEvent(seq=1, op="load_long_list",
+                        names=(r"\srv\alpha", r"\Device\NamedPipe\net\NtControlPipe*"))]
+    setup += [TraceEvent(seq=0, op="vm_create", ip=f"10.{i // 250}.{i % 250}.2")
+              for i in range(count)]
+    setup += [TraceEvent(seq=0, op="spawn", vm=vm) for vm in range(1, count + 1)]
+    vm_private = {"route": "VmPrivate"}
+    instances = []
+    for pid in range(1, count + 1):   # pid == vm number
+        events = [TraceEvent(seq=0, op="bind", actor=pid, ip="0.0.0.0", port=80)]
+        events += [TraceEvent(seq=0, op="create", actor=pid, name=name, category=category,
+                              expect=vm_private)
+                   for name, category in IIS_SERVICE_OBJECTS
+                   + ((rf"\Device\NamedPipe\site-{pid}", "II_PseudoFile:NamedPipe"),)]
+        events += [
+            TraceEvent(seq=0, op="register_window", actor=pid, class_name="IisAdmin"),
+            TraceEvent(seq=0, op="find_window", actor=pid, class_name="IisAdmin",
+                       expect={"decision": "Allow"}),
+            TraceEvent(seq=0, op="send", actor=pid, target=pid, expect={"decision": "Allow"}),
+            TraceEvent(seq=0, op="send", actor=pid, target=pid % count + 1,
+                       expect={"decision": "Deny"}),
+            TraceEvent(seq=0, op="set_hook", actor=pid, hook_scope="SystemWide"),
+        ]
+        instances.append(events)
+    trace = setup + [event for events in instances for event in events]
+    for seq, event in enumerate(trace, 1):
+        event.seq = seq
+    validate_events(trace)
+    return setup, instances
+
+
+def count_replayer(replayer: Replayer, probes: Counter) -> None:
+    """Swap every container the replayed ops read for a scanning copy, and
+    the engine's host-object containers for counting copies."""
+    kernel, registry = replayer.kernel, replayer.registry
+    containers = [(registry, "_aliases"), (registry, "_by_alias"), (registry, "_processes"),
+                  (replayer.engine, "_global_tables")]
+    containers += [(kernel, attr) for attr in ("_objects", "_handles", "_inboxes",
+                                               "_windows", "_vm_windows", "_bindings")]
+    for owner, attr in containers:
+        setattr(owner, attr, scanning(dict, probes, attr)(getattr(owner, attr)))
+    count_tables(replayer.engine, probes)
+
+
+def test_instance_work_is_flat_in_vm_count(probes):
+    """One web-server instance's events make the same counted work, lookups,
+    scanned elements, name checks and class-name comparisons alike, at 4
+    and at 1 024 instances, for the first instance as for the last."""
+    compared = []
+    ClassName = recording(compared)
+    seen = {}
+    for count in (4, 1_024):
+        setup, instances = iis_instances(count)
+        for events in instances:
+            for event in events:
+                if event.class_name is not None:
+                    event.class_name = ClassName(event.class_name)
+        replayer = Replayer()
+        replayer.run(setup)
+        count_replayer(replayer, probes)
+        for index, events in enumerate(instances):
+            probes.clear()
+            compared.clear()
+            report = replayer.run(events)
+            assert report.ok, report.assertions_failed
+            if index in (0, count - 1):
+                seen[count, index] = probes + Counter(class_name=len(compared))
+    first = seen[4, 0]
+    assert first["check"] == 4 and first["exact"] == 4 and first["class_name"] == 1
+    assert first["_objects"] and first["_windows"] and first["_bindings"]
+    assert all(counts == first for counts in seen.values()), seen

@@ -1,7 +1,9 @@
 """Trace parsing, validation, replay semantics, fixtures, random generation."""
 
+import gc
 import json
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -561,6 +563,24 @@ class TestThreeIisFixture:
         replayer.run(fixture_three_iis())
         misses = [o for o in replayer.outcomes if o.get("error") == "NotFound"]
         assert len(misses) == 6
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_finished_replayer_is_freed_without_the_cyclic_gc(self, dual):
+        """A replayer is in no reference cycle: once its last reference goes,
+        it is freed, with its kernel, engines and outcomes, by reference
+        counting alone."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            replayer = Replayer(dual=dual)
+            replayer.run(fixture_three_iis())
+            freed = [weakref.ref(replayer), weakref.ref(replayer.kernel),
+                     weakref.ref(replayer.engine)]
+            del replayer
+            assert [ref() for ref in freed] == [None] * len(freed)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestRandomTraces:
