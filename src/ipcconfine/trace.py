@@ -19,6 +19,13 @@ the outcome: ``route`` / ``effective_name`` (create, open), ``decision``
 Original names whose first component matches ``vm<digits>`` collide with the
 rename image space and are rejected by validation.
 
+``OP_SCHEMA`` drives two checks that accept the same events. At import, one
+function per op is generated from it and compiled; ``parse_trace`` checks
+and builds each decoded line with its op's function. The field-by-field walk
+of ``validate_events`` is the reference: it checks events built in Python,
+and it walks the events of a text in which a function refused a line, to
+word the error.
+
 A parsed event is a :class:`TraceEvent`, a slotted, mutable record: it has no
 per-instance ``__dict__``, and it is neither frozen nor hashable. Nothing in
 parsing, validation or replay assigns to an event after it is built.
@@ -128,21 +135,17 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
+        if not _KNOWN_FIELDS.issuperset(data):
+            raise ValueError(f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}")
         if type(data.get("names")) is list:
             data = {**data, "names": tuple(data["names"])}
-        try:
-            return cls(**data)
-        except TypeError:
-            # the constructor takes field names only; the field check runs
-            # when it fails, not before each event
-            if not _KNOWN_FIELDS.issuperset(data):
-                raise ValueError(f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}") from None
-            raise
+        return cls(**data)
 
 
 _EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
 _KNOWN_FIELDS = frozenset(_EVENT_FIELDS)
-_PAYLOAD_FIELDS = tuple(f for f in _EVENT_FIELDS if f not in ("seq", "op", "expect"))
+_COMMON_FIELDS = frozenset({"seq", "op", "expect"})
+_PAYLOAD_FIELDS = tuple(f for f in _EVENT_FIELDS if f not in _COMMON_FIELDS)
 
 
 class FieldType:
@@ -150,15 +153,20 @@ class FieldType:
 
     The type is matched exactly, so ``True`` is not an ``int``. ``rule``
     takes a value of that type and returns an error message, or None.
-    ``label`` names the type in error messages, in trace (JSON) terms.
+    ``wire`` is the type a decoded trace line holds, when it differs from
+    the type an event holds (a JSON list, held as a tuple); ``label`` names
+    the type in error messages.
     """
 
-    __slots__ = ("type", "rule", "label")
+    __slots__ = ("type", "rule", "wire", "label")
 
-    def __init__(self, type_: type, rule=None, label: str | None = None):
+    def __init__(self, type_: type, rule=None, wire: type | None = None):
         self.type = type_
         self.rule = rule
-        self.label = label or type_.__name__
+        self.wire = wire or type_
+        self.label = type_.__name__
+        if self.wire is not type_:
+            self.label += f" (a JSON {self.wire.__name__} in a trace)"
 
     def check(self, seq: int, field_name: str, value) -> None:
         if type(value) is not self.type:
@@ -172,7 +180,13 @@ class FieldType:
 
 class OpSpec:
     """One trace op: the Replayer method that runs it and its payload fields,
-    each mapped to its :class:`FieldType`."""
+    each mapped to its :class:`FieldType`.
+
+    ``validate`` walks an event's fields one by one. It is the reference
+    check, and the one that words errors: a parsed line is checked and built
+    by the op's generated function (see ``_compile_builders``), and only a
+    text with a line that function refuses is walked.
+    """
 
     __slots__ = ("handler", "required", "optional", "fields", "_absent", "_get_absent")
 
@@ -246,11 +260,12 @@ PID = FieldType(int, lambda v: None if v >= 1 else "must be a positive pid")
 VM = FieldType(int, lambda v: None if v >= 0 else "must be a non-negative integer")
 PORT = FieldType(int)
 TEXT = FieldType(str)
-# A trace repeats a few hundred names thousands of times: each distinct name
-# is decided once. ``NAMES`` holds raw JSON values, not all hashable.
+# A trace repeats a few hundred names and a few categories thousands of
+# times: each distinct name and category is decided once. ``NAMES`` holds raw
+# JSON values, not all hashable.
 NAME = FieldType(str, lru_cache(maxsize=4096)(_name_error))
-NAMES = FieldType(tuple, _names_error, "list")  # held as a tuple once parsed
-CATEGORY = FieldType(str, _category_error)
+NAMES = FieldType(tuple, _names_error, wire=list)
+CATEGORY = FieldType(str, lru_cache(maxsize=64)(_category_error))
 SCOPE = FieldType(str, _one_of({s.value for s in Scope}))
 HOOK_SCOPE = FieldType(str, _one_of(set(_HOOK_SCOPES)))
 
@@ -285,6 +300,63 @@ _EXPECT = {
 }
 
 
+def _compile_builders(schema: dict) -> dict:
+    """One check-and-build function per op, generated from ``schema`` and
+    compiled from one source.
+
+    ``builders[op](line)`` takes a decoded line's dict and returns its
+    event, or None if the line is not valid on its own. The line's keys
+    must be among the op's fields and ``seq``, ``op``, ``expect``; ``seq``
+    must be an int; each field must have its exact type as decoded
+    (``FieldType.wire``) and meet its ``FieldType.rule``, a required field
+    present and an optional one null or valid. The event is built
+    positionally: an absent field is None, and a JSON list becomes the
+    tuple the event holds. No rule is restated here: the function calls
+    each field's own. ``_decode_whole`` checks what spans lines (``seq``
+    order) and ``expect``.
+    """
+    namespace = {"TraceEvent": TraceEvent}
+    source = []
+    for op, spec in schema.items():
+        namespace[f"keys_{op}"] = spec.fields | _COMMON_FIELDS
+        source += [f"def build_{op}(line):",
+                   f"    if not line.keys() <= keys_{op}:",
+                   "        return None",
+                   "    seq = line.get('seq')",
+                   "    if type(seq) is not int:",
+                   "        return None"]
+        for fields_, required in ((spec.required, True), (spec.optional, False)):
+            for name, kind in fields_:
+                source += _field_source(f"{op}_{name}", name, kind, required, namespace)
+        given = {"seq": "seq", "op": repr(op), "expect": "line.get('expect')",
+                 **{f: f for f in spec.fields}}
+        args = ", ".join(given.get(f, "None") for f in _EVENT_FIELDS)
+        source += [f"    return TraceEvent({args})", ""]
+    exec(compile("\n".join(source), "<trace builders>", "exec"), namespace)
+    return {op: namespace[f"build_{op}"] for op in schema}
+
+
+def _field_source(tag: str, name: str, kind: FieldType, required: bool,
+                  namespace: dict) -> list[str]:
+    """The lines of a builder that read one field into a local and test it."""
+    pad = "    " if required else "        "
+    namespace[kind.wire.__name__] = kind.wire
+    lines = [f"    {name} = line.get({name!r})"]
+    if not required:
+        lines.append(f"    if {name} is not None:")
+    lines += [f"{pad}if type({name}) is not {kind.wire.__name__}:", f"{pad}    return None"]
+    if kind.wire is not kind.type:
+        namespace[kind.type.__name__] = kind.type
+        lines.append(f"{pad}{name} = {kind.type.__name__}({name})")
+    if kind.rule is not None:
+        namespace[f"rule_{tag}"] = kind.rule
+        lines += [f"{pad}if rule_{tag}({name}) is not None:", f"{pad}    return None"]
+    return lines
+
+
+_BUILDERS = _compile_builders(OP_SCHEMA)
+
+
 def serialize_trace(events) -> str:
     return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
 
@@ -309,25 +381,28 @@ _SEPARATOR = ',"' + _BREAK_ESCAPE + '",'
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse and validate a JSONL trace.
 
-    The text is decoded by one scanner call when that gives one event per
-    non-blank line (see ``_decode_whole``). Otherwise each line is decoded
-    by one scanner call when the value spans the whole line; anything else
-    (surrounding whitespace, a BOM, trailing data, bad JSON) is decoded by
-    ``json.loads``, so results and errors are its own.
+    The text is decoded by one scanner call, and each line checked and
+    built by its op's generated function, when every line passes (see
+    ``_decode_whole``). Otherwise each line is decoded by one scanner call
+    when the value spans the whole line; anything else (surrounding
+    whitespace, a BOM, trailing data, bad JSON) is decoded by
+    ``json.loads``, so results and errors are its own; the events are then
+    walked by ``validate_events``, which words any validation error.
     """
     events = _decode_whole(text)
     if events is None:
         events = _decode_lines(text)
-    validate_events(events)
+        validate_events(events)
     return events
 
 
 def _decode_whole(text: str) -> list[TraceEvent] | None:
-    """The events of every non-blank line from one scanner call, or None if
-    any line is not one JSON object that makes an event."""
+    """The events of every non-blank line from one scanner call, each
+    checked and built by its op's function; None if any line is not one JSON
+    object that makes a valid event, or ``seq`` does not increase."""
     if _BREAK_ESCAPE in text:
         return None
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.splitlines() if line and not line.isspace()]
     if not lines:
         return None
     doc = "[" + _SEPARATOR.join(lines) + "]"
@@ -338,14 +413,25 @@ def _decode_whole(text: str) -> list[TraceEvent] | None:
     if (end != len(doc) or len(items) != 2 * len(lines) - 1
             or items[1::2].count(_BREAK) != len(lines) - 1):
         return None
-    values = items[::2]
-    if not all(type(data) is dict for data in values):
-        return None
-    from_dict = TraceEvent.from_dict
-    try:
-        return [from_dict(data) for data in values]
-    except (TypeError, ValueError):
-        return None
+    events = []
+    append = events.append
+    builders = _BUILDERS
+    last_seq = 0
+    for data in items[::2]:
+        if type(data) is not dict:
+            return None
+        try:
+            build = builders[data.get("op")]
+        except (KeyError, TypeError):  # no op, an unknown one or an unhashable one
+            return None
+        event = build(data)
+        if event is None or event.seq <= last_seq:
+            return None
+        if event.expect is not None and _expect_error(event.expect) is not None:
+            return None
+        last_seq = event.seq
+        append(event)
+    return events
 
 
 def _decode_lines(text: str) -> list[TraceEvent]:
@@ -354,7 +440,7 @@ def _decode_lines(text: str) -> list[TraceEvent]:
     events = []
     scan = _scan_once
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             data, end = scan(line, 0)
@@ -396,23 +482,27 @@ def validate_events(events) -> None:
             raise ValidationError(seq, f"unknown op {op!r}")
         spec.validate(event)
         if event.expect is not None:
-            _validate_expect(seq, event.expect)
+            error = _expect_error(event.expect)
+            if error is not None:
+                raise ValidationError(seq, error)
 
 
-def _validate_expect(seq: int, expect) -> None:
+def _expect_error(expect) -> str | None:
+    """What is wrong with an ``expect`` clause, or None."""
     if not isinstance(expect, dict):
-        raise ValidationError(seq, "expect must be an object")
+        return "expect must be an object"
     for key, value in expect.items():
         if key not in _EXPECT:
             unknown = sorted(map(str, set(expect) - set(_EXPECT)))
-            raise ValidationError(seq, f"unknown expect keys {unknown}")
+            return f"unknown expect keys {unknown}"
         if value is None:
             continue
         if type(value) is not str:
-            raise ValidationError(seq, f"expect.{key} must be a string or null")
+            return f"expect.{key} must be a string or null"
         allowed = _EXPECT[key]
         if allowed is not None and value not in allowed:
-            raise ValidationError(seq, f"bad expect.{key} {value!r}")
+            return f"bad expect.{key} {value!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------

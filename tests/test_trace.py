@@ -184,6 +184,115 @@ class TestParseEquivalence:
         assert len(calls) == 1
 
 
+# a valid value for every payload field
+_VALID = {
+    "actor": 1, "target": 2, "vm": 1, "ip": "10.0.0.2", "port": 80, "name": r"\a\b",
+    "names": [r"\a\b", r"\p\Pipe*"], "category": "II_PseudoFile:NamedPipe",
+    "scope": "Global", "subtype": "Clipboard", "payload": "x", "class_name": "Shell_TrayWnd",
+    "hook_scope": "OwnVm",
+}
+# values that break some field's type or rule, or fit another field's
+_INVALID = [
+    None, True, 0, -1, 1.0, "1", "", "a", r"\vm1\a", r"\a\b*", "\\", [5], [r"\vm2\a"], "\\abc",
+    "V_Message", "X_Bad", "Shared", "Everywhere", {"a": 1}, *_VALID.values(),
+]
+# expect clauses, valid and not
+_EXPECTS = [
+    {"route": "VmPrivate"}, {"error": "NotFound", "decision": None}, {"effective_name": r"\a"},
+    {}, None, {"route": "Weird"}, {"routes": "VmPrivate"}, {"decision": 1}, "VmPrivate",
+]
+_PAYLOAD_FIELDS = sorted(_VALID)
+
+
+def _full_line(op: str) -> dict:
+    """A valid line of ``op`` with every field the op takes."""
+    return {"seq": 1, "op": op, **{f: _VALID[f] for f in OP_SCHEMA[op].fields},
+            "expect": {"error": None}}
+
+
+@st.composite
+def _plausible_texts(draw):
+    """Traces of per-op lines, mostly valid: a line may drop a required
+    field, give a field a value of the wrong type or rule, set an optional
+    field to null, carry a field of another op, a bad ``expect``, an unknown
+    op, or a ``seq`` out of order or not an int."""
+    rare = st.sampled_from([False] * 40 + [True])
+    lines = []
+    seq = 0
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(sorted(OP_SCHEMA)))
+        seq += draw(st.sampled_from([1] * 40 + [2, 0, -1]))
+        line = {"seq": seq, "op": op}
+        spec = OP_SCHEMA[op]
+        for name, _ in spec.required:
+            if draw(rare):
+                continue
+            line[name] = draw(st.sampled_from(_INVALID)) if draw(rare) else _VALID[name]
+        for name, _ in spec.optional:
+            choice = draw(st.sampled_from(["valid"] * 3 + ["absent", "null", "invalid"]))
+            if choice != "absent":
+                line[name] = draw({"valid": st.just(_VALID[name]), "null": st.none(),
+                                   "invalid": st.sampled_from(_INVALID)}[choice])
+        if draw(rare):
+            line[draw(st.sampled_from(_PAYLOAD_FIELDS + ["bogus"]))] = draw(
+                st.sampled_from([None] + _INVALID))
+        if draw(st.sampled_from([False] * 4 + [True])):
+            line["expect"] = draw(st.sampled_from(_EXPECTS))
+        if draw(rare):
+            line[draw(st.sampled_from(["seq", "op"]))] = draw(
+                st.sampled_from([None, True, "1", 2.0, "fork", ["seal"]]))
+        if draw(rare):
+            del line[draw(st.sampled_from(["seq", "op"]))]
+        lines.append(line)
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+class TestBuilders:
+    """Each op's generated check-and-build function accepts exactly the
+    lines the field walk accepts, and builds the same events."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_plausible_texts())
+    def test_matches_forced_line_path(self, text):
+        built = outcome(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace, "_scan_once", _never_scans)
+            assert outcome(text) == built
+
+    def test_one_builder_per_op(self):
+        assert list(trace._BUILDERS) == list(OP_SCHEMA)
+
+    @pytest.mark.parametrize("op", list(OP_SCHEMA))
+    def test_accepted_keys_are_the_ops_fields(self, op):
+        build = trace._BUILDERS[op]
+        line = _full_line(op)
+        assert set(line) == OP_SCHEMA[op].fields | {"seq", "op", "expect"}
+        assert build(line) == TraceEvent.from_dict(line)
+        for key in set(_VALID) - set(line) | {"bogus"}:
+            assert build({**line, key: _VALID.get(key)}) is None, key
+        for name, _ in OP_SCHEMA[op].required:
+            assert build({k: v for k, v in line.items() if k != name}) is None, name
+        for name, _ in OP_SCHEMA[op].optional:
+            assert build({k: v for k, v in line.items() if k != name}) is not None, name
+
+    def test_roundtrip_of_every_op(self, monkeypatch):
+        events = [TraceEvent.from_dict({**_full_line(op), "seq": seq})
+                  for seq, op in enumerate(OP_SCHEMA, start=1)]
+        # and one without its optional fields
+        events.append(ev(len(events) + 1, "send", actor=1, target=2, expect={"decision": "Deny"}))
+        validate_events(events)
+        assert {event.op for event in events} == set(OP_SCHEMA)
+
+        def refused(*args):
+            raise AssertionError("a line was refused")
+
+        # every line is checked and built by its op's function: the line
+        # path and the field walk never run
+        monkeypatch.setattr(trace, "_decode_lines", refused)
+        monkeypatch.setattr(trace, "validate_events", refused)
+        assert parse_trace(serialize_trace(events)) == events
+
+
 class TestEventLayout:
     """Events are slotted records with a fixed field list: no per-event
     ``__dict__``, and none of the frozen class's per-field set-up."""
@@ -234,6 +343,12 @@ class TestValidation:
     def test_rejected_events(self, bad):
         with pytest.raises(ValidationError):
             validate_events([bad])
+
+    def test_names_held_as_a_list(self):
+        # an event holds ``names`` as a tuple; a trace line holds a JSON list
+        with pytest.raises(ValidationError, match=re.escape(
+                "names must be of type tuple (a JSON list in a trace), got list")):
+            validate_events([ev(1, "load_long_list", names=[r"\a\b"])])
 
     def test_pattern_fine_in_long_list(self):
         validate_events([ev(1, "load_long_list", names=(r"\pipe\Ctl*",))])
