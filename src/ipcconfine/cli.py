@@ -80,8 +80,15 @@ def _add_replay_options(parser):
 
 
 def _read_events(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line that holds the first bad byte, counted as parse_trace counts lines
+        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(line, f"not valid UTF-8: {exc.reason}") from None
+    return parse_trace(text)
 
 
 def _run_events(events, args, bindings_table=False) -> int:

@@ -74,9 +74,6 @@ class VmId:
     def is_host(self) -> bool:
         return self.id == 0
 
-    def __int__(self) -> int:
-        return self.id
-
     def __str__(self) -> str:
         return "host" if self.id == 0 else f"vm{self.id}"
 

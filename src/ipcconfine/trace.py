@@ -19,12 +19,11 @@ the outcome: ``route`` / ``effective_name`` (create, open), ``decision``
 Original names whose first component matches ``vm<digits>`` collide with the
 rename image space and are rejected by validation.
 
-``OP_SCHEMA`` drives two checks that accept the same events. At import, one
-function per op is generated from it and compiled; ``parse_trace`` checks
-and builds each decoded line with its op's function. The field-by-field walk
-of ``validate_events`` is the reference: it checks events built in Python,
-and it walks the events of a text in which a function refused a line, to
-word the error.
+``OP_SCHEMA`` drives one check. At import, one function per op is generated
+from it and compiled: it checks an event's fields against their types and
+rules, builds the event, and words every error. ``parse_trace`` runs each
+decoded line through its op's function, and ``validate_events`` each event
+built in Python, so the two accept the same events and give the same errors.
 
 A parsed event is a :class:`TraceEvent`, a slotted, mutable record: it has no
 per-instance ``__dict__``, and it is neither frozen nor hashable. Nothing in
@@ -33,14 +32,12 @@ parsing, validation or replay assigns to an event after it is built.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import json.scanner
 import logging
 import random
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, partial
 
 from .engine import (
     ConfinementEngine,
@@ -82,7 +79,6 @@ __all__ = [
     "serialize_trace",
     "validate_events",
     "replay",
-    "stress_replay",
     "fixture_rpcss",
     "fixture_three_iis",
     "TraceParams",
@@ -133,19 +129,10 @@ class TraceEvent:
             out[name] = value
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceEvent":
-        if not _KNOWN_FIELDS.issuperset(data):
-            raise ValueError(f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}")
-        if type(data.get("names")) is list:
-            data = {**data, "names": tuple(data["names"])}
-        return cls(**data)
-
 
 _EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
 _KNOWN_FIELDS = frozenset(_EVENT_FIELDS)
 _COMMON_FIELDS = frozenset({"seq", "op", "expect"})
-_PAYLOAD_FIELDS = tuple(f for f in _EVENT_FIELDS if f not in _COMMON_FIELDS)
 
 
 class FieldType:
@@ -153,68 +140,34 @@ class FieldType:
 
     The type is matched exactly, so ``True`` is not an ``int``. ``rule``
     takes a value of that type and returns an error message, or None.
-    ``wire`` is the type a decoded trace line holds, when it differs from
-    the type an event holds (a JSON list, held as a tuple); ``label`` names
-    the type in error messages.
+    ``label`` names the type in error messages. Only the function generated
+    for each op that takes the field applies them (see ``_compile_builders``).
     """
 
-    __slots__ = ("type", "rule", "wire", "label")
+    __slots__ = ("type", "rule", "label")
 
-    def __init__(self, type_: type, rule=None, wire: type | None = None):
+    def __init__(self, type_: type, rule=None, label: str | None = None):
         self.type = type_
         self.rule = rule
-        self.wire = wire or type_
-        self.label = type_.__name__
-        if self.wire is not type_:
-            self.label += f" (a JSON {self.wire.__name__} in a trace)"
-
-    def check(self, seq: int, field_name: str, value) -> None:
-        if type(value) is not self.type:
-            raise ValidationError(seq, f"{field_name} must be of type {self.label}, "
-                                       f"got {type(value).__name__}")
-        if self.rule is not None:
-            error = self.rule(value)
-            if error is not None:
-                raise ValidationError(seq, f"{field_name}: {error}")
+        self.label = label or type_.__name__
 
 
 class OpSpec:
     """One trace op: the Replayer method that runs it and its payload fields,
     each mapped to its :class:`FieldType`.
 
-    ``validate`` walks an event's fields one by one. It is the reference
-    check, and the one that words errors: a parsed line is checked and built
-    by the op's generated function (see ``_compile_builders``), and only a
-    text with a line that function refuses is walked.
+    The op's generated function (see ``_compile_builders``) checks these
+    fields and builds the event, for a parsed line and a Python-built event
+    alike, and words every error.
     """
 
-    __slots__ = ("handler", "required", "optional", "fields", "_absent", "_get_absent")
+    __slots__ = ("handler", "required", "optional", "fields")
 
     def __init__(self, handler: str, required: dict, optional: dict | None = None):
         self.handler = handler
         self.required = tuple(required.items())
         self.optional = tuple((optional or {}).items())
         self.fields = frozenset(required) | frozenset(optional or ())
-        # the payload fields this op must leave unset; every op leaves at
-        # least two, so the getter returns a tuple
-        self._absent = tuple(f for f in _PAYLOAD_FIELDS if f not in self.fields)
-        self._get_absent = attrgetter(*self._absent)
-
-    def validate(self, event: "TraceEvent") -> None:
-        seq = event.seq
-        for name, kind in self.required:
-            value = getattr(event, name)
-            if value is None:
-                missing = sorted(f for f, _ in self.required if getattr(event, f) is None)
-                raise ValidationError(seq, f"{event.op} requires {missing}")
-            kind.check(seq, name, value)
-        if self._get_absent(event).count(None) != len(self._absent):
-            extra = sorted(f for f in self._absent if getattr(event, f) is not None)
-            raise ValidationError(seq, f"{event.op} does not take {extra}")
-        for name, kind in self.optional:
-            value = getattr(event, name)
-            if value is not None:
-                kind.check(seq, name, value)
 
 
 # One parse per distinct category string; validation warms it for replay.
@@ -264,7 +217,7 @@ TEXT = FieldType(str)
 # times: each distinct name and category is decided once. ``NAMES`` holds raw
 # JSON values, not all hashable.
 NAME = FieldType(str, lru_cache(maxsize=4096)(_name_error))
-NAMES = FieldType(tuple, _names_error, wire=list)
+NAMES = FieldType(tuple, _names_error, "tuple (a JSON list in a trace)")
 CATEGORY = FieldType(str, lru_cache(maxsize=64)(_category_error))
 SCOPE = FieldType(str, _one_of({s.value for s in Scope}))
 HOOK_SCOPE = FieldType(str, _one_of(set(_HOOK_SCOPES)))
@@ -302,32 +255,33 @@ _EXPECT = {
 
 def _compile_builders(schema: dict) -> dict:
     """One check-and-build function per op, generated from ``schema`` and
-    compiled from one source.
+    compiled from one source: the only code that applies a field's type and
+    rule.
 
-    ``builders[op](line)`` takes a decoded line's dict and returns its
-    event, or None if the line is not valid on its own. The line's keys
-    must be among the op's fields and ``seq``, ``op``, ``expect``; ``seq``
-    must be an int; each field must have its exact type as decoded
-    (``FieldType.wire``) and meet its ``FieldType.rule``, a required field
-    present and an optional one null or valid. The event is built
-    positionally: an absent field is None, and a JSON list becomes the
-    tuple the event holds. No rule is restated here: the function calls
-    each field's own. ``_decode_whole`` checks what spans lines (``seq``
-    order) and ``expect``.
+    ``builders[op](seq, line)`` takes a dict of an event's fields, from a
+    parsed line or a Python-built event, and returns the event, or the
+    message of the first error in this order: each required field in turn
+    null (naming every null one), of another type or against its rule; the
+    fields the op does not take that are not null, and any key that is no
+    field at all; then each optional field that is not null in turn. No
+    rule is restated here: the function calls each field's own. ``_build``
+    checks ``seq``, the op and ``expect``.
     """
     namespace = {"TraceEvent": TraceEvent}
     source = []
     for op, spec in schema.items():
-        namespace[f"keys_{op}"] = spec.fields | _COMMON_FIELDS
-        source += [f"def build_{op}(line):",
-                   f"    if not line.keys() <= keys_{op}:",
-                   "        return None",
-                   "    seq = line.get('seq')",
-                   "    if type(seq) is not int:",
-                   "        return None"]
-        for fields_, required in ((spec.required, True), (spec.optional, False)):
-            for name, kind in fields_:
-                source += _field_source(f"{op}_{name}", name, kind, required, namespace)
+        keys = spec.fields | _COMMON_FIELDS
+        namespace.update({f"keys_{op}": keys, f"mistyped_{op}": partial(_mistyped, op, spec),
+                          f"not_taken_{op}": partial(_not_taken, op, keys)})
+        source.append(f"def build_{op}(seq, line):")
+        for name, kind in spec.required:
+            source.append(f"    {name} = line.get({name!r})")
+            source += _field_source(op, name, kind, "    ", namespace)
+        source += [f"    if not line.keys() <= keys_{op} and (error := not_taken_{op}(line)):",
+                   "        return error"]
+        for name, kind in spec.optional:
+            source += [f"    {name} = line.get({name!r})", f"    if {name} is not None:"]
+            source += _field_source(op, name, kind, "        ", namespace)
         given = {"seq": "seq", "op": repr(op), "expect": "line.get('expect')",
                  **{f: f for f in spec.fields}}
         args = ", ".join(given.get(f, "None") for f in _EVENT_FIELDS)
@@ -336,33 +290,57 @@ def _compile_builders(schema: dict) -> dict:
     return {op: namespace[f"build_{op}"] for op in schema}
 
 
-def _field_source(tag: str, name: str, kind: FieldType, required: bool,
-                  namespace: dict) -> list[str]:
-    """The lines of a builder that read one field into a local and test it."""
-    pad = "    " if required else "        "
-    namespace[kind.wire.__name__] = kind.wire
-    lines = [f"    {name} = line.get({name!r})"]
-    if not required:
-        lines.append(f"    if {name} is not None:")
-    lines += [f"{pad}if type({name}) is not {kind.wire.__name__}:", f"{pad}    return None"]
-    if kind.wire is not kind.type:
-        namespace[kind.type.__name__] = kind.type
-        lines.append(f"{pad}{name} = {kind.type.__name__}({name})")
+def _field_source(op: str, name: str, kind: FieldType, pad: str, namespace: dict) -> list[str]:
+    """The lines of a builder that test one field's type and rule."""
+    namespace[kind.type.__name__] = kind.type
+    lines = [f"{pad}if type({name}) is not {kind.type.__name__}:",
+             f"{pad}    return mistyped_{op}({name!r}, line)"]
     if kind.rule is not None:
-        namespace[f"rule_{tag}"] = kind.rule
-        lines += [f"{pad}if rule_{tag}({name}) is not None:", f"{pad}    return None"]
+        namespace[f"rule_{op}_{name}"] = kind.rule
+        lines += [f"{pad}if (error := rule_{op}_{name}({name})) is not None:",
+                  f"{pad}    return {name + ': '!r} + error"]
     return lines
 
 
+def _mistyped(op: str, spec: OpSpec, name: str, line: dict) -> str:
+    """The error of a field a builder found null (a required one) or of another type."""
+    value = line.get(name)
+    if value is None:
+        return f"{op} requires {sorted(f for f, _ in spec.required if line.get(f) is None)}"
+    label = dict(spec.required + spec.optional)[name].label
+    return f"{name} must be of type {label}, got {type(value).__name__}"
+
+
+def _not_taken(op: str, keys: frozenset, line: dict) -> str | None:
+    """The error of a line's keys beyond ``keys`` that are not null, or None
+    if there are none. A key that is no event field counts even when null:
+    ``parse_trace`` then finds the line refused and reports it as the
+    ParseError it is."""
+    extra = sorted(key for key, value in line.items()
+                   if key not in keys and (value is not None or key not in _KNOWN_FIELDS))
+    return f"{op} does not take {extra}" if extra else None
+
+
 _BUILDERS = _compile_builders(OP_SCHEMA)
+
+
+def _load_long_list_line(seq: int, line: dict):
+    """``load_long_list``'s builder for a parsed line: JSON has no tuple, so
+    the line's ``names`` list becomes the tuple an event holds."""
+    if type(line.get("names")) is list:
+        line["names"] = tuple(line["names"])
+    return _BUILDERS["load_long_list"](seq, line)
+
+
+_LINE_BUILDERS = {**_BUILDERS, "load_long_list": _load_long_list_line}
 
 
 def serialize_trace(events) -> str:
     return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
 
 
-# The C scanner behind ``json.loads``, bound once: ``_scan_once(line, 0)``
-# decodes the value that starts the line and returns it with its end index.
+# The C scanner behind ``json.loads``, bound once: ``_scan_once(doc, 0)``
+# decodes the value that starts ``doc`` and returns it with its end index.
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 
 # Whole-text decode. The non-blank lines are joined into one JSON array,
@@ -381,30 +359,95 @@ _SEPARATOR = ',"' + _BREAK_ESCAPE + '",'
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse and validate a JSONL trace.
 
-    The text is decoded by one scanner call, and each line checked and
-    built by its op's generated function, when every line passes (see
-    ``_decode_whole``). Otherwise each line is decoded by one scanner call
-    when the value spans the whole line; anything else (surrounding
-    whitespace, a BOM, trailing data, bad JSON) is decoded by
-    ``json.loads``, so results and errors are its own; the events are then
-    walked by ``validate_events``, which words any validation error.
+    The text is decoded by one scanner call (``_decode_whole``) or, if that
+    fails, line by line (``_decode_lines``), which finds the first line that
+    is bad JSON. Each decoded line is then checked and built by its op's
+    generated function in one pass, as ``validate_events`` checks events
+    built in Python. The first line that is not a JSON object of event
+    fields with ``seq`` and ``op`` is a ParseError, and it beats a
+    ValidationError on any earlier line.
     """
-    events = _decode_whole(text)
-    if events is None:
-        events = _decode_lines(text)
-        validate_events(events)
+    values = _decode_whole(text)
+    if values is None:
+        values = _decode_lines(text)
+    try:
+        return _build(values, _LINE_BUILDERS)
+    except ValidationError:
+        error = _first_bad_line(values, text)
+        if error is None:
+            raise
+        raise error from None
+
+
+def validate_events(events) -> None:
+    """Check events built in Python, each by its op's generated function;
+    the first invalid one is a ValidationError."""
+    _build(({f: getattr(event, f) for f in _EVENT_FIELDS} for event in events), _BUILDERS)
+
+
+def _build(lines, builders: dict) -> list[TraceEvent]:
+    """The event of each dict of event fields, checked and built by its op's
+    function in ``builders``; the first that is not a valid event, with
+    ``seq`` above the one before, is a ValidationError."""
+    events = []
+    append = events.append
+    last_seq = 0
+    for line in lines:
+        seq = line.get("seq")
+        if type(seq) is not int or seq <= last_seq:
+            raise ValidationError(seq if type(seq) is int else -1,
+                                  f"seq must be a strictly increasing positive integer (after {last_seq})")
+        op = line.get("op")
+        build = builders.get(op) if type(op) is str else None
+        if build is None:
+            raise ValidationError(seq, f"unknown op {op!r}")
+        event = build(seq, line)
+        if type(event) is str:
+            raise ValidationError(seq, event)
+        if event.expect is not None:
+            error = _expect_error(event.expect)
+            if error is not None:
+                raise ValidationError(seq, error)
+        last_seq = seq
+        append(event)
     return events
 
 
-def _decode_whole(text: str) -> list[TraceEvent] | None:
-    """The events of every non-blank line from one scanner call, each
-    checked and built by its op's function; None if any line is not one JSON
-    object that makes a valid event, or ``seq`` does not increase."""
+def _first_bad_line(values: list, text: str) -> ParseError | None:
+    """The ParseError of the first decoded line ``_line_error`` refuses, or None."""
+    numbers = (n for n, line in enumerate(text.splitlines(), start=1)
+               if line and not line.isspace())
+    for lineno, data in zip(numbers, values):
+        error = _line_error(data)
+        if error is not None:
+            return ParseError(lineno, error)
+    return None
+
+
+def _line_error(data) -> str | None:
+    """Why a decoded line is not a JSON object of event fields with ``seq``
+    and ``op``, or None; a missing ``seq`` or ``op`` is worded as a
+    ``TraceEvent`` call without it words it."""
+    if not isinstance(data, dict):
+        return "event must be a JSON object"
+    if not _KNOWN_FIELDS.issuperset(data):
+        return f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}"
+    missing = [repr(f) for f in ("seq", "op") if f not in data]
+    if missing:
+        return (f"TraceEvent.__init__() missing {len(missing)} required positional "
+                f"argument{'s' * (len(missing) > 1)}: {' and '.join(missing)}")
+    return None
+
+
+def _decode_whole(text: str) -> list[dict] | None:
+    """The object on every non-blank line, from one scanner call; None if
+    the text holds the separator's escape or some line is not one JSON
+    object."""
     if _BREAK_ESCAPE in text:
         return None
     lines = [line for line in text.splitlines() if line and not line.isspace()]
     if not lines:
-        return None
+        return []
     doc = "[" + _SEPARATOR.join(lines) + "]"
     try:
         items, end = _scan_once(doc, 0)
@@ -413,78 +456,30 @@ def _decode_whole(text: str) -> list[TraceEvent] | None:
     if (end != len(doc) or len(items) != 2 * len(lines) - 1
             or items[1::2].count(_BREAK) != len(lines) - 1):
         return None
-    events = []
-    append = events.append
-    builders = _BUILDERS
-    last_seq = 0
-    for data in items[::2]:
-        if type(data) is not dict:
-            return None
-        try:
-            build = builders[data.get("op")]
-        except (KeyError, TypeError):  # no op, an unknown one or an unhashable one
-            return None
-        event = build(data)
-        if event is None or event.seq <= last_seq:
-            return None
-        if event.expect is not None and _expect_error(event.expect) is not None:
-            return None
-        last_seq = event.seq
-        append(event)
-    return events
+    objects = items[::2]
+    return objects if {dict}.issuperset(map(type, objects)) else None
 
 
-def _decode_lines(text: str) -> list[TraceEvent]:
-    """The events of every non-blank line, one line at a time; the first
-    line that is not one JSON object that makes an event is a ParseError."""
-    events = []
-    scan = _scan_once
+def _decode_lines(text: str) -> list[dict]:
+    """The object on every non-blank line, each decoded by ``json.loads``,
+    for a text the one-call decode refused. The first line that is bad JSON, or
+    not a JSON object of event fields with ``seq`` and ``op``, is a
+    ParseError."""
+    values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.isspace():
             continue
         try:
-            data, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            data = _loads(lineno, line)
-        if not isinstance(data, dict):
-            raise ParseError(lineno, "event must be a JSON object")
-        try:
-            events.append(TraceEvent.from_dict(data))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(lineno, str(exc)) from None
-    return events
-
-
-def _loads(lineno: int, line: str):
-    """Decode one line with ``json.loads``; a failure is a ParseError."""
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(lineno, f"bad JSON: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:
-        # e.g. an integer too long to convert, or nesting too deep
-        raise ParseError(lineno, f"bad JSON: {exc}") from None
-
-
-def validate_events(events) -> None:
-    last_seq = 0
-    for event in events:
-        seq = event.seq
-        if type(seq) is not int or seq <= last_seq:
-            raise ValidationError(seq if type(seq) is int else -1,
-                                  f"seq must be a strictly increasing positive integer (after {last_seq})")
-        last_seq = seq
-        op = event.op
-        spec = OP_SCHEMA.get(op) if type(op) is str else None
-        if spec is None:
-            raise ValidationError(seq, f"unknown op {op!r}")
-        spec.validate(event)
-        if event.expect is not None:
-            error = _expect_error(event.expect)
-            if error is not None:
-                raise ValidationError(seq, error)
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"bad JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
+            raise ParseError(lineno, f"bad JSON: {exc}") from None
+        error = _line_error(data)
+        if error is not None:
+            raise ParseError(lineno, error)
+        values.append(data)
+    return values
 
 
 def _expect_error(expect) -> str | None:
@@ -743,46 +738,6 @@ def _put_outcome(result: dict, outcome) -> None:
 def replay(events, dual: bool = False) -> ReplayReport:
     """Replay a validated event list; see :class:`Replayer`."""
     return Replayer(dual=dual).run(events)
-
-
-def stress_replay(events, max_workers: int = 8) -> EngineSnapshot:
-    """Replay with actor events fanned out across worker threads.
-
-    Global events (``load_long_list``, ``vm_create``, ``spawn``, ``seal``)
-    act as barriers executed serially; between barriers, each actor's events
-    run in order on that actor's worker while different actors interleave
-    freely. Outcomes are racy by design; expect clauses are not checked.
-    The one error a race adds is tolerated: ``InvalidHandle`` from a close
-    whose open lost a race. Any other ``ReplayError`` propagates. Returns the
-    final engine snapshot for invariant checking.
-    """
-    replayer = Replayer(dual=False)
-    barriers = {"load_long_list", "vm_create", "spawn", "seal"}
-    segment: dict[int, list[TraceEvent]] = {}
-
-    def flush():
-        if not segment:
-            return
-        groups = list(segment.values())
-        segment.clear()
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            def run_group(group):
-                for ev in group:
-                    try:
-                        replayer._execute(ev)
-                    except ReplayError as exc:
-                        if not isinstance(exc.__cause__, InvalidHandle):
-                            raise
-            list(pool.map(run_group, groups))
-
-    for event in events:
-        if event.op in barriers or event.actor is None:
-            flush()
-            replayer._execute(event)
-        else:
-            segment.setdefault(event.actor, []).append(event)
-    flush()
-    return replayer.engine.snapshot()
 
 
 # ---------------------------------------------------------------------------

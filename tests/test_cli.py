@@ -1,11 +1,15 @@
 """CLI subcommands and exit codes (0 ok, 1 failed assertions, 2 bad input)."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipcconfine.cli import main
-from ipcconfine.trace import TraceEvent, fixture_rpcss, serialize_trace
+from ipcconfine.errors import ParseError, ValidationError
+from ipcconfine.trace import TraceEvent, fixture_rpcss, parse_trace, serialize_trace
 
 
 @pytest.fixture
@@ -106,6 +110,52 @@ class TestValidate:
         path.write_text(json.dumps(events[0].to_dict()) + "\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 2
         assert "reserved" in capsys.readouterr().err
+
+
+_SEAL_LINES = b'{"seq": 1, "op": "seal"}\n{"seq": 2, "op": "seal"}\r\n'
+
+
+def _spliced(parts) -> bytes:
+    """Bytes put into a trace at a position."""
+    text, inserted, at = parts
+    return text[:at] + inserted + text[at:]
+
+
+class TestUndecodable:
+    @pytest.mark.parametrize("data, line", [
+        (b'\xff\xfe{"seq":1}\n', 1),
+        (_SEAL_LINES + b"\n\xc3(\n", 4),
+        (b'{"seq": 1, "op": "seal"}\r{"seq": 2, "op": \xed\xa0\x80 "seal"}\n', 2),
+        (b"\x0c\xe2\x82", 2),
+    ])
+    def test_not_utf8_is_a_parse_error(self, tmp_path, capsys, data, line):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: not valid UTF-8: ")
+        assert "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=80)
+           | st.tuples(st.just(_SEAL_LINES), st.binary(max_size=3),
+                       st.integers(0, len(_SEAL_LINES))).map(_spliced))
+    def test_validate_any_bytes(self, data, tmp_path_factory):
+        """``validate`` exits 2, never with a traceback, exactly when the
+        file is not UTF-8 or ``parse_trace`` rejects its text, and 0
+        otherwise."""
+        path = tmp_path_factory.getbasetemp() / "bytes.jsonl"
+        path.write_bytes(data)
+        try:
+            parse_trace(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, ParseError, ValidationError):
+            expected = 2
+        else:
+            expected = 0
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["validate", str(path)]) == expected
+        assert "Traceback" not in err.getvalue()
 
 
 class TestInspect:

@@ -1,5 +1,6 @@
 """Trace parsing, validation, replay semantics, fixtures, random generation."""
 
+import concurrent.futures
 import gc
 import json
 import re
@@ -12,7 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from ipcconfine import trace
 from ipcconfine.cli import main
-from ipcconfine.errors import ParseError, InvalidParams, ReplayError, ValidationError
+from ipcconfine.engine import EngineSnapshot
+from ipcconfine.errors import (
+    InvalidHandle,
+    InvalidParams,
+    ParseError,
+    ReplayError,
+    ValidationError,
+)
 from ipcconfine.trace import (
     OP_SCHEMA,
     PATTERN_INSTANCES,
@@ -29,9 +37,9 @@ from ipcconfine.trace import (
     parse_trace,
     replay,
     serialize_trace,
-    stress_replay,
     validate_events,
 )
+from reference_trace import event_from_line, reference_parse, reference_validate
 
 
 def ev(seq, op, **kwargs):
@@ -74,10 +82,10 @@ class TestParseSerialize:
         assert "bogus" in str(exc.value)
 
 
-def outcome(text: str):
-    """The events ``parse_trace`` returns, or its error's type, line and text."""
+def outcome(text: str, parse=parse_trace):
+    """The events ``parse`` returns, or its error's type, line and text."""
     try:
-        return parse_trace(text)
+        return parse(text)
     except (ParseError, ValidationError) as exc:
         return type(exc).__name__, getattr(exc, "line", None), str(exc)
 
@@ -210,12 +218,17 @@ def _full_line(op: str) -> dict:
             "expect": {"error": None}}
 
 
+# raw lines that are not a JSON object
+_NOT_OBJECTS = ["[1, 2]", '"str"', "{nope", "7"]
+
+
 @st.composite
 def _plausible_texts(draw):
     """Traces of per-op lines, mostly valid: a line may drop a required
     field, give a field a value of the wrong type or rule, set an optional
     field to null, carry a field of another op, a bad ``expect``, an unknown
-    op, or a ``seq`` out of order or not an int."""
+    op, or a ``seq`` out of order or not an int; now and then a line is not
+    a JSON object at all."""
     rare = st.sampled_from([False] * 40 + [True])
     lines = []
     seq = 0
@@ -243,13 +256,69 @@ def _plausible_texts(draw):
                 st.sampled_from([None, True, "1", 2.0, "fork", ["seal"]]))
         if draw(rare):
             del line[draw(st.sampled_from(["seq", "op"]))]
-        lines.append(line)
-    return "".join(json.dumps(line) + "\n" for line in lines)
+        lines.append(json.dumps(line))
+        if draw(rare):
+            lines.append(draw(st.sampled_from(_NOT_OBJECTS)))
+    return "".join(line + "\n" for line in lines)
+
+
+# any value a Python-built event may hold in a field: valid ones in the
+# event's form, and ones of another type or against a rule, ``names`` as a
+# list and bools for ints among them
+_EVENT_VALID = {**_VALID, "names": tuple(_VALID["names"])}
+_ANY_VALUE = [None, *_INVALID, *_EVENT_VALID.values(), _VALID["names"], (r"\a\b", 5), (),
+              False, 2.5]
+
+
+@st.composite
+def _python_events(draw):
+    """Events built in Python with arbitrary field values: mostly each op's
+    own fields, valid, but any field may hold any value, the op may be
+    unknown or not a string, ``seq`` out of order or not an int, and
+    ``expect`` not a dict."""
+    rare = st.sampled_from([False] * 12 + [True])
+    events = []
+    seq = 0
+    for _ in range(draw(st.integers(1, 5))):
+        seq += draw(st.sampled_from([1] * 20 + [2, 0, -1]))
+        op = draw(st.sampled_from(sorted(OP_SCHEMA) * 4 + ["fork", "Seal", None, 3, True]))
+        spec = OP_SCHEMA.get(op) if type(op) is str else None
+        fields_ = {}
+        for name in sorted(spec.fields) if spec else ():
+            # "json": the value a trace line holds, ``names`` as a list
+            choice = draw(st.sampled_from(["valid"] * 6 + ["absent", "json", "any"]))
+            if choice == "any":
+                fields_[name] = draw(st.sampled_from(_ANY_VALUE))
+            elif choice != "absent":
+                fields_[name] = (_EVENT_VALID if choice == "valid" else _VALID)[name]
+        while draw(rare):
+            fields_[draw(st.sampled_from(_PAYLOAD_FIELDS))] = draw(st.sampled_from(_ANY_VALUE))
+        if draw(rare):
+            fields_["expect"] = draw(st.sampled_from(_EXPECTS + [[1], 5]))
+        event_seq = draw(st.sampled_from(["1", 1.0, True, None])) if draw(rare) else seq
+        events.append(TraceEvent(event_seq, op, **fields_))
+    return events
+
+
+def validated(check, events):
+    """None if ``check`` accepts the events, else its error's type, seq and text."""
+    try:
+        check(events)
+    except ValidationError as exc:
+        return type(exc).__name__, exc.seq, str(exc)
+    return None
+
+
+def _event_dict(op: str) -> dict:
+    """The fields of a valid ``op`` event, as the builders take them."""
+    line = _full_line(op)
+    return {**line, "names": tuple(line["names"])} if "names" in line else line
 
 
 class TestBuilders:
     """Each op's generated check-and-build function accepts exactly the
-    lines the field walk accepts, and builds the same events."""
+    events the reference walk accepts, builds the same events, and words
+    the same errors, for parsed lines and Python-built events alike."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=_plausible_texts())
@@ -259,24 +328,40 @@ class TestBuilders:
             patch.setattr(trace, "_scan_once", _never_scans)
             assert outcome(text) == built
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=_plausible_texts())
+    def test_parse_matches_reference_walk(self, text):
+        assert outcome(text) == outcome(text, reference_parse)
+
+    @settings(max_examples=400, deadline=None)
+    @given(events=_python_events())
+    def test_validate_matches_reference_walk(self, events):
+        assert validated(validate_events, events) == validated(reference_validate, events)
+
     def test_one_builder_per_op(self):
         assert list(trace._BUILDERS) == list(OP_SCHEMA)
 
     @pytest.mark.parametrize("op", list(OP_SCHEMA))
     def test_accepted_keys_are_the_ops_fields(self, op):
         build = trace._BUILDERS[op]
-        line = _full_line(op)
+        line = _event_dict(op)
         assert set(line) == OP_SCHEMA[op].fields | {"seq", "op", "expect"}
-        assert build(line) == TraceEvent.from_dict(line)
-        for key in set(_VALID) - set(line) | {"bogus"}:
-            assert build({**line, key: _VALID.get(key)}) is None, key
+        assert build(1, line) == event_from_line(line)
+        for key in set(_VALID) - set(line):
+            assert build(1, {**line, key: _VALID[key]}) == f"{op} does not take ['{key}']", key
+            assert build(1, {**line, key: None}) == event_from_line(line), key
+        assert type(build(1, {**line, "bogus": None})) is str
+        with pytest.raises(ParseError, match=re.escape("unknown fields: ['bogus']")):
+            parse_trace(json.dumps({**_full_line(op), "bogus": None}))
         for name, _ in OP_SCHEMA[op].required:
-            assert build({k: v for k, v in line.items() if k != name}) is None, name
+            assert build(1, {k: v for k, v in line.items() if k != name}) == \
+                f"{op} requires ['{name}']", name
         for name, _ in OP_SCHEMA[op].optional:
-            assert build({k: v for k, v in line.items() if k != name}) is not None, name
+            without = {k: v for k, v in line.items() if k != name}
+            assert build(1, without) == event_from_line(without), name
 
     def test_roundtrip_of_every_op(self, monkeypatch):
-        events = [TraceEvent.from_dict({**_full_line(op), "seq": seq})
+        events = [event_from_line({**_full_line(op), "seq": seq})
                   for seq, op in enumerate(OP_SCHEMA, start=1)]
         # and one without its optional fields
         events.append(ev(len(events) + 1, "send", actor=1, target=2, expect={"decision": "Deny"}))
@@ -291,6 +376,35 @@ class TestBuilders:
         monkeypatch.setattr(trace, "_decode_lines", refused)
         monkeypatch.setattr(trace, "validate_events", refused)
         assert parse_trace(serialize_trace(events)) == events
+
+    def test_null_for_a_field_the_op_does_not_take(self, monkeypatch):
+        """A null stands for an absent field: such a line is built in the
+        one-call pass, and the line path never runs."""
+        text = ('{"seq": 1, "op": "seal", "name": null}\n'
+                '{"seq": 2, "op": "spawn", "vm": 1, "names": null, "scope": null}\n')
+        monkeypatch.setattr(trace, "_decode_lines", lambda text: pytest.fail("line path ran"))
+        assert parse_trace(text) == [ev(1, "seal"), ev(2, "spawn", vm=1)]
+        assert parse_trace(text) == reference_parse(text)
+
+    def test_parse_error_beats_an_earlier_validation_error(self):
+        text = '{"seq":1,"op":"spawn","vm":-1}\n{"seq":2,"op":"seal","bogus":1}\n'
+        with pytest.raises(ParseError, match=re.escape("line 2: unknown fields: ['bogus']")):
+            parse_trace(text)
+        with pytest.raises(ValidationError, match=re.escape(
+                "seq 1: vm: must be a non-negative integer")):
+            parse_trace(text.replace(',"bogus":1', ""))
+
+    @pytest.mark.parametrize("line, missing", [
+        ('{"op": "seal"}', "1 required positional argument: 'seq'"),
+        ('{"seq": 1}', "1 required positional argument: 'op'"),
+        ('{"vm": 1}', "2 required positional arguments: 'seq' and 'op'"),
+    ])
+    def test_missing_seq_or_op_is_worded_as_the_call(self, line, missing):
+        with pytest.raises(ParseError) as exc:
+            parse_trace('{"seq": 1, "op": "seal"}\n\n' + line + "\n")
+        assert str(exc.value) == f"line 3: TraceEvent.__init__() missing {missing}"
+        with pytest.raises(TypeError, match=re.escape(missing)):
+            TraceEvent(**json.loads(line))
 
 
 class TestEventLayout:
@@ -696,6 +810,46 @@ class TestThreeIisFixture:
         finally:
             if enabled:
                 gc.enable()
+
+
+def stress_replay(events, max_workers: int = 8) -> EngineSnapshot:
+    """Replay with actor events fanned out across worker threads.
+
+    Global events (``load_long_list``, ``vm_create``, ``spawn``, ``seal``)
+    act as barriers executed serially; between barriers, each actor's events
+    run in order on that actor's worker while different actors interleave
+    freely. Outcomes are racy by design; expect clauses are not checked.
+    The one error a race adds is tolerated: ``InvalidHandle`` from a close
+    whose open lost a race. Any other ``ReplayError`` propagates. Returns the
+    final engine snapshot for invariant checking.
+    """
+    replayer = Replayer(dual=False)
+    barriers = {"load_long_list", "vm_create", "spawn", "seal"}
+    segment: dict[int, list[TraceEvent]] = {}
+
+    def flush():
+        if not segment:
+            return
+        groups = list(segment.values())
+        segment.clear()
+        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+            def run_group(group):
+                for ev in group:
+                    try:
+                        replayer._execute(ev)
+                    except ReplayError as exc:
+                        if not isinstance(exc.__cause__, InvalidHandle):
+                            raise
+            list(pool.map(run_group, groups))
+
+    for event in events:
+        if event.op in barriers or event.actor is None:
+            flush()
+            replayer._execute(event)
+        else:
+            segment.setdefault(event.actor, []).append(event)
+    flush()
+    return replayer.engine.snapshot()
 
 
 class TestRandomTraces:
