@@ -59,7 +59,6 @@ from typing import NamedTuple
 from .errors import AlreadyLoaded, BadCategory, NotLoaded
 from .model import (
     DIGITS,
-    TAG_START,
     Intent,
     IpcCategory,
     IpcGroup,
@@ -67,7 +66,6 @@ from .model import (
     Scope,
     VmId,
     check_object_name,
-    check_unreserved,
     is_ascii_digits,
     is_global_name,
 )
@@ -336,8 +334,6 @@ class _ResolvePipeline:
             exact, prefixes = [], []
             for name in names:
                 check_object_name(name, allow_pattern=True)
-                if name.startswith(TAG_START):
-                    check_unreserved(name)
                 if name[-1] == "*":
                     prefixes.append(name[:-1])
                 else:
@@ -394,8 +390,6 @@ class _ResolvePipeline:
 
             # 2. every other resolve is checked
             check_object_name(name)
-            if name.startswith(TAG_START):
-                check_unreserved(name)
             if not self._loaded:
                 raise NotLoaded("long host-object list not loaded")
             c.resolves_total += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .engine import (

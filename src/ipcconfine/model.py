@@ -32,7 +32,6 @@ __all__ = [
     "DIGITS",
     "is_ascii_digits",
     "check_object_name",
-    "check_unreserved",
     "rename",
     "rename_unchecked",
     "unrename",
@@ -170,12 +169,13 @@ class Intent(Enum):
 
 
 def check_object_name(name: str, allow_pattern: bool = False) -> str:
-    """Validate object-name syntax and return the name unchanged.
+    """Validate an original object name and return it unchanged.
 
     A valid name starts with the separator, has no empty components and no
     trailing separator. ``allow_pattern`` additionally permits a single
     trailing ``*`` (host-list entries matching an arbitrary decimal suffix);
-    plain object names never contain ``*``.
+    plain object names never contain ``*``. Its first component is no
+    ``vm<digits>`` tag: such a name would alias a VM's renamed copy.
     """
     if not isinstance(name, str) or not name.startswith(SEP):
         raise InvalidName(f"object name must start with {SEP!r}: {name!r}")
@@ -186,13 +186,7 @@ def check_object_name(name: str, allow_pattern: bool = False) -> str:
     if "*" in name and (not allow_pattern or name.count("*") > 1 or name[-1] != "*"
                         or name.endswith(_SEP_STAR)):
         raise InvalidName(f"'*' only allowed as a trailing suffix pattern: {name!r}")
-    return name
-
-
-def check_unreserved(name: str) -> str:
-    """Reject a name whose first component is a ``vm<digits>`` tag and return
-    it unchanged otherwise: such a name would alias a VM's renamed copy."""
-    if name.startswith(SEP) and _is_reserved_component(name[1:].partition(SEP)[0]):
+    if name.startswith(TAG_START) and _is_reserved_component(name[1:].partition(SEP)[0]):
         raise InvalidName(f"reserved vm-prefix name {name!r}")
     return name
 
@@ -201,10 +195,9 @@ def rename(name: str, vm: VmId) -> str:
     """Prefix ``name`` with the VM's tag component.
 
     Deterministic and injective per VM; images for distinct VMs are disjoint,
-    and disjoint from original names as long as originals never start with a
-    ``vm<digits>`` component (both engines' ``resolve`` and
-    ``load_long_list`` reject such names, see :func:`check_unreserved`).
-    Host names are never renamed.
+    and disjoint from original names, since :func:`check_object_name` rejects
+    an original that starts with a ``vm<digits>`` component. Host names are
+    never renamed.
     """
     if vm.is_host:
         raise HostRenameForbidden("host (vm 0) names are never renamed")

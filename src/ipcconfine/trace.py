@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import json.scanner
-import logging
 import random
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
@@ -58,18 +57,13 @@ from .errors import (
 )
 from .kernel import Delivery, HookScope, SimKernel
 from .model import (
-    TAG_START,
     Intent,
     IpcCategory,
-    ProcessRef,
     Scope,
     VmId,
     VmRegistry,
     check_object_name,
-    check_unreserved,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "TraceEvent",
@@ -180,8 +174,6 @@ _HOOK_SCOPES = {h.value: h for h in HookScope}
 def _name_error(name: str, allow_pattern: bool = False) -> str | None:
     try:
         check_object_name(name, allow_pattern=allow_pattern)
-        if name.startswith(TAG_START):
-            check_unreserved(name)
     except InvalidName as exc:
         return str(exc)
     return None
@@ -229,9 +221,9 @@ OP_SCHEMA = {
     "load_long_list": OpSpec("_load_long_list", {"names": NAMES}),
     "vm_create": OpSpec("_vm_create", {"ip": TEXT}),
     "spawn": OpSpec("_spawn", {"vm": VM}),
-    "create": OpSpec("_create", {"actor": PID, "name": NAME, "category": CATEGORY},
+    "create": OpSpec("_create_or_open", {"actor": PID, "name": NAME, "category": CATEGORY},
                      {"scope": SCOPE}),
-    "open": OpSpec("_open", {"actor": PID, "name": NAME, "category": CATEGORY}),
+    "open": OpSpec("_create_or_open", {"actor": PID, "name": NAME, "category": CATEGORY}),
     "close": OpSpec("_close", {"actor": PID, "name": NAME}),
     "send": OpSpec("_send", {"actor": PID, "target": PID},
                    {"subtype": TEXT, "payload": TEXT}),
@@ -359,24 +351,21 @@ _SEPARATOR = ',"' + _BREAK_ESCAPE + '",'
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse and validate a JSONL trace.
 
-    The text is decoded by one scanner call (``_decode_whole``) or, if that
-    fails, line by line (``_decode_lines``), which finds the first line that
-    is bad JSON. Each decoded line is then checked and built by its op's
-    generated function in one pass, as ``validate_events`` checks events
-    built in Python. The first line that is not a JSON object of event
-    fields with ``seq`` and ``op`` is a ParseError, and it beats a
-    ValidationError on any earlier line.
+    The text is decoded by one scanner call (``_decode_whole``), and each
+    decoded line is checked and built by its op's generated function in one
+    pass, as ``validate_events`` checks events built in Python. A text that
+    this decode or build refuses is decoded again line by line
+    (``_decode_lines``): the first line that is bad JSON, or not a JSON
+    object of event fields with ``seq`` and ``op``, is a ParseError, and it
+    beats a ValidationError on any earlier line.
     """
     values = _decode_whole(text)
-    if values is None:
-        values = _decode_lines(text)
-    try:
-        return _build(values, _LINE_BUILDERS)
-    except ValidationError:
-        error = _first_bad_line(values, text)
-        if error is None:
-            raise
-        raise error from None
+    if values is not None:
+        try:
+            return _build(values, _LINE_BUILDERS)
+        except ValidationError:
+            pass  # a later line may be a ParseError, which ``_decode_lines`` finds
+    return _build(_decode_lines(text), _LINE_BUILDERS)
 
 
 def validate_events(events) -> None:
@@ -411,17 +400,6 @@ def _build(lines, builders: dict) -> list[TraceEvent]:
         last_seq = seq
         append(event)
     return events
-
-
-def _first_bad_line(values: list, text: str) -> ParseError | None:
-    """The ParseError of the first decoded line ``_line_error`` refuses, or None."""
-    numbers = (n for n, line in enumerate(text.splitlines(), start=1)
-               if line and not line.isspace())
-    for lineno, data in zip(numbers, values):
-        error = _line_error(data)
-        if error is not None:
-            return ParseError(lineno, error)
-    return None
 
 
 def _line_error(data) -> str | None:
@@ -462,9 +440,9 @@ def _decode_whole(text: str) -> list[dict] | None:
 
 def _decode_lines(text: str) -> list[dict]:
     """The object on every non-blank line, each decoded by ``json.loads``,
-    for a text the one-call decode refused. The first line that is bad JSON, or
-    not a JSON object of event fields with ``seq`` and ``op``, is a
-    ParseError."""
+    for a text the one-call decode or the build refused. The first line that
+    is bad JSON, or not a JSON object of event fields with ``seq`` and
+    ``op``, is a ParseError."""
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.isspace():
@@ -581,13 +559,11 @@ class Replayer:
         except ConfinementError as exc:
             result["error"] = exc.code
             # a KernelError is a normal, assertable outcome of an op contract
-            # (create and open record theirs in ``_failed``); any other error
-            # is a precondition violation and aborts the run unless the event
-            # expects it
-            if isinstance(exc, KernelError):
-                if exc.outcome is not None:
-                    _put_outcome(result, exc.outcome)
-            elif (event.expect or {}).get("error") is None:
+            # (create and open record theirs, with the outcome, in
+            # ``_create_or_open``; bind's ``AddressInUse`` carries none); any
+            # other error is a precondition violation and aborts the run
+            # unless the event expects it
+            if not isinstance(exc, KernelError) and (event.expect or {}).get("error") is None:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
         return result
 
@@ -604,51 +580,48 @@ class Replayer:
     def _spawn(self, event: TraceEvent, result: dict) -> None:
         result["pid"] = self.registry.process_spawn(VmId(event.vm)).pid
 
-    # A create or open derives its arguments once, for the kernel and, in
-    # dual mode, for the oracle. A KernelError from the kernel is caught once,
-    # here, and recorded by ``_failed``; the handler then returns normally.
-
-    def _create(self, event: TraceEvent, result: dict) -> None:
+    def _create_or_open(self, event: TraceEvent, result: dict) -> None:
+        """Run a create or an open and record its result: the new handle, or
+        the KernelError's code, then the outcome's fields. In dual mode the
+        outcome is compared with the oracle's. The arguments are derived
+        once, for the kernel and the oracle; an open has no scope, which
+        ``_SCOPES`` reads as Local."""
         caller = self.registry.process(event.actor)
+        name = event.name
         category, scope = _category(event.category), _SCOPES[event.scope]
+        create = event.op == "create"
         try:
-            handle = self.kernel.create_object(caller, event.name, category, scope)
+            if create:
+                handle = self.kernel.create_object(caller, name, category, scope)
+            else:
+                handle = self.kernel.open_object(caller, name, category)
         except KernelError as exc:
-            self._failed(event, result, exc, caller, category, Intent.CREATE, scope)
-            return
-        self._opened(event, result, handle)
-        self._compare_reference(event, handle.outcome, caller, category, Intent.CREATE, scope)
-
-    def _open(self, event: TraceEvent, result: dict) -> None:
-        caller = self.registry.process(event.actor)
-        category = _category(event.category)
-        try:
-            handle = self.kernel.open_object(caller, event.name, category)
-        except KernelError as exc:
-            self._failed(event, result, exc, caller, category, Intent.OPEN, Scope.LOCAL)
-            return
-        self._opened(event, result, handle)
-        self._compare_reference(event, handle.outcome, caller, category, Intent.OPEN, Scope.LOCAL)
-
-    def _opened(self, event: TraceEvent, result: dict, handle) -> None:
-        key = (event.actor, event.name)
-        stack = self._handles.get(key)
-        if stack is None:
-            self._handles[key] = [handle]
+            # read here: ``exc`` is unbound when the block ends, so no name
+            # keeps its traceback and frame alive in a cycle
+            result["error"] = exc.code
+            outcome = exc.outcome
         else:
-            stack.append(handle)
-        _put_outcome(result, handle.outcome)
-
-    def _failed(self, event: TraceEvent, result: dict, exc: KernelError, caller: ProcessRef,
-                category: IpcCategory, intent: Intent, scope: Scope) -> None:
-        """Record a create or open that ended in a KernelError, as ``_execute``
-        records one from any other op: the error code, then the outcome's
-        fields; the outcome is compared with the oracle's as well."""
-        result["error"] = exc.code
-        outcome = exc.outcome
-        if outcome is not None:
-            _put_outcome(result, outcome)
-        self._compare_reference(event, outcome, caller, category, intent, scope)
+            key = (event.actor, name)
+            stack = self._handles.get(key)
+            if stack is None:
+                self._handles[key] = [handle]
+            else:
+                stack.append(handle)
+            outcome = handle.outcome
+        # the outcome's fields, in ``to_dict`` order
+        result["effective_name"], route, principle = outcome
+        result["route"] = route._value_
+        result["principle"] = principle._value_
+        if self.reference is not None:
+            intent = Intent.CREATE if create else Intent.OPEN
+            ref = self.reference.resolve(caller, name, category, intent, scope)
+            if ref != outcome:
+                self._divergences.append({
+                    "seq": event.seq,
+                    "name": name,
+                    "engine": outcome.to_dict(),
+                    "reference": ref.to_dict(),
+                })
 
     def _close(self, event: TraceEvent, result: dict) -> None:
         stack = self._handles.get((event.actor, event.name)) or []
@@ -699,19 +672,6 @@ class Replayer:
             self.reference.seal_host_objects()
         self.seal_snapshot = self.engine.snapshot()
 
-    def _compare_reference(self, event: TraceEvent, outcome, caller: ProcessRef,
-                           category: IpcCategory, intent: Intent, scope: Scope) -> None:
-        if self.reference is None or outcome is None:
-            return
-        ref = self.reference.resolve(caller, event.name, category, intent, scope)
-        if ref != outcome:
-            self._divergences.append({
-                "seq": event.seq,
-                "name": event.name,
-                "engine": outcome.to_dict(),
-                "reference": ref.to_dict(),
-            })
-
     def _check_expect(self, expect: dict, result: dict) -> list[dict]:
         diffs = []
         for key in ("route", "decision", "effective_name"):
@@ -725,14 +685,6 @@ class Replayer:
             diffs.append({"field": "error", "expected": expected_error,
                           "actual": actual_error})
         return diffs
-
-
-def _put_outcome(result: dict, outcome) -> None:
-    """Write an outcome's fields into an event result, in ``to_dict`` order."""
-    name, route, principle = outcome
-    result["effective_name"] = name
-    result["route"] = route._value_
-    result["principle"] = principle._value_
 
 
 def replay(events, dual: bool = False) -> ReplayReport:
@@ -786,6 +738,11 @@ RPCSS_LONG_LIST = tuple(
 ) + (r"\Device\NamedPipe\net\NtControlPipe*",)
 
 
+def _emit(events: list, op: str, **fields) -> None:
+    """Append an ``op`` event to ``events``, numbered after the ones before it."""
+    events.append(TraceEvent(len(events) + 1, op, **fields))
+
+
 def fixture_rpcss() -> list[TraceEvent]:
     """The RPCSS inventory scenario.
 
@@ -795,12 +752,7 @@ def fixture_rpcss() -> list[TraceEvent]:
     event carries the route its principle dictates.
     """
     events = []
-    seq = 0
-
-    def emit(op, **kwargs):
-        nonlocal seq
-        seq += 1
-        events.append(TraceEvent(seq=seq, op=op, **kwargs))
+    emit = partial(_emit, events)
 
     emit("load_long_list", names=RPCSS_LONG_LIST)
     emit("vm_create", ip="10.0.0.2")
@@ -837,12 +789,7 @@ def fixture_three_iis() -> list[TraceEvent]:
     named service namespace; cross-VM opens and messages must fail.
     """
     events = []
-    seq = 0
-
-    def emit(op, **kwargs):
-        nonlocal seq
-        seq += 1
-        events.append(TraceEvent(seq=seq, op=op, **kwargs))
+    emit = partial(_emit, events)
 
     ips = ("10.0.0.2", "10.0.0.3", "10.0.0.4")
     service_objects = (
@@ -949,12 +896,7 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
         raise InvalidParams("constrained mode needs private names or pre-seal events")
 
     events = []
-    seq = 0
-
-    def emit(op, **kwargs):
-        nonlocal seq
-        seq += 1
-        events.append(TraceEvent(seq=seq, op=op, **kwargs))
+    emit = partial(_emit, events)
 
     emit("load_long_list", names=tuple(host_names) + patterns)
     for i in range(params.vm_count):

@@ -1,5 +1,6 @@
 """Resolve pipeline, host-object table mechanics, and VM-id access decisions."""
 
+import json
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -20,6 +21,7 @@ from ipcconfine.errors import (
     BadCategory,
     InvalidName,
     NotLoaded,
+    ValidationError,
 )
 from ipcconfine.model import (
     HOST,
@@ -30,7 +32,9 @@ from ipcconfine.model import (
     Scope,
     SHARED_MEMORY,
     VmId,
+    rename,
 )
+from ipcconfine.trace import parse_trace
 
 VM1 = ProcessRef(10, VmId(1))
 VM2 = ProcessRef(11, VmId(2))
@@ -97,6 +101,54 @@ class TestReservedPrefix:
         assert resolve(engine, VM1, r"\vm\a").route is Route.HOST_PASSTHROUGH
         assert resolve(engine, VM1, r"\vmx1").route is Route.HOST_PASSTHROUGH
         assert resolve(engine, VM1, r"\a\vm1").effective_name == r"\vm1\a\vm1"
+
+
+def name_errors(name) -> dict:
+    """The InvalidName message, or None, that each entry point that checks
+    an original name gives for ``name``."""
+
+    def error(call):
+        try:
+            call()
+        except InvalidName as exc:
+            return str(exc)
+        except ValidationError as exc:  # the trace builder prefixes the field
+            assert exc.reason.startswith("name: "), exc.reason
+            return exc.reason.removeprefix("name: ")
+        return None
+
+    line = {"seq": 1, "op": "create", "actor": 1, "name": name, "category": "I_Port"}
+    errors = {"trace create": error(lambda: parse_trace(json.dumps(line))),
+              "rename": error(lambda: rename(name, VmId(1)))}
+    for engine_class in (ConfinementEngine, ReferenceEngine):
+        engine = engine_class()
+        engine.load_long_list(LONG_LIST)
+        errors[f"{engine_class.__name__}.resolve"] = error(lambda: resolve(engine, VM1, name))
+        errors[f"{engine_class.__name__}.load_long_list"] = error(
+            lambda: engine_class().load_long_list([r"\srv\pipe*", name]))
+    return errors
+
+
+@pytest.mark.parametrize("name,message", [
+    (r"\vm1\a", r"reserved vm-prefix name '\\vm1\\a'"),
+    (r"\vm42", r"reserved vm-prefix name '\\vm42'"),
+    (r"\vm0\x\y", r"reserved vm-prefix name '\\vm0\\x\\y'"),
+    ("\\vm\u0661\\a", None),   # Arabic-Indic digit one: not a tag
+    ("\\vm\u00b2\\a", None),   # superscript two
+    ("\\vm1\u0661\\a", None),
+    (r"\a*\b", r"'*' only allowed as a trailing suffix pattern: '\\a*\\b'"),
+    (r"\vm1\a*b", r"'*' only allowed as a trailing suffix pattern: '\\vm1\\a*b'"),
+    ("\\pipe\\*", r"'*' only allowed as a trailing suffix pattern: '\\pipe\\*'"),
+    (r"\a\\b", r"empty component or trailing separator: '\\a\\\\b'"),
+    (r"\vm1\\b", r"empty component or trailing separator: '\\vm1\\\\b'"),
+    ("\\a\\", r"empty component or trailing separator: '\\a\\'"),
+])
+def test_one_name_rule_at_every_entry_point(name, message):
+    """The trace builder, both engines' ``resolve`` and ``load_long_list``
+    (where patterns are allowed) and ``rename`` apply one rule, with one
+    message: syntax first, then the reserved ``vm<digits>`` first component."""
+    errors = name_errors(name)
+    assert errors == dict.fromkeys(errors, message)
 
 
 @pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])

@@ -20,7 +20,6 @@ from ipcconfine.model import (
     VmId,
     VmRegistry,
     check_object_name,
-    check_unreserved,
     is_ascii_digits,
     is_global_name,
     rename,
@@ -130,9 +129,9 @@ class TestObjectNames:
     def test_reserved_prefix(self, name, reserved):
         if reserved:
             with pytest.raises(InvalidName, match="reserved"):
-                check_unreserved(name)
+                check_object_name(name)
         else:
-            assert check_unreserved(name) == name
+            assert check_object_name(name) == name
 
     @pytest.mark.parametrize("text,digits", [
         ("0", True),
@@ -159,6 +158,11 @@ class TestRename:
     def test_rename_validates_name(self):
         with pytest.raises(InvalidName):
             rename("a\\b", VmId(1))
+
+    def test_rename_rejects_reserved_name(self):
+        # an original named like a renamed copy would alias vm1's object
+        with pytest.raises(InvalidName, match="reserved"):
+            rename(r"\vm1\a", VmId(2))
 
     def test_unrename_inverse(self):
         assert unrename(r"\vm3\a\b") == (VmId(3), r"\a\b")
