@@ -6,7 +6,7 @@ Two decision surfaces:
   pipes, shared memory, sync objects). It decides, per caller, whether a name
   passes through to the shared host namespace or is renamed into the caller
   VM's private namespace, consulting the per-VM global-object tables and the
-  host-object table (long boot-time list, MRU short list, one-way flag).
+  engine's own host-object lookup.
 
 * :meth:`ConfinementEngine.access_decide` / :meth:`dangerous_decide` handle
   process- and window-addressed categories (messages, dangerous cross-process
@@ -25,7 +25,7 @@ Resolve pipeline, in order:
       short list;
   (g) everything else is renamed into the caller VM's private namespace.
 
-Both engines run one pipeline, ``_ResolvePipeline._decide``, in three
+Both engines run one pipeline, ``_ResolvePipeline.resolve``, in three
 phases:
 
   1. stored outcomes: for a VM caller, a hit in a table that holds decided
@@ -37,12 +37,10 @@ phases:
   3. the decision: steps (a), (b), this engine's host-object lookup
      (e)-(f), and (g).
 
-:class:`ConfinementEngine` supplies the MRU short list, the flag, and a long
-list of exact names (a hash set) and pattern prefixes (a set probed at the
-name's digit stem, the name without its trailing digits, and inside those
-digits only when a prefix that ends in a digit has that stem).
-:class:`ReferenceEngine`, the oracle it is equivalence-tested against,
-supplies no short list; it compares every exact entry and tries every
+:class:`ConfinementEngine` owns the host-object table: the long boot-time
+list, the MRU short list in front of it, and the one-way flag.
+:class:`ReferenceEngine`, the oracle it is equivalence-tested against, has
+no short list and no flag; it compares every exact entry and tries every
 prefix. A table hit returns the outcome stored with the name instead of
 renaming it again.
 """
@@ -83,7 +81,6 @@ __all__ = [
     "Verdict",
     "EngineCounters",
     "EngineSnapshot",
-    "HostObjectTable",
     "ConfinementEngine",
     "ReferenceEngine",
     "DangerousKind",
@@ -158,9 +155,6 @@ class Verdict:
     @property
     def allowed(self) -> bool:
         return self.decision is Decision.ALLOW
-
-    def to_dict(self) -> dict:
-        return {"decision": self.decision.value, "reason": self.reason}
 
 
 # The three verdicts the engine gives, shared by every call.
@@ -245,60 +239,6 @@ class EngineSnapshot:
         }
 
 
-class HostObjectTable:
-    """Long boot-time list, MRU short list, and the one-way host-object flag.
-
-    The long list is a hash set of exact names plus a set of pattern
-    prefixes (``prefix*`` matches ``prefix`` and one or more ASCII digits).
-    Such a name's digit stem, the name without its trailing ASCII digits,
-    equals the prefix's, so a lookup probes the exact set once and, for a
-    name with a trailing digit, the prefix set once, at its stem.
-    ``digit_stems`` holds the stems of the prefixes that end in a digit;
-    only when it holds the name's stem are the cut points inside the
-    name's digits probed too. The cost depends on neither list size nor
-    pattern count. ``patterns`` keeps the prefixes in load order for
-    snapshots. The short list maps concrete names, most recently used
-    first, to their ``HOST_PASSTHROUGH`` outcome; each matches the long
-    list. Once set, the flag never reverts, and the short list is frozen.
-    """
-
-    def __init__(self):
-        self.exact: set[str] = set()
-        self.patterns: list[str] = []
-        self.prefixes: frozenset[str] = frozenset()
-        self.digit_stems: frozenset[str] = frozenset()
-        self.short: OrderedDict[str, ResolveOutcome] = OrderedDict()
-        self.flag = False
-
-    def load(self, exact: list[str], prefixes: list[str]) -> int:
-        self.exact = set(exact)
-        self.patterns = list(dict.fromkeys(prefixes))  # drops repeats, keeps order
-        self.prefixes = frozenset(self.patterns)
-        # the digit stems of the prefixes that end in a digit
-        self.digit_stems = frozenset(
-            stem for p in self.patterns if (stem := p.rstrip(DIGITS)) != p)
-        return len(self.exact) + len(self.patterns)
-
-    def long_contains(self, name: str) -> bool:
-        if name in self.exact:
-            return True
-        # ``prefix*`` matches only names whose digit stem is the prefix's
-        stem = name.rstrip(DIGITS)
-        end = len(stem)
-        if end == len(name):
-            return False
-        if stem in self.prefixes:
-            return True
-        if stem not in self.digit_stems:
-            return False
-        # a prefix that ends in digits: try the cuts inside the name's digits
-        prefixes = self.prefixes
-        for cut in range(end + 1, len(name)):
-            if name[:cut] in prefixes:
-                return True
-        return False
-
-
 class _ResolvePipeline:
     """The resolve pipeline both engines run: stored outcomes, checks, and
     steps (a), (b) and (g).
@@ -308,16 +248,17 @@ class _ResolvePipeline:
     repeats; ``_host_lookup(name, counters)``, the host-object steps after
     the short list, counts the step that decided and returns the name's
     pass-through outcome, or None to have the name renamed into the caller's
-    VM. An engine with a short list, step (d), sets ``_host`` to its
-    :class:`HostObjectTable`. A single lock makes each resolve, with its
-    table updates, atomic: all operations are linearizable. ``_decide``
-    takes it with explicit ``acquire()`` / ``release()`` calls, with a
-    ``finally`` that releases it on every error: a ``with`` block's
-    context-manager calls cost about 120 ns more per resolve (Python 3.11,
-    Intel Xeon).
+    VM. An engine with a short list, step (d), sets ``_short`` to it and
+    ``_flag`` to its seal state; with the class defaults, None and False,
+    an engine has no step (d). A single lock makes each resolve, with its table updates,
+    atomic: all operations are linearizable. ``resolve`` takes it with
+    explicit ``acquire()`` / ``release()`` calls, with a ``finally`` that
+    releases it on every error: a ``with`` block's context-manager calls
+    cost about 120 ns more per resolve (Python 3.11, Intel Xeon).
     """
 
-    _host: HostObjectTable | None = None
+    _short: OrderedDict[str, ResolveOutcome] | None = None
+    _flag = False
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -347,7 +288,7 @@ class _ResolvePipeline:
         if not self._loaded:
             raise NotLoaded("long host-object list not loaded")
 
-    def _decide(
+    def resolve(
         self,
         caller: ProcessRef,
         name: str,
@@ -377,13 +318,13 @@ class _ResolvePipeline:
                     return table[name]
                 # (d) recently used host objects pass through, unless this is
                 # a Create of a global name, which (b) decides
-                host = self._host
-                if host is not None:
-                    outcome = host.short.get(name)  # the one short-list probe
+                short = self._short
+                if short is not None:
+                    outcome = short.get(name)  # the one short-list probe
                     if outcome is not None and not (
                             intent is _CREATE and is_global_name(name, scope)):
-                        if not host.flag:
-                            host.short.move_to_end(name, last=False)
+                        if not self._flag:
+                            short.move_to_end(name, last=False)
                         c.resolves_total += 1
                         c.short_hits += 1
                         return outcome
@@ -421,28 +362,69 @@ class _ResolvePipeline:
 
 
 class ConfinementEngine(_ResolvePipeline):
-    """Optimized confinement engine: MRU short list + one-way flag."""
+    """Optimized confinement engine. It owns the host-object table: the long
+    boot-time list, the MRU short list in front of it, and the one-way flag.
+
+    The long list is a hash set of exact names plus a dict of pattern
+    prefixes in load order (``prefix*`` matches ``prefix`` and one or more
+    ASCII digits). Such a name's digit stem, the name without its trailing
+    ASCII digits, equals the prefix's, so a lookup probes the exact set
+    once and, for a name with a trailing digit, the prefix dict once, at its
+    stem. ``_digit_stems`` holds the stems of the prefixes that end in a
+    digit; only when it holds the name's stem are the cut points inside the
+    name's digits probed too. The cost depends on neither list size nor
+    pattern count. The short list maps concrete names, most recently used
+    first, to their ``HOST_PASSTHROUGH`` outcome; each matches the long
+    list. Once set, the flag never reverts, and the short list is frozen.
+    """
 
     def __init__(self):
         super().__init__()
-        self._host = HostObjectTable()
-
-    resolve = _ResolvePipeline._decide
+        self._exact: set[str] = set()
+        self._prefixes: dict[str, None] = {}
+        self._digit_stems: frozenset[str] = frozenset()
+        self._short: OrderedDict[str, ResolveOutcome] = OrderedDict()
+        # set here too: an instance attribute reads faster than the default
+        self._flag = False
 
     def _load(self, exact: list[str], prefixes: list[str]) -> int:
-        return self._host.load(exact, prefixes)
+        self._exact = set(exact)
+        self._prefixes = dict.fromkeys(prefixes)  # drops repeats, keeps order
+        # the digit stems of the prefixes that end in a digit
+        self._digit_stems = frozenset(
+            stem for p in self._prefixes if (stem := p.rstrip(DIGITS)) != p)
+        return len(self._exact) + len(self._prefixes)
+
+    def _long_contains(self, name: str) -> bool:
+        if name in self._exact:
+            return True
+        # ``prefix*`` matches only names whose digit stem is the prefix's
+        stem = name.rstrip(DIGITS)
+        end = len(stem)
+        if end == len(name):
+            return False
+        prefixes = self._prefixes
+        if stem in prefixes:
+            return True
+        if stem not in self._digit_stems:
+            return False
+        # a prefix that ends in digits: try the cuts inside the name's digits
+        for cut in range(end + 1, len(name)):
+            if name[:cut] in prefixes:
+                return True
+        return False
 
     def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
         # the short list, step (d), missed in the pipeline's first phase
-        host = self._host
         # (e) after seal the long list is never consulted again
-        if host.flag:
+        if self._flag:
             c.post_seal_long_skips += 1
             return None
         # (f) a listed name passes through and enters the short list
-        if host.long_contains(name):
-            outcome = host.short[name] = _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
-            host.short.move_to_end(name, last=False)
+        if self._long_contains(name):
+            short = self._short
+            outcome = short[name] = _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
+            short.move_to_end(name, last=False)
             c.long_hits += 1
             return outcome
         c.long_misses += 1
@@ -453,14 +435,14 @@ class ConfinementEngine(_ResolvePipeline):
         the short list. Idempotent; irreversible."""
         with self._lock:
             self._require_loaded()
-            if not self._host.flag:
-                self._host.flag = True
+            if not self._flag:
+                self._flag = True
                 logger.info("host-object flag set; short list frozen at %d entries",
-                            len(self._host.short))
+                            len(self._short))
 
     @property
     def sealed(self) -> bool:
-        return self._host.flag
+        return self._flag
 
     # -- access decision (categories V-VII) ------------------------------------
 
@@ -495,12 +477,11 @@ class ConfinementEngine(_ResolvePipeline):
 
     def snapshot(self) -> EngineSnapshot:
         with self._lock:
-            host = self._host
             return EngineSnapshot(
-                long_list=frozenset(host.exact),
-                long_patterns=tuple(p + "*" for p in host.patterns),
-                short_list=tuple(host.short),
-                flag=host.flag,
+                long_list=frozenset(self._exact),
+                long_patterns=tuple(p + "*" for p in self._prefixes),
+                short_list=tuple(self._short),
+                flag=self._flag,
                 global_tables={vm: frozenset(table)
                                for vm, table in self._global_tables.items()},
                 counters=self.counters.copy(),
@@ -521,8 +502,6 @@ class ReferenceEngine(_ResolvePipeline):
         super().__init__()
         self._exact: list[str] = []
         self._prefixes: tuple[str, ...] = ()
-
-    resolve = _ResolvePipeline._decide
 
     def _load(self, exact: list[str], prefixes: list[str]) -> int:
         # repeats dropped, load order kept

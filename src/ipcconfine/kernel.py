@@ -117,6 +117,8 @@ class SimKernel:
     120 ns more per call (Python 3.11, Intel Xeon).
     Windows are indexed per (VM id, class name) and per VM, each list in
     registration order, so a lookup never reads another VM's windows.
+    Every op that takes a process checks it against the registry first, so
+    a ref that pairs a live pid with another VM id is refused.
     """
 
     def __init__(self, registry: VmRegistry, engine: ConfinementEngine):
@@ -208,6 +210,7 @@ class SimKernel:
         return Delivery.DELIVERED
 
     def inbox(self, proc: ProcessRef) -> list:
+        self._check_live(proc)
         with self._lock:
             return list(self._inboxes.get(proc.pid, ()))
 
@@ -225,11 +228,13 @@ class SimKernel:
     def find_window(self, caller: ProcessRef, class_name: str) -> WindowRecord | None:
         """First window of that class registered in the caller's VM; windows
         in other VMs (and in the host, for VM callers) are invisible."""
+        self._check_live(caller)
         with self._lock:
             records = self._windows.get((caller.vm.id, class_name))
             return records[0] if records else None
 
     def enumerate_windows(self, caller: ProcessRef) -> list[WindowRecord]:
+        self._check_live(caller)
         with self._lock:
             return list(self._vm_windows.get(caller.vm.id, ()))
 
@@ -286,5 +291,9 @@ class SimKernel:
             return sum(1 for h in self._handles.values() if h.object is record)
 
     def _check_live(self, proc: ProcessRef):
-        if not self.registry.process_exists(proc.pid):
-            raise UnknownProcess(f"no such pid: {proc.pid}")
+        """Refuse a process the registry does not hold as given: an unknown
+        pid, or a known pid paired with another VM id. The identity test
+        comes first, so the registry's own refs skip the field compare."""
+        registered = self.registry.process(proc.pid)
+        if registered is not proc and registered != proc:
+            raise UnknownProcess(f"{proc} is not registered; pid {proc.pid} is {registered}")

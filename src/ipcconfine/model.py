@@ -283,6 +283,3 @@ class VmRegistry:
             return self._processes[pid]
         except KeyError:
             raise UnknownProcess(f"no such pid: {pid}") from None
-
-    def process_exists(self, pid: int) -> bool:
-        return pid in self._processes

@@ -523,13 +523,9 @@ class Replayer:
         self.reference = ReferenceEngine() if dual else None
         self.outcomes: list[dict] = []
         self.seal_snapshot: EngineSnapshot | None = None
-        # (actor pid, original name) -> stack of open handles
+        # (actor pid, original name) -> non-empty stack of open handles
         self._handles: dict[tuple[int, str], list] = {}
         self._divergences: list[dict] = []
-        # plain functions, not bound methods: a bound method held here would
-        # put the replayer, with its kernel, engines and outcomes, in a
-        # reference cycle that only the cyclic GC frees
-        self._handlers = {op: getattr(Replayer, spec.handler) for op, spec in OP_SCHEMA.items()}
 
     def run(self, events) -> ReplayReport:
         report = ReplayReport()
@@ -551,7 +547,7 @@ class Replayer:
 
     def _execute(self, event: TraceEvent) -> dict:
         result = {"seq": event.seq, "op": event.op}
-        handler = self._handlers.get(event.op)
+        handler = _HANDLERS.get(event.op)
         if handler is None:  # pragma: no cover - validation rejects unknown ops
             raise ReplayError(event.seq, f"unknown op {event.op!r}")
         try:
@@ -624,10 +620,14 @@ class Replayer:
                 })
 
     def _close(self, event: TraceEvent, result: dict) -> None:
-        stack = self._handles.get((event.actor, event.name)) or []
-        if not stack:
+        key = (event.actor, event.name)
+        stack = self._handles.get(key)
+        if stack is None:
             raise InvalidHandle(f"pid {event.actor} has no open handle for {event.name}")
-        self.kernel.close(stack.pop())
+        handle = stack.pop()
+        if not stack:
+            del self._handles[key]
+        self.kernel.close(handle)
 
     def _send(self, event: TraceEvent, result: dict) -> None:
         sender = self.registry.process(event.actor)
@@ -685,6 +685,10 @@ class Replayer:
             diffs.append({"field": "error", "expected": expected_error,
                           "actual": actual_error})
         return diffs
+
+
+# op -> its handler, a plain function called with the replayer
+_HANDLERS = {op: getattr(Replayer, spec.handler) for op, spec in OP_SCHEMA.items()}
 
 
 def replay(events, dual: bool = False) -> ReplayReport:
@@ -957,6 +961,6 @@ def first_post_seal_host_touches(events) -> set[str]:
     """
     replayer = Replayer()
     replayer.run(events)
-    listed = replayer.engine._host.long_contains
+    listed = replayer.engine._long_contains
     return {event.name for event, result in zip(events, replayer.outcomes)
             if result.get("route") == Route.VM_PRIVATE.value and listed(event.name)}

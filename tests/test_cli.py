@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +29,17 @@ def write_trace(tmp_path, events, name="t.jsonl"):
     return str(path)
 
 
+def failing_trace(tmp_path):
+    """A trace whose one ``expect`` fails: its create is renamed."""
+    return write_trace(tmp_path, [
+        TraceEvent(seq=1, op="load_long_list", names=()),
+        TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
+        TraceEvent(seq=3, op="spawn", vm=1),
+        TraceEvent(seq=4, op="create", actor=1, name=r"\a\b", category="I_Port",
+                   expect={"route": "HostPassthrough"}),
+    ])
+
+
 class TestReplay:
     def test_ok(self, rpcss_path, capsys):
         assert main(["replay", rpcss_path]) == 0
@@ -35,14 +50,7 @@ class TestReplay:
         assert main(["replay", rpcss_path, "--dual-oracle"]) == 0
 
     def test_failed_assertion_exits_1(self, tmp_path, capsys):
-        events = [
-            TraceEvent(seq=1, op="load_long_list", names=()),
-            TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
-            TraceEvent(seq=3, op="spawn", vm=1),
-            TraceEvent(seq=4, op="create", actor=1, name=r"\a\b", category="I_Port",
-                       expect={"route": "HostPassthrough"}),
-        ]
-        assert main(["replay", write_trace(tmp_path, events)]) == 1
+        assert main(["replay", failing_trace(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "route expected 'HostPassthrough', got 'VmPrivate'" in out
 
@@ -110,6 +118,28 @@ class TestValidate:
         path.write_text(json.dumps(events[0].to_dict()) + "\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 2
         assert "reserved" in capsys.readouterr().err
+
+
+class TestProcess:
+    """The CLI run as its own process, through ``entry()``: the exit status
+    is the one ``main`` returns, and no run prints a traceback."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        return subprocess.run([sys.executable, "-m", "ipcconfine.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    def test_exit_codes(self, rpcss_path, tmp_path):
+        undecodable = tmp_path / "bytes.jsonl"
+        undecodable.write_bytes(b'\xff\xfe{"seq":1}\n')
+        for argv, code in ((["validate", rpcss_path], 0),
+                           (["replay", failing_trace(tmp_path)], 1),
+                           (["validate", str(undecodable)], 2)):
+            done = self.run(*argv)
+            assert done.returncode == code, (argv, done.stderr)
+            assert "Traceback" not in done.stderr, argv
 
 
 _SEAL_LINES = b'{"seq": 1, "op": "seal"}\n{"seq": 2, "op": "seal"}\r\n'

@@ -1,5 +1,7 @@
 """Simulated kernel: named objects, messages, windows, dangerous calls, sockets."""
 
+import inspect
+
 import pytest
 
 from ipcconfine import ConfinementEngine, SimKernel, errors
@@ -19,6 +21,7 @@ from ipcconfine.errors import (
 from ipcconfine.kernel import Delivery, HookScope
 from ipcconfine.model import (
     HOST,
+    Intent,
     IpcCategory,
     IpcGroup,
     PORT,
@@ -247,6 +250,70 @@ class TestSockets:
     def test_invalid_port(self, kernel, vm1_proc, port):
         with pytest.raises(InvalidPort):
             kernel.bind_socket(vm1_proc, "0.0.0.0", port)
+
+
+# every SimKernel op that takes a process, called with ``proc`` in each
+# process position in turn and a registered ``peer`` in the other
+CALLER_OPS = {
+    "create_object": lambda k, proc, peer: k.create_object(proc, r"\app\new", PORT),
+    "open_object": lambda k, proc, peer: k.open_object(proc, r"\app\secret", PORT),
+    "send_message/sender": lambda k, proc, peer: k.send_message(proc, peer),
+    "send_message/target": lambda k, proc, peer: k.send_message(peer, proc),
+    "inbox": lambda k, proc, peer: k.inbox(proc),
+    "register_window": lambda k, proc, peer: k.register_window(proc, "W"),
+    "find_window": lambda k, proc, peer: k.find_window(proc, "W"),
+    "enumerate_windows": lambda k, proc, peer: k.enumerate_windows(proc),
+    "create_remote_thread/caller": lambda k, proc, peer: k.create_remote_thread(proc, peer),
+    "create_remote_thread/target": lambda k, proc, peer: k.create_remote_thread(peer, proc),
+    "set_hook": lambda k, proc, peer: k.set_hook(proc, HookScope.SYSTEM_WIDE),
+    "bind_socket": lambda k, proc, peer: k.bind_socket(proc, "0.0.0.0", 80),
+}
+
+
+def kernel_state(kernel) -> tuple:
+    """Everything a kernel op may change, in the kernel and its engine."""
+    return (
+        {name: (r.category, r.creator, r.refcount) for name, r in kernel.objects().items()},
+        dict(kernel._handles),
+        {pid: list(queue) for pid, queue in kernel._inboxes.items()},
+        {key: list(records) for key, records in kernel._windows.items()},
+        {vm: list(records) for vm, records in kernel._vm_windows.items()},
+        kernel.bindings,
+        kernel.engine.snapshot(),
+    )
+
+
+class TestCallerCheck:
+    """A ref that pairs a registered pid with another VM id, the host's
+    included, is refused by every op before it touches any state; an
+    equal copy of a registered ref is accepted."""
+
+    def test_every_process_taking_op_is_covered(self):
+        taking = {name for name, method in inspect.getmembers(SimKernel, inspect.isfunction)
+                  if not name.startswith("_") and "ProcessRef" in
+                  {p.annotation for p in inspect.signature(method).parameters.values()}}
+        assert taking == {op.partition("/")[0] for op in CALLER_OPS}
+
+    @pytest.mark.parametrize("op", CALLER_OPS)
+    def test_relabelled_ref_refused(self, op, kernel, host_proc, vm1_proc, vm2_proc):
+        kernel.create_object(vm2_proc, r"\app\secret", PORT)
+        kernel.register_window(vm2_proc, "W")
+        kernel.send_message(vm1_proc, vm1_proc)
+        kernel.bind_socket(host_proc, "0.0.0.0", 80)
+        kernel.engine.resolve(vm1_proc, r"\srv\alpha", PORT, Intent.OPEN)
+        in_vm = {0: host_proc, 1: vm1_proc, 2: vm2_proc}
+        before = kernel_state(kernel)
+        for real in in_vm.values():
+            for vm in (0, 1, 2, 3):
+                if vm == real.vm.id:
+                    continue
+                forged = ProcessRef(real.pid, VmId(vm))
+                with pytest.raises(UnknownProcess):
+                    CALLER_OPS[op](kernel, forged, in_vm.get(vm, host_proc))
+                assert kernel_state(kernel) == before, (real, forged)
+        copy = ProcessRef(vm2_proc.pid, vm2_proc.vm)
+        assert copy is not vm2_proc
+        CALLER_OPS[op](kernel, copy, vm2_proc)
 
 
 def subclasses(cls):

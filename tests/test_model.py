@@ -266,7 +266,6 @@ class TestVmRegistry:
         assert reg.alias_of(vm) == "10.9.9.9"
         assert reg.process(proc.pid) is proc
         assert reg.process(proc.pid).vm == vm
-        assert reg.process_exists(proc.pid)
         with pytest.raises(UnknownProcess):
             reg.process(99)
         with pytest.raises(UnknownVm):

@@ -95,11 +95,10 @@ def probes(monkeypatch) -> Counter:
 def count_tables(engine, probes: Counter) -> None:
     """Swap the engine's host-object containers for counting copies."""
     if isinstance(engine, ConfinementEngine):
-        host = engine._host
-        host.exact = counting(set, probes, "exact")(host.exact)
-        host.prefixes = counting(frozenset, probes, "prefix")(host.prefixes)
-        host.digit_stems = counting(frozenset, probes, "digit_stem")(host.digit_stems)
-        host.short = counting(OrderedDict, probes, "short")(host.short)
+        engine._exact = counting(set, probes, "exact")(engine._exact)
+        engine._prefixes = counting(dict, probes, "prefix")(engine._prefixes)
+        engine._digit_stems = counting(frozenset, probes, "digit_stem")(engine._digit_stems)
+        engine._short = counting(OrderedDict, probes, "short")(engine._short)
     else:
         # the oracle's one long-list read is a full scan
         scan = engine._scan

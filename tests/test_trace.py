@@ -623,6 +623,32 @@ class TestReplaySemantics:
         diffs = report.assertions_failed[0]["diffs"]
         assert diffs == [{"field": "route", "expected": "VmGlobal", "actual": "VmPrivate"}]
 
+    def test_emptied_handle_stacks_are_dropped(self):
+        """A close that empties the handle stack of an (actor, name) pair
+        drops the pair, and the name replays as before when used again."""
+        def round_trip(seq):
+            events = []
+            for name in (r"\app\x", r"\app\y"):
+                for op in ("create", "open"):
+                    events.append(ev(seq, op, actor=1, name=name, category="I_Port",
+                                     expect={"effective_name": rf"\vm1{name}"}))
+                    seq += 1
+                events += [ev(seq, "close", actor=1, name=name),
+                           ev(seq + 1, "close", actor=1, name=name)]
+                seq += 2
+            return events
+
+        replayer = Replayer()
+        report = replayer.run(preamble() + round_trip(4) + round_trip(12))
+        assert report.ok and report.assertions_passed == 8
+        assert replayer._handles == {}
+        report = replayer.run(round_trip(20))
+        assert report.ok and report.assertions_passed == 4
+        assert all("error" not in result for result in replayer.outcomes)
+        assert replayer._handles == {}
+        with pytest.raises(ReplayError):
+            replayer.run([ev(28, "close", actor=1, name=r"\app\x")])
+
     @pytest.mark.parametrize("tail", [
         [ev(4, "close", actor=1, name=r"\a\b")],                 # no handle
         [ev(4, "spawn", vm=7)],                                  # unknown vm
