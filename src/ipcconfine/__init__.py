@@ -11,7 +11,6 @@ oracle sit on top.
 
 from .engine import (
     ConfinementEngine,
-    DangerousKind,
     Decision,
     EngineCounters,
     EngineSnapshot,
@@ -19,7 +18,6 @@ from .engine import (
     ReferenceEngine,
     ResolveOutcome,
     Route,
-    SYSTEM_WIDE,
     Verdict,
 )
 from .errors import ConfinementError, KernelError, ParseError, ReplayError, ValidationError
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfinementEngine", "ReferenceEngine", "Route", "Principle", "Decision",
     "ResolveOutcome", "Verdict", "EngineCounters", "EngineSnapshot",
-    "DangerousKind", "SYSTEM_WIDE",
     "ConfinementError", "KernelError", "ParseError", "ValidationError", "ReplayError",
     "SimKernel", "Delivery", "HookScope",
     "VmId", "HOST", "ProcessRef", "IpcGroup", "IpcCategory", "Scope", "Intent",

@@ -8,9 +8,10 @@ Two decision surfaces:
   VM's private namespace, consulting the per-VM global-object tables and the
   engine's own host-object lookup.
 
-* :meth:`ConfinementEngine.access_decide` / :meth:`dangerous_decide` handle
-  process- and window-addressed categories (messages, dangerous cross-process
-  calls) purely by comparing VM ids.
+* :meth:`ConfinementEngine.access_decide` handles the process-addressed
+  categories, messages (V) and dangerous cross-process calls (VII), with one
+  VM comparison; :meth:`dangerous_decide` is the same method under the
+  name of category VII. Hook narrowing is the kernel's alone.
 
 Resolve pipeline, in order:
 
@@ -59,10 +60,8 @@ from .model import (
     DIGITS,
     Intent,
     IpcCategory,
-    IpcGroup,
     ProcessRef,
     Scope,
-    VmId,
     check_object_name,
     is_ascii_digits,
     is_global_name,
@@ -83,8 +82,6 @@ __all__ = [
     "EngineSnapshot",
     "ConfinementEngine",
     "ReferenceEngine",
-    "DangerousKind",
-    "SYSTEM_WIDE",
 ]
 
 
@@ -104,14 +101,6 @@ class Decision(Enum):
     ALLOW = "Allow"
     DENY = "Deny"
 
-
-class DangerousKind(Enum):
-    CREATE_REMOTE_THREAD = "CreateRemoteThread"
-    SET_WINDOW_HOOK = "SetWindowHook"
-
-
-# Target sentinel for a hook that asks for system-wide scope.
-SYSTEM_WIDE = None
 
 # Enum members read on every resolve, bound once: a class-attribute read of
 # a member costs several times a module-global read.
@@ -157,10 +146,9 @@ class Verdict:
         return self.decision is Decision.ALLOW
 
 
-# The three verdicts the engine gives, shared by every call.
+# The two verdicts the engine gives, shared by every call.
 _SAME_VM = Verdict(Decision.ALLOW, "SameVm")
 _CROSS_VM = Verdict(Decision.DENY, "CrossVm")
-_SCOPED_TO_VM = Verdict(Decision.ALLOW, "ScopedToVm")
 
 
 @dataclass
@@ -444,34 +432,19 @@ class ConfinementEngine(_ResolvePipeline):
     def sealed(self) -> bool:
         return self._flag
 
-    # -- access decision (categories V-VII) ------------------------------------
+    # -- access decision (categories V and VII) --------------------------------
 
-    def access_decide(self, sender: ProcessRef, receiver: ProcessRef,
-                      category: IpcCategory) -> Verdict:
-        """Message-style IPC: allowed only within one context (host counts
-        as its own context)."""
-        if category.group is not IpcGroup.MESSAGE:
-            raise BadCategory(f"access_decide handles message IPC only, got {category}")
+    def access_decide(self, sender: ProcessRef, receiver: ProcessRef) -> Verdict:
+        """Messages and dangerous calls: allowed only within one context
+        (the host counts as its own context)."""
         if sender.vm == receiver.vm:
             return _SAME_VM
         with self._lock:
             self.counters.denials += 1
         return _CROSS_VM
 
-    def dangerous_decide(self, caller: ProcessRef, target_vm: VmId | None,
-                         kind: DangerousKind) -> Verdict:
-        """Cross-process calls: confined to the caller's VM.
-
-        ``target_vm=SYSTEM_WIDE`` (None) on a window hook is granted but
-        narrowed to the caller's own VM.
-        """
-        if kind is DangerousKind.SET_WINDOW_HOOK and target_vm is SYSTEM_WIDE:
-            return _SCOPED_TO_VM
-        if target_vm is not None and caller.vm == target_vm:
-            return _SAME_VM
-        with self._lock:
-            self.counters.denials += 1
-        return _CROSS_VM
+    # the same decision under category VII's name
+    dangerous_decide = access_decide
 
     # -- inspection -------------------------------------------------------------
 

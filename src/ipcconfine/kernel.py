@@ -15,12 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import (
-    ConfinementEngine,
-    DangerousKind,
-    ResolveOutcome,
-    Verdict,
-)
+from .engine import ConfinementEngine, ResolveOutcome, Verdict
 from .errors import (
     AddressInUse,
     AlreadyExists,
@@ -33,7 +28,6 @@ from .errors import (
 from .model import (
     Intent,
     IpcCategory,
-    MESSAGE,
     ProcessRef,
     Scope,
     VmId,
@@ -201,7 +195,7 @@ class SimKernel:
                      subtype: str = "WindowsMessage", payload: bytes = b"") -> Delivery:
         self._check_live(sender)
         self._check_live(target)
-        verdict = self.engine.access_decide(sender, target, MESSAGE)
+        verdict = self.engine.access_decide(sender, target)
         if not verdict.allowed:
             return Delivery.BLOCKED
         with self._lock:
@@ -214,7 +208,7 @@ class SimKernel:
         with self._lock:
             return list(self._inboxes.get(proc.pid, ()))
 
-    # -- windows (substrate for category VII) -------------------------------------
+    # -- windows (what FindWindow searches) ---------------------------------------
 
     def register_window(self, owner: ProcessRef, class_name: str) -> WindowRecord:
         self._check_live(owner)
@@ -243,17 +237,15 @@ class SimKernel:
     def create_remote_thread(self, caller: ProcessRef, target: ProcessRef) -> Verdict:
         self._check_live(caller)
         self._check_live(target)
-        return self.engine.dangerous_decide(caller, target.vm,
-                                            DangerousKind.CREATE_REMOTE_THREAD)
+        return self.engine.dangerous_decide(caller, target)
 
     def set_hook(self, caller: ProcessRef, requested_scope: HookScope) -> HookGrant:
         """Hooks never cross a VM border: the effective scope is always the
-        caller's own context, even for system-wide requests."""
+        caller's own context, and a system-wide request is narrowed to it.
+        Nothing is denied, so the engine is not asked."""
         self._check_live(caller)
-        narrowed = requested_scope is HookScope.SYSTEM_WIDE
-        if narrowed:
-            self.engine.dangerous_decide(caller, None, DangerousKind.SET_WINDOW_HOOK)
-        return HookGrant(requested_scope, caller.vm, narrowed)
+        return HookGrant(requested_scope, caller.vm,
+                         requested_scope is HookScope.SYSTEM_WIDE)
 
     # -- sockets (category VI) -------------------------------------------------------
 

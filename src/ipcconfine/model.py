@@ -95,8 +95,8 @@ class IpcGroup(Enum):
     """The seven mechanism groups IPC operations fall into.
 
     Groups I-IV address objects by name and are confined by renaming;
-    groups V-VII address processes or windows and are confined by
-    allow/deny decisions.
+    groups V and VII address processes and are confined by allow/deny
+    decisions; group VI, sockets, is confined by IP aliasing.
     """
 
     PORT = "I_Port"
@@ -152,8 +152,6 @@ PSEUDO_FILE = IpcCategory(IpcGroup.PSEUDO_FILE)
 SHARED_MEMORY = IpcCategory(IpcGroup.SHARED_MEMORY)
 SYNC = IpcCategory(IpcGroup.SYNC)
 MESSAGE = IpcCategory(IpcGroup.MESSAGE)
-SOCKET = IpcCategory(IpcGroup.SOCKET)
-DANGEROUS = IpcCategory(IpcGroup.DANGEROUS)
 
 
 class Scope(Enum):

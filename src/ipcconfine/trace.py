@@ -171,7 +171,20 @@ _SCOPES = {None: Scope.LOCAL, **{s.value: s for s in Scope}}
 _HOOK_SCOPES = {h.value: h for h in HookScope}
 
 
+def _text_error(text: str) -> str | None:
+    """The wire-format rule of every trace string: it must encode as UTF-8.
+    JSON's ``\\ud800`` escape decodes to a lone surrogate, which does not."""
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            return "must be UTF-8 text, holds a lone surrogate"
+    return None
+
+
 def _name_error(name: str, allow_pattern: bool = False) -> str | None:
+    if isinstance(name, str) and (error := _text_error(name)) is not None:
+        return error
     try:
         check_object_name(name, allow_pattern=allow_pattern)
     except InvalidName as exc:
@@ -188,6 +201,8 @@ def _names_error(names: tuple) -> str | None:
 
 
 def _category_error(text: str) -> str | None:
+    if (error := _text_error(text)) is not None:
+        return error
     try:
         category = _category(text)
     except ValueError as exc:
@@ -204,7 +219,7 @@ def _one_of(values):
 PID = FieldType(int, lambda v: None if v >= 1 else "must be a positive pid")
 VM = FieldType(int, lambda v: None if v >= 0 else "must be a non-negative integer")
 PORT = FieldType(int)
-TEXT = FieldType(str)
+TEXT = FieldType(str, _text_error)
 # A trace repeats a few hundred names and a few categories thousands of
 # times: each distinct name and category is decided once. ``NAMES`` holds raw
 # JSON values, not all hashable.
@@ -473,7 +488,10 @@ def _expect_error(expect) -> str | None:
         if type(value) is not str:
             return f"expect.{key} must be a string or null"
         allowed = _EXPECT[key]
-        if allowed is not None and value not in allowed:
+        if allowed is None:
+            if (error := _text_error(value)) is not None:
+                return f"expect.{key}: {error}"
+        elif value not in allowed:
             return f"bad expect.{key} {value!r}"
     return None
 

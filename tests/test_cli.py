@@ -13,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from ipcconfine.cli import main
 from ipcconfine.errors import ParseError, ValidationError
-from ipcconfine.trace import TraceEvent, fixture_rpcss, parse_trace, serialize_trace
+from ipcconfine.trace import (
+    OP_SCHEMA,
+    TraceEvent,
+    fixture_rpcss,
+    parse_trace,
+    serialize_trace,
+)
 
 
 @pytest.fixture
@@ -38,6 +44,26 @@ def failing_trace(tmp_path):
         TraceEvent(seq=4, op="create", actor=1, name=r"\a\b", category="I_Port",
                    expect={"route": "HostPassthrough"}),
     ])
+
+
+# Traces whose strings hold a lone surrogate, each refused with exit 2: a
+# payload, which ``replay`` would encode to bytes, and a listed name, which
+# ``replay --dual-oracle`` would print in a divergence record.
+_SURROGATE_PAYLOAD = [
+    TraceEvent(seq=1, op="load_long_list", names=()),
+    TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
+    TraceEvent(seq=3, op="spawn", vm=1),
+    TraceEvent(seq=4, op="send", actor=1, target=1, payload="\ud800"),
+]
+_SURROGATE_NAME = [
+    TraceEvent(seq=1, op="load_long_list", names=("\\srv\\a\ud800",)),
+    TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
+    TraceEvent(seq=3, op="spawn", vm=0),
+    TraceEvent(seq=4, op="spawn", vm=1),
+    TraceEvent(seq=5, op="create", actor=1, name="\\srv\\a\ud800", category="I_Port"),
+    TraceEvent(seq=6, op="seal"),
+    TraceEvent(seq=7, op="open", actor=2, name="\\srv\\a\ud800", category="I_Port"),
+]
 
 
 class TestReplay:
@@ -134,9 +160,13 @@ class TestProcess:
     def test_exit_codes(self, rpcss_path, tmp_path):
         undecodable = tmp_path / "bytes.jsonl"
         undecodable.write_bytes(b'\xff\xfe{"seq":1}\n')
+        payload = write_trace(tmp_path, _SURROGATE_PAYLOAD, "payload.jsonl")
+        name = write_trace(tmp_path, _SURROGATE_NAME, "name.jsonl")
         for argv, code in ((["validate", rpcss_path], 0),
                            (["replay", failing_trace(tmp_path)], 1),
-                           (["validate", str(undecodable)], 2)):
+                           (["validate", str(undecodable)], 2),
+                           (["replay", payload], 2),
+                           (["replay", "--dual-oracle", name], 2)):
             done = self.run(*argv)
             assert done.returncode == code, (argv, done.stderr)
             assert "Traceback" not in done.stderr, argv
@@ -186,6 +216,57 @@ class TestUndecodable:
         with redirect_stdout(out), redirect_stderr(err):
             assert main(["validate", str(path)]) == expected
         assert "Traceback" not in err.getvalue()
+
+
+# characters of fuzzed trace strings: lone surrogates (category Cs, which
+# hypothesis leaves out unless asked) among ASCII, accented and astral ones
+_CHARS = st.sampled_from("a9\u00e9\U0001f600") | st.characters(categories=["Cs"])
+_TEXT = st.text(_CHARS, max_size=3)
+_NAME = st.text(_CHARS, min_size=1, max_size=2).map(lambda text: "\\srv\\" + text)
+
+
+@st.composite
+def _surrogate_traces(draw):
+    """Valid-shaped traces over every op: a long list of drawn names, a VM,
+    a host process (pid 1) and a VM process (pid 2), then any ops, a seal
+    included, on those pids and names, every free-form string drawn from
+    text that may hold lone surrogates."""
+    names = draw(st.lists(_NAME, min_size=1, max_size=3))
+    values = {
+        "actor": st.integers(1, 2), "target": st.integers(1, 2), "vm": st.integers(0, 1),
+        "ip": _TEXT, "port": st.integers(1, 2), "names": st.lists(_NAME, max_size=2).map(tuple),
+        "name": st.sampled_from(names) | _NAME,
+        "category": st.sampled_from(["I_Port", "IV_Sync:Mutex"]) | _TEXT.map("I_Port:".__add__),
+        "scope": st.sampled_from(["Local", "Global"]),
+        "subtype": _TEXT, "payload": _TEXT, "class_name": _TEXT,
+        "hook_scope": st.sampled_from(["SystemWide", "OwnVm"]),
+    }
+    events = [TraceEvent(1, "load_long_list", names=tuple(names)),
+              TraceEvent(2, "vm_create", ip=draw(_TEXT)),
+              TraceEvent(3, "spawn", vm=0), TraceEvent(4, "spawn", vm=1)]
+    for seq in range(5, 5 + draw(st.integers(1, 10))):
+        op = draw(st.sampled_from(sorted(OP_SCHEMA)))
+        fields = {f: draw(values[f]) for f in sorted(OP_SCHEMA[op].fields)}
+        if draw(st.booleans()):
+            fields["expect"] = {"effective_name": draw(_NAME)}
+        events.append(TraceEvent(seq, op, **fields))
+    return events
+
+
+class TestStrictStdout:
+    @settings(max_examples=200, deadline=None)
+    @given(events=_surrogate_traces())
+    def test_replay_of_a_valid_trace_never_raises(self, events, tmp_path_factory):
+        """Every trace ``validate`` accepts replays, oracle in lockstep, to
+        an exit code, with stdout a UTF-8 stream that refuses what is not
+        UTF-8 text, as a terminal's does."""
+        path = tmp_path_factory.getbasetemp() / "surrogates.jsonl"
+        path.write_text(serialize_trace(events), encoding="utf-8")
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            if main(["validate", str(path)]) == 0:
+                assert main(["replay", "--dual-oracle", str(path)]) in (0, 1, 2)
+            out.flush()
 
 
 class TestInspect:

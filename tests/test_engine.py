@@ -7,14 +7,12 @@ import pytest
 
 from ipcconfine.engine import (
     ConfinementEngine,
-    DangerousKind,
     Decision,
     EngineCounters,
     Principle,
     ReferenceEngine,
     ResolveOutcome,
     Route,
-    SYSTEM_WIDE,
 )
 from ipcconfine.errors import (
     AlreadyLoaded,
@@ -446,49 +444,39 @@ class TestSnapshot:
 
 class TestAccessDecisions:
     def test_send_same_vm_allowed(self, engine):
-        verdict = engine.access_decide(VM1, ProcessRef(99, VmId(1)), MESSAGE)
+        verdict = engine.access_decide(VM1, ProcessRef(99, VmId(1)))
         assert verdict.allowed and verdict.reason == "SameVm"
 
     def test_send_cross_vm_denied(self, engine):
-        verdict = engine.access_decide(VM1, VM2, MESSAGE)
+        verdict = engine.access_decide(VM1, VM2)
         assert verdict.decision is Decision.DENY
         assert verdict.reason == "CrossVm"
         assert engine.counters.denials == 1
 
     def test_send_host_vm_border_denied_both_ways(self, engine):
-        assert not engine.access_decide(VM1, HOSTP, MESSAGE).allowed
-        assert not engine.access_decide(HOSTP, VM1, MESSAGE).allowed
-        assert engine.access_decide(HOSTP, ProcessRef(2, HOST), MESSAGE).allowed
-
-    def test_access_decide_rejects_named_categories(self, engine):
-        with pytest.raises(BadCategory):
-            engine.access_decide(VM1, VM2, PORT)
+        assert not engine.access_decide(VM1, HOSTP).allowed
+        assert not engine.access_decide(HOSTP, VM1).allowed
+        assert engine.access_decide(HOSTP, ProcessRef(2, HOST)).allowed
 
     def test_dangerous_same_vm_allowed(self, engine):
-        verdict = engine.dangerous_decide(VM1, VmId(1), DangerousKind.CREATE_REMOTE_THREAD)
+        verdict = engine.dangerous_decide(VM1, ProcessRef(99, VmId(1)))
         assert verdict.allowed
 
-    @pytest.mark.parametrize("kind", list(DangerousKind))
-    def test_dangerous_cross_vm_denied(self, engine, kind):
-        assert not engine.dangerous_decide(VM1, VmId(2), kind).allowed
-        assert not engine.dangerous_decide(VM1, HOST, kind).allowed
-        assert not engine.dangerous_decide(HOSTP, VmId(1), kind).allowed
+    def test_dangerous_cross_vm_denied(self, engine):
+        assert not engine.dangerous_decide(VM1, VM2).allowed
+        assert not engine.dangerous_decide(VM1, HOSTP).allowed
+        assert not engine.dangerous_decide(HOSTP, VM1).allowed
+        assert engine.counters.denials == 3
+
+    def test_one_decision_for_messages_and_dangerous_calls(self):
+        assert ConfinementEngine.dangerous_decide is ConfinementEngine.access_decide
 
     def test_verdicts_are_shared(self, engine):
-        assert engine.access_decide(VM1, VM2, MESSAGE) is engine.dangerous_decide(
-            VM2, VmId(1), DangerousKind.CREATE_REMOTE_THREAD)
-        assert engine.access_decide(VM1, VM1, MESSAGE) is engine.dangerous_decide(
-            VM1, VmId(1), DangerousKind.SET_WINDOW_HOOK)
-        hook = DangerousKind.SET_WINDOW_HOOK
-        assert engine.dangerous_decide(VM1, SYSTEM_WIDE, hook) is engine.dangerous_decide(
-            VM2, SYSTEM_WIDE, hook)
+        assert engine.access_decide(VM1, VM2) is engine.dangerous_decide(VM2, VM1)
+        assert engine.access_decide(VM1, VM1) is engine.dangerous_decide(
+            VM1, ProcessRef(99, VmId(1)))
         with pytest.raises(FrozenInstanceError):
-            engine.access_decide(VM1, VM1, MESSAGE).reason = "CrossVm"
-
-    def test_system_wide_hook_narrowed_not_denied(self, engine):
-        verdict = engine.dangerous_decide(VM1, SYSTEM_WIDE, DangerousKind.SET_WINDOW_HOOK)
-        assert verdict.allowed and verdict.reason == "ScopedToVm"
-        assert engine.counters.denials == 0
+            engine.access_decide(VM1, VM1).reason = "CrossVm"
 
 
 class TestCollectCounters:

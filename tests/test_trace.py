@@ -517,6 +517,54 @@ class TestFieldTypes:
             parse_trace(line + "\n")
 
 
+# (op, field) for every string field, and the field's valid value with a
+# lone surrogate in it; a scope must be one of its values anyway
+_STRING_FIELDS = [(op, name) for op, spec in OP_SCHEMA.items()
+                  for name, kind in spec.required + spec.optional if kind.type in (str, tuple)]
+_LONE = {**{f: v + "\ud800" for f, v in _VALID.items() if type(v) is str},
+         "names": [_VALID["name"] + "\ud800"]}
+
+
+class TestLoneSurrogates:
+    """JSON's ``\\ud800`` escape decodes to a lone surrogate, a string that
+    is not UTF-8 text: every string a trace holds must be UTF-8 text."""
+
+    @pytest.mark.parametrize("op, field", _STRING_FIELDS)
+    def test_each_string_field_refuses_one(self, op, field):
+        line = {**_full_line(op), field: _LONE[field]}
+        rule = ("must be one of" if field in ("scope", "hook_scope")
+                else "must be UTF-8 text, holds a lone surrogate")
+        message = f"seq 1: {field}: {rule}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_trace(json.dumps(line) + "\n")
+        event = {**_event_dict(op), field: _LONE[field] if field != "names"
+                 else tuple(_LONE[field])}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate_events([TraceEvent(**event)])
+
+    @pytest.mark.parametrize("key", ["effective_name", "error"])
+    def test_expect_strings_refuse_one(self, key):
+        line = {**_full_line("seal"), "expect": {key: "\ud800"}}
+        with pytest.raises(ValidationError, match=re.escape(
+                f"seq 1: expect.{key}: must be UTF-8 text, holds a lone surrogate")):
+            parse_trace(json.dumps(line) + "\n")
+
+    def test_surrogate_pair_is_text(self):
+        # JSON escapes U+1F600 as the surrogate pair \ud83d\ude00, which
+        # decodes to it
+        char = "\U0001f600"
+        events = [
+            ev(1, "load_long_list", names=(r"\srv\a" + char,)),
+            ev(2, "vm_create", ip=char),
+            ev(3, "open", actor=1, name=r"\a" + char, category="I_Port:" + char),
+            ev(4, "send", actor=1, target=1, subtype=char, payload=char),
+            ev(5, "find_window", actor=1, class_name=char),
+        ]
+        text = serialize_trace(events)
+        assert text.count(r"\ud83d\ude00") == 7
+        assert parse_trace(text) == events
+
+
 class TestSchema:
     def test_covers_every_payload_field(self):
         payload = {f.name for f in fields(TraceEvent)} - {"seq", "op", "expect"}
@@ -729,6 +777,90 @@ class TestReplaySemantics:
         assert replayer.seal_snapshot is not None
         assert replayer.seal_snapshot.flag
         assert replayer.seal_snapshot.short_list == (r"\srv\alpha",)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_outcome_of_every_op(self, dual):
+        """Every op's outcome keys, pinned: pid 1 is the host's, pids 2 and
+        3 are vm1's, pid 4 is vm2's."""
+        events = [
+            ev(1, "load_long_list", names=(r"\srv\host",)),
+            ev(2, "vm_create", ip="10.0.0.2"),
+            ev(3, "vm_create", ip="10.0.0.3"),
+            ev(4, "spawn", vm=0),
+            ev(5, "spawn", vm=1),
+            ev(6, "spawn", vm=1),
+            ev(7, "spawn", vm=2),
+            ev(8, "create", actor=1, name=r"\srv\host", category="I_Port"),
+            ev(9, "open", actor=2, name=r"\srv\host", category="I_Port"),
+            ev(10, "create", actor=2, name=r"\a\b", category="II_PseudoFile:NamedPipe",
+               scope="Global"),
+            ev(11, "close", actor=2, name=r"\a\b"),
+            ev(12, "seal"),
+            ev(13, "open", actor=4, name=r"\a\b", category="II_PseudoFile"),
+            ev(14, "send", actor=2, target=3, subtype="Clipboard", payload="x"),
+            ev(15, "send", actor=2, target=4),
+            ev(16, "send", actor=1, target=2),
+            ev(17, "register_window", actor=3, class_name="Shell_TrayWnd"),
+            ev(18, "find_window", actor=2, class_name="Shell_TrayWnd"),
+            ev(19, "find_window", actor=4, class_name="Shell_TrayWnd"),
+            ev(20, "remote_thread", actor=2, target=3),
+            ev(21, "remote_thread", actor=2, target=4),
+            ev(22, "remote_thread", actor=1, target=2),
+            ev(23, "set_hook", actor=2, hook_scope="SystemWide"),
+            ev(24, "set_hook", actor=2, hook_scope="OwnVm"),
+            ev(25, "set_hook", actor=1, hook_scope="SystemWide"),
+            ev(26, "set_hook", actor=1, hook_scope="OwnVm"),
+            ev(27, "bind", actor=2, ip="0.0.0.0", port=80),
+            ev(28, "bind", actor=4, ip="0.0.0.0", port=80),
+            ev(29, "bind", actor=3, ip="0.0.0.0", port=80),
+            ev(30, "bind", actor=1, ip="192.168.1.1", port=80),
+        ]
+        replayer = Replayer(dual=dual)
+        report = replayer.run(events)
+        assert replayer.outcomes == [
+            {"seq": 1, "op": "load_long_list", "loaded": 1},
+            {"seq": 2, "op": "vm_create", "vm": 1},
+            {"seq": 3, "op": "vm_create", "vm": 2},
+            {"seq": 4, "op": "spawn", "pid": 1},
+            {"seq": 5, "op": "spawn", "pid": 2},
+            {"seq": 6, "op": "spawn", "pid": 3},
+            {"seq": 7, "op": "spawn", "pid": 4},
+            {"seq": 8, "op": "create", "effective_name": r"\srv\host",
+             "route": "HostPassthrough", "principle": "HostObject"},
+            {"seq": 9, "op": "open", "effective_name": r"\srv\host",
+             "route": "HostPassthrough", "principle": "HostObject"},
+            {"seq": 10, "op": "create", "effective_name": r"\vm1\a\b",
+             "route": "VmGlobal", "principle": "GlobalObject"},
+            {"seq": 11, "op": "close"},
+            {"seq": 12, "op": "seal"},
+            {"seq": 13, "op": "open", "error": "NotFound", "effective_name": r"\vm2\a\b",
+             "route": "VmPrivate", "principle": "Isolation"},
+            {"seq": 14, "op": "send", "delivery": "Delivered", "decision": "Allow"},
+            {"seq": 15, "op": "send", "delivery": "Blocked", "decision": "Deny"},
+            {"seq": 16, "op": "send", "delivery": "Blocked", "decision": "Deny"},
+            {"seq": 17, "op": "register_window"},
+            {"seq": 18, "op": "find_window", "found": True, "decision": "Allow"},
+            {"seq": 19, "op": "find_window", "found": False, "decision": "Deny"},
+            {"seq": 20, "op": "remote_thread", "decision": "Allow", "reason": "SameVm"},
+            {"seq": 21, "op": "remote_thread", "decision": "Deny", "reason": "CrossVm"},
+            {"seq": 22, "op": "remote_thread", "decision": "Deny", "reason": "CrossVm"},
+            {"seq": 23, "op": "set_hook", "decision": "Allow", "effective_vm": 1,
+             "narrowed": True},
+            {"seq": 24, "op": "set_hook", "decision": "Allow", "effective_vm": 1,
+             "narrowed": False},
+            {"seq": 25, "op": "set_hook", "decision": "Allow", "effective_vm": 0,
+             "narrowed": True},
+            {"seq": 26, "op": "set_hook", "decision": "Allow", "effective_vm": 0,
+             "narrowed": False},
+            {"seq": 27, "op": "bind", "effective_ip": "10.0.0.2", "effective_port": 80},
+            {"seq": 28, "op": "bind", "effective_ip": "10.0.0.3", "effective_port": 80},
+            {"seq": 29, "op": "bind", "error": "AddressInUse"},
+            {"seq": 30, "op": "bind", "effective_ip": "192.168.1.1", "effective_port": 80},
+        ]
+        assert {e.op for e in events} == set(OP_SCHEMA)
+        # two blocked sends and two denied remote threads; hooks deny nothing
+        assert report.counters.denials == 4
+        assert report.ok and not report.divergences
 
 
 class TestReports:
