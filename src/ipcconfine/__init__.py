@@ -11,17 +11,15 @@ oracle sit on top.
 
 from .engine import (
     ConfinementEngine,
-    Decision,
     EngineCounters,
     EngineSnapshot,
     Principle,
     ReferenceEngine,
     ResolveOutcome,
     Route,
-    Verdict,
 )
 from .errors import ConfinementError, KernelError, ParseError, ReplayError, ValidationError
-from .kernel import Delivery, HookScope, SimKernel
+from .kernel import HookScope, SimKernel
 from .model import (
     HOST,
     Intent,
@@ -51,10 +49,10 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfinementEngine", "ReferenceEngine", "Route", "Principle", "Decision",
-    "ResolveOutcome", "Verdict", "EngineCounters", "EngineSnapshot",
+    "ConfinementEngine", "ReferenceEngine", "Route", "Principle",
+    "ResolveOutcome", "EngineCounters", "EngineSnapshot",
     "ConfinementError", "KernelError", "ParseError", "ValidationError", "ReplayError",
-    "SimKernel", "Delivery", "HookScope",
+    "SimKernel", "HookScope",
     "VmId", "HOST", "ProcessRef", "IpcGroup", "IpcCategory", "Scope", "Intent",
     "VmRegistry", "rename", "unrename",
     "TraceEvent", "TraceParams", "ReplayReport", "Replayer",

@@ -10,8 +10,14 @@ Two decision surfaces:
 
 * :meth:`ConfinementEngine.access_decide` handles the process-addressed
   categories, messages (V) and dangerous cross-process calls (VII), with one
-  VM comparison; :meth:`dangerous_decide` is the same method under the
-  name of category VII. Hook narrowing is the kernel's alone.
+  VM comparison that returns True to allow and False to deny;
+  :meth:`dangerous_decide` is the same method under the name of category
+  VII. Hook narrowing is the kernel's alone.
+
+A resolve outcome is an effective name and a route. Each route fixes the
+confinement principle behind it (``VmPrivate`` Isolation, ``VmGlobal``
+GlobalObject, ``HostPassthrough`` HostObject), so the principle is stored
+once, on the route member, and an outcome reads it from there.
 
 Resolve pipeline, in order:
 
@@ -75,20 +81,12 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Route",
     "Principle",
-    "Decision",
     "ResolveOutcome",
-    "Verdict",
     "EngineCounters",
     "EngineSnapshot",
     "ConfinementEngine",
     "ReferenceEngine",
 ]
-
-
-class Route(Enum):
-    HOST_PASSTHROUGH = "HostPassthrough"
-    VM_GLOBAL = "VmGlobal"
-    VM_PRIVATE = "VmPrivate"
 
 
 class Principle(Enum):
@@ -97,58 +95,55 @@ class Principle(Enum):
     HOST_OBJECT = "HostObject"
 
 
-class Decision(Enum):
-    ALLOW = "Allow"
-    DENY = "Deny"
+class Route(Enum):
+    HOST_PASSTHROUGH = "HostPassthrough"
+    VM_GLOBAL = "VmGlobal"
+    VM_PRIVATE = "VmPrivate"
 
+    principle: Principle  # set on each member below
+
+
+# The one pairing of route and principle. A member attribute, not a dict
+# keyed by member: hashing an Enum member is a Python-level call.
+Route.HOST_PASSTHROUGH.principle = Principle.HOST_OBJECT
+Route.VM_GLOBAL.principle = Principle.GLOBAL_OBJECT
+Route.VM_PRIVATE.principle = Principle.ISOLATION
 
 # Enum members read on every resolve, bound once: a class-attribute read of
 # a member costs several times a module-global read.
 _PASSTHROUGH, _VM_GLOBAL, _VM_PRIVATE = Route.HOST_PASSTHROUGH, Route.VM_GLOBAL, Route.VM_PRIVATE
-_HOST_OBJECT, _GLOBAL_OBJECT, _ISOLATION = (
-    Principle.HOST_OBJECT, Principle.GLOBAL_OBJECT, Principle.ISOLATION)
 _CREATE = Intent.CREATE
 
 
 class ResolveOutcome(NamedTuple):
-    """The decided outcome of one resolve.
+    """The decided outcome of one resolve: the effective name and the route,
+    whose member carries the principle.
 
     A tuple: immutable, so the tables may hand one instance to many callers,
-    and equal to a plain tuple of the same three values.
+    and equal to a plain tuple of the same two values.
     """
 
     effective_name: str
     route: Route
-    principle: Principle
+
+    @property
+    def principle(self) -> Principle:
+        return self.route.principle
 
     def to_dict(self) -> dict:
         # ``_value_`` is the member's stored value; the ``value`` property
         # reads the same through a Python-level descriptor call
+        route = self.route
         return {
             "effective_name": self.effective_name,
-            "route": self.route._value_,
-            "principle": self.principle._value_,
+            "route": route._value_,
+            "principle": route.principle._value_,
         }
 
 
 # Builds an outcome in one C call; ``ResolveOutcome(...)`` runs the
 # generated Python ``__new__`` around the same call.
 _new = tuple.__new__
-
-
-@dataclass(frozen=True)
-class Verdict:
-    decision: Decision
-    reason: str
-
-    @property
-    def allowed(self) -> bool:
-        return self.decision is Decision.ALLOW
-
-
-# The two verdicts the engine gives, shared by every call.
-_SAME_VM = Verdict(Decision.ALLOW, "SameVm")
-_CROSS_VM = Verdict(Decision.DENY, "CrossVm")
 
 
 @dataclass
@@ -327,14 +322,13 @@ class _ResolvePipeline:
             # (a) host callers keep the original name, no table updates
             if not vm_id:
                 c.host_bypass += 1
-                return _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
+                return _new(ResolveOutcome, (name, _PASSTHROUGH))
 
             # (b) creating a global object registers it for this VM
             if intent is _CREATE and is_global_name(name, scope):
                 if table is None:
                     table = self._global_tables[vm_id] = {}
-                outcome = table[name] = _new(
-                    ResolveOutcome, (rename(name, vm), _VM_GLOBAL, _GLOBAL_OBJECT))
+                outcome = table[name] = _new(ResolveOutcome, (rename(name, vm), _VM_GLOBAL))
                 c.global_table_hits += 1
                 return outcome
 
@@ -344,7 +338,7 @@ class _ResolvePipeline:
                 return outcome
 
             # (g) everything else is renamed into the caller VM's namespace
-            return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE, _ISOLATION))
+            return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE))
         finally:
             lock.release()
 
@@ -411,7 +405,7 @@ class ConfinementEngine(_ResolvePipeline):
         # (f) a listed name passes through and enters the short list
         if self._long_contains(name):
             short = self._short
-            outcome = short[name] = _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
+            outcome = short[name] = _new(ResolveOutcome, (name, _PASSTHROUGH))
             short.move_to_end(name, last=False)
             c.long_hits += 1
             return outcome
@@ -434,14 +428,15 @@ class ConfinementEngine(_ResolvePipeline):
 
     # -- access decision (categories V and VII) --------------------------------
 
-    def access_decide(self, sender: ProcessRef, receiver: ProcessRef) -> Verdict:
-        """Messages and dangerous calls: allowed only within one context
-        (the host counts as its own context)."""
+    def access_decide(self, sender: ProcessRef, receiver: ProcessRef) -> bool:
+        """Messages and dangerous calls: True (allowed) only within one
+        context, the host counting as its own; each False is a counted
+        denial."""
         if sender.vm == receiver.vm:
-            return _SAME_VM
+            return True
         with self._lock:
             self.counters.denials += 1
-        return _CROSS_VM
+        return False
 
     # the same decision under category VII's name
     dangerous_decide = access_decide
@@ -488,7 +483,7 @@ class ReferenceEngine(_ResolvePipeline):
     def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
         if self._scan(name):
             c.long_hits += 1
-            return _new(ResolveOutcome, (name, _PASSTHROUGH, _HOST_OBJECT))
+            return _new(ResolveOutcome, (name, _PASSTHROUGH))
         c.long_misses += 1
         return None
 

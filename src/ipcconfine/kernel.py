@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import ConfinementEngine, ResolveOutcome, Verdict
+from .engine import ConfinementEngine, ResolveOutcome
 from .errors import (
     AddressInUse,
     AlreadyExists,
@@ -39,7 +39,6 @@ __all__ = [
     "Handle",
     "WindowRecord",
     "SocketBinding",
-    "Delivery",
     "HookScope",
     "HookGrant",
     "SimKernel",
@@ -56,14 +55,15 @@ class ObjectRecord:
 
 @dataclass(slots=True)
 class Handle:
-    """An open reference to an object record; usable only by its owner.
+    """An open reference to an object record.
 
     A handle is open exactly while its kernel maps its id to it: ids never
-    repeat, and closing deletes the entry.
+    repeat, and closing deletes the entry. Whoever holds an open handle can
+    close it; the replayer keys handles by (actor, name), so an actor closes
+    only its own.
     """
 
     id: int
-    owner: ProcessRef
     object: ObjectRecord
     outcome: ResolveOutcome
 
@@ -81,11 +81,6 @@ class SocketBinding:
     effective: tuple[str, int]
 
 
-class Delivery(Enum):
-    DELIVERED = "Delivered"
-    BLOCKED = "Blocked"
-
-
 class HookScope(Enum):
     SYSTEM_WIDE = "SystemWide"
     OWN_VM = "OwnVm"
@@ -95,7 +90,6 @@ class HookScope(Enum):
 class HookGrant:
     """Effective scope of an installed hook: always one context."""
 
-    requested: HookScope
     effective_vm: VmId
     narrowed: bool
 
@@ -113,6 +107,8 @@ class SimKernel:
     registration order, so a lookup never reads another VM's windows.
     Every op that takes a process checks it against the registry first, so
     a ref that pairs a live pid with another VM id is refused.
+    ``send_message`` (True when delivered) and ``create_remote_thread``
+    return the engine's access decision, True to allow, False to deny.
     """
 
     def __init__(self, registry: VmRegistry, engine: ConfinementEngine):
@@ -146,7 +142,7 @@ class SimKernel:
                 raise AlreadyExists(outcome.effective_name, outcome=outcome)
             record = ObjectRecord(outcome.effective_name, category, caller, refcount=1)
             self._objects[outcome.effective_name] = record
-            return self._new_handle(caller, record, outcome)
+            return self._new_handle(record, outcome)
         finally:
             lock.release()
 
@@ -165,7 +161,7 @@ class SimKernel:
                     f"{outcome.effective_name} exists as {record.category}, not {category}",
                     outcome=outcome)
             record.refcount += 1
-            return self._new_handle(caller, record, outcome)
+            return self._new_handle(record, outcome)
         finally:
             lock.release()
 
@@ -183,25 +179,23 @@ class SimKernel:
         finally:
             lock.release()
 
-    def _new_handle(self, owner: ProcessRef, record: ObjectRecord,
-                    outcome: ResolveOutcome) -> Handle:
-        handle = Handle(next(self._handle_ids), owner, record, outcome)
+    def _new_handle(self, record: ObjectRecord, outcome: ResolveOutcome) -> Handle:
+        handle = Handle(next(self._handle_ids), record, outcome)
         self._handles[handle.id] = handle
         return handle
 
     # -- messages (category V) --------------------------------------------------
 
     def send_message(self, sender: ProcessRef, target: ProcessRef,
-                     subtype: str = "WindowsMessage", payload: bytes = b"") -> Delivery:
+                     subtype: str = "WindowsMessage", payload: bytes = b"") -> bool:
         self._check_live(sender)
         self._check_live(target)
-        verdict = self.engine.access_decide(sender, target)
-        if not verdict.allowed:
-            return Delivery.BLOCKED
+        if not self.engine.access_decide(sender, target):
+            return False
         with self._lock:
             self._inboxes.setdefault(target.pid, deque()).append(
                 (sender.pid, subtype, payload))
-        return Delivery.DELIVERED
+        return True
 
     def inbox(self, proc: ProcessRef) -> list:
         self._check_live(proc)
@@ -234,7 +228,7 @@ class SimKernel:
 
     # -- dangerous calls (category VII) -------------------------------------------
 
-    def create_remote_thread(self, caller: ProcessRef, target: ProcessRef) -> Verdict:
+    def create_remote_thread(self, caller: ProcessRef, target: ProcessRef) -> bool:
         self._check_live(caller)
         self._check_live(target)
         return self.engine.dangerous_decide(caller, target)
@@ -244,14 +238,14 @@ class SimKernel:
         caller's own context, and a system-wide request is narrowed to it.
         Nothing is denied, so the engine is not asked."""
         self._check_live(caller)
-        return HookGrant(requested_scope, caller.vm,
-                         requested_scope is HookScope.SYSTEM_WIDE)
+        return HookGrant(caller.vm, requested_scope is HookScope.SYSTEM_WIDE)
 
     # -- sockets (category VI) -------------------------------------------------------
 
     def bind_socket(self, caller: ProcessRef, requested_ip: str, port: int) -> SocketBinding:
         self._check_live(caller)
-        if not isinstance(port, int) or not 1 <= port <= 65535:
+        # exact type, as the trace schema has it: a bool is no port
+        if type(port) is not int or not 1 <= port <= 65535:
             raise InvalidPort(f"port out of range: {port!r}")
         if caller.vm.is_host:
             effective_ip = requested_ip

@@ -55,7 +55,7 @@ from .errors import (
     ReplayError,
     ValidationError,
 )
-from .kernel import Delivery, HookScope, SimKernel
+from .kernel import HookScope, SimKernel
 from .model import (
     Intent,
     IpcCategory,
@@ -623,9 +623,9 @@ class Replayer:
                 stack.append(handle)
             outcome = handle.outcome
         # the outcome's fields, in ``to_dict`` order
-        result["effective_name"], route, principle = outcome
+        result["effective_name"], route = outcome
         result["route"] = route._value_
-        result["principle"] = principle._value_
+        result["principle"] = route.principle._value_
         if self.reference is not None:
             intent = Intent.CREATE if create else Intent.OPEN
             ref = self.reference.resolve(caller, name, category, intent, scope)
@@ -651,10 +651,10 @@ class Replayer:
         sender = self.registry.process(event.actor)
         target = self.registry.process(event.target)
         payload = (event.payload or "").encode()
-        outcome = self.kernel.send_message(sender, target,
-                                           event.subtype or "WindowsMessage", payload)
-        result["delivery"] = outcome.value
-        result["decision"] = "Allow" if outcome is Delivery.DELIVERED else "Deny"
+        delivered = self.kernel.send_message(sender, target,
+                                             event.subtype or "WindowsMessage", payload)
+        result["delivery"] = "Delivered" if delivered else "Blocked"
+        result["decision"] = "Allow" if delivered else "Deny"
 
     def _register_window(self, event: TraceEvent, result: dict) -> None:
         self.kernel.register_window(self.registry.process(event.actor), event.class_name)
@@ -668,9 +668,9 @@ class Replayer:
     def _remote_thread(self, event: TraceEvent, result: dict) -> None:
         caller = self.registry.process(event.actor)
         target = self.registry.process(event.target)
-        verdict = self.kernel.create_remote_thread(caller, target)
-        result["decision"] = verdict.decision.value
-        result["reason"] = verdict.reason
+        allowed = self.kernel.create_remote_thread(caller, target)
+        result["decision"] = "Allow" if allowed else "Deny"
+        result["reason"] = "SameVm" if allowed else "CrossVm"
 
     def _set_hook(self, event: TraceEvent, result: dict) -> None:
         caller = self.registry.process(event.actor)

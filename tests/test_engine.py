@@ -1,13 +1,11 @@
 """Resolve pipeline, host-object table mechanics, and VM-id access decisions."""
 
 import json
-from dataclasses import FrozenInstanceError
 
 import pytest
 
 from ipcconfine.engine import (
     ConfinementEngine,
-    Decision,
     EngineCounters,
     Principle,
     ReferenceEngine,
@@ -189,11 +187,10 @@ class TestStoredOutcomes:
     def test_global_create_of_short_listed_name_is_vm_global(self, engine_class):
         engine = self.warm(engine_class)
         out = resolve(engine, VM2, r"\srv\alpha", Intent.CREATE, Scope.GLOBAL)
-        assert out == ResolveOutcome(r"\vm2\srv\alpha", Route.VM_GLOBAL, Principle.GLOBAL_OBJECT)
+        assert out == ResolveOutcome(r"\vm2\srv\alpha", Route.VM_GLOBAL)
         # a literal Global component makes a Local create global too
         out = resolve(engine, VM2, r"\srv\Global\h", Intent.CREATE)
-        assert out == ResolveOutcome(r"\vm2\srv\Global\h", Route.VM_GLOBAL,
-                                     Principle.GLOBAL_OBJECT)
+        assert out == ResolveOutcome(r"\vm2\srv\Global\h", Route.VM_GLOBAL)
         assert resolve(engine, VM2, r"\srv\alpha").route is Route.VM_GLOBAL
         assert resolve(engine, VM1, r"\srv\alpha").route is Route.HOST_PASSTHROUGH
         # an Open of the same names still passes through for other VMs
@@ -202,17 +199,32 @@ class TestStoredOutcomes:
 
 class TestResolveOutcome:
     def test_is_a_named_tuple(self):
-        out = ResolveOutcome(r"\a\b", Route.VM_PRIVATE, Principle.ISOLATION)
-        assert out == (r"\a\b", Route.VM_PRIVATE, Principle.ISOLATION)
-        assert (out.effective_name, out.route, out.principle) == tuple(out)
+        out = ResolveOutcome(r"\a\b", Route.VM_PRIVATE)
+        assert out == (r"\a\b", Route.VM_PRIVATE)
+        assert (out.effective_name, out.route) == tuple(out)
+        assert out.principle is Principle.ISOLATION
         assert out.to_dict() == {"effective_name": r"\a\b", "route": "VmPrivate",
                                  "principle": "Isolation"}
         assert repr(out) == ("ResolveOutcome(effective_name='\\\\a\\\\b', "
-                             "route=<Route.VM_PRIVATE: 'VmPrivate'>, "
-                             "principle=<Principle.ISOLATION: 'Isolation'>)")
+                             "route=<Route.VM_PRIVATE: 'VmPrivate'>)")
         with pytest.raises(AttributeError):
             out.route = Route.VM_GLOBAL
         assert hash(out) == hash(tuple(out))
+
+    def test_route_fixes_the_principle(self):
+        """An outcome stores the name and route only; each route member
+        carries its own principle, one per route, all three covered."""
+        assert ResolveOutcome._fields == ("effective_name", "route")
+        pairs = {route: route.principle for route in Route}
+        assert pairs == {Route.VM_PRIVATE: Principle.ISOLATION,
+                         Route.VM_GLOBAL: Principle.GLOBAL_OBJECT,
+                         Route.HOST_PASSTHROUGH: Principle.HOST_OBJECT}
+        for route in Route:
+            out = ResolveOutcome(r"\a\b", route)
+            assert out.principle is route.principle
+            assert list(out.to_dict().items()) == [
+                ("effective_name", r"\a\b"), ("route", route.value),
+                ("principle", route.principle.value)]
 
     @pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])
     def test_every_step_returns_one(self, engine_class):
@@ -236,7 +248,7 @@ class TestPipeline:
     def test_host_caller_bypasses_everything(self, engine):
         # even a long-listed name: passthrough with no short-list update
         out = resolve(engine, HOSTP, r"\srv\alpha")
-        assert out == ResolveOutcome(r"\srv\alpha", Route.HOST_PASSTHROUGH, Principle.HOST_OBJECT)
+        assert out == ResolveOutcome(r"\srv\alpha", Route.HOST_PASSTHROUGH)
         assert engine.snapshot().short_list == ()
         assert engine.counters.host_bypass == 1
         assert engine.counters.host_passthroughs == 0
@@ -244,8 +256,7 @@ class TestPipeline:
     def test_create_global_registers_and_renames(self, engine):
         out = resolve(engine, VM1, r"\obj\shared", Intent.CREATE, Scope.GLOBAL,
                       SHARED_MEMORY)
-        assert out == ResolveOutcome(r"\vm1\obj\shared", Route.VM_GLOBAL,
-                                     Principle.GLOBAL_OBJECT)
+        assert out == ResolveOutcome(r"\vm1\obj\shared", Route.VM_GLOBAL)
         assert engine.snapshot().global_tables == {1: frozenset({r"\obj\shared"})}
 
     def test_literal_global_component_counts(self, engine):
@@ -264,8 +275,7 @@ class TestPipeline:
         resolve(engine, VM1, r"\obj\shared", Intent.CREATE, Scope.GLOBAL)
         out = resolve(engine, VM2, r"\obj\shared")
         # vm2 never created it globally: plain rename, not a table hit
-        assert out == ResolveOutcome(r"\vm2\obj\shared", Route.VM_PRIVATE,
-                                     Principle.ISOLATION)
+        assert out == ResolveOutcome(r"\vm2\obj\shared", Route.VM_PRIVATE)
 
     def test_open_global_name_without_create_is_not_registered(self, engine):
         out = resolve(engine, VM1, r"\x\Global\y", Intent.OPEN)
@@ -274,8 +284,7 @@ class TestPipeline:
 
     def test_first_host_touch_long_hit(self, engine):
         out = resolve(engine, VM1, r"\srv\alpha")
-        assert out == ResolveOutcome(r"\srv\alpha", Route.HOST_PASSTHROUGH,
-                                     Principle.HOST_OBJECT)
+        assert out == ResolveOutcome(r"\srv\alpha", Route.HOST_PASSTHROUGH)
         assert engine.counters.long_hits == 1
         assert engine.snapshot().short_list == (r"\srv\alpha",)
 
@@ -299,8 +308,7 @@ class TestPipeline:
 
     def test_miss_renames(self, engine):
         out = resolve(engine, VM1, r"\app\private")
-        assert out == ResolveOutcome(r"\vm1\app\private", Route.VM_PRIVATE,
-                                     Principle.ISOLATION)
+        assert out == ResolveOutcome(r"\vm1\app\private", Route.VM_PRIVATE)
         assert engine.counters.long_misses == 1
         assert engine.snapshot().short_list == ()
 
@@ -348,8 +356,7 @@ class TestSeal:
         engine.seal_host_objects()
         reads = engine.counters.long_list_reads
         out = resolve(engine, VM1, r"\srv\beta")   # long-listed but never touched
-        assert out == ResolveOutcome(r"\vm1\srv\beta", Route.VM_PRIVATE,
-                                     Principle.ISOLATION)
+        assert out == ResolveOutcome(r"\vm1\srv\beta", Route.VM_PRIVATE)
         assert engine.counters.post_seal_long_skips == 1
         assert engine.counters.long_list_reads == reads
 
@@ -444,39 +451,34 @@ class TestSnapshot:
 
 class TestAccessDecisions:
     def test_send_same_vm_allowed(self, engine):
-        verdict = engine.access_decide(VM1, ProcessRef(99, VmId(1)))
-        assert verdict.allowed and verdict.reason == "SameVm"
+        assert engine.access_decide(VM1, ProcessRef(99, VmId(1))) is True
+        assert engine.counters.denials == 0
 
     def test_send_cross_vm_denied(self, engine):
-        verdict = engine.access_decide(VM1, VM2)
-        assert verdict.decision is Decision.DENY
-        assert verdict.reason == "CrossVm"
+        assert engine.access_decide(VM1, VM2) is False
         assert engine.counters.denials == 1
 
     def test_send_host_vm_border_denied_both_ways(self, engine):
-        assert not engine.access_decide(VM1, HOSTP).allowed
-        assert not engine.access_decide(HOSTP, VM1).allowed
-        assert engine.access_decide(HOSTP, ProcessRef(2, HOST)).allowed
+        assert engine.access_decide(VM1, HOSTP) is False
+        assert engine.access_decide(HOSTP, VM1) is False
+        assert engine.access_decide(HOSTP, ProcessRef(2, HOST)) is True
 
     def test_dangerous_same_vm_allowed(self, engine):
-        verdict = engine.dangerous_decide(VM1, ProcessRef(99, VmId(1)))
-        assert verdict.allowed
+        assert engine.dangerous_decide(VM1, ProcessRef(99, VmId(1))) is True
 
     def test_dangerous_cross_vm_denied(self, engine):
-        assert not engine.dangerous_decide(VM1, VM2).allowed
-        assert not engine.dangerous_decide(VM1, HOSTP).allowed
-        assert not engine.dangerous_decide(HOSTP, VM1).allowed
+        assert engine.dangerous_decide(VM1, VM2) is False
+        assert engine.dangerous_decide(VM1, HOSTP) is False
+        assert engine.dangerous_decide(HOSTP, VM1) is False
         assert engine.counters.denials == 3
 
     def test_one_decision_for_messages_and_dangerous_calls(self):
         assert ConfinementEngine.dangerous_decide is ConfinementEngine.access_decide
 
     def test_verdicts_are_shared(self, engine):
-        assert engine.access_decide(VM1, VM2) is engine.dangerous_decide(VM2, VM1)
+        assert engine.access_decide(VM1, VM2) is engine.dangerous_decide(VM2, VM1) is False
         assert engine.access_decide(VM1, VM1) is engine.dangerous_decide(
-            VM1, ProcessRef(99, VmId(1)))
-        with pytest.raises(FrozenInstanceError):
-            engine.access_decide(VM1, VM1).reason = "CrossVm"
+            VM1, ProcessRef(99, VmId(1))) is True
 
 
 class TestCollectCounters:
