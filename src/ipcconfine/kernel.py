@@ -77,7 +77,6 @@ class WindowRecord:
 @dataclass(frozen=True)
 class SocketBinding:
     owner: ProcessRef
-    requested: tuple[str, int]
     effective: tuple[str, int]
 
 
@@ -256,7 +255,7 @@ class SimKernel:
         with self._lock:
             if key in self._bindings:
                 raise AddressInUse(f"{effective_ip}:{port}")
-            binding = SocketBinding(caller, (requested_ip, port), key)
+            binding = SocketBinding(caller, key)
             self._bindings[key] = binding
             return binding
 

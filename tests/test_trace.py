@@ -117,8 +117,8 @@ _RAW_LINES = {
 
 
 class TestParseEquivalence:
-    """The one-scanner-call decode gives what ``json.loads`` gives, events
-    and error messages alike."""
+    """The per-line scan gives what ``json.loads`` gives, events and error
+    messages alike."""
 
     # the rpcss fixture: TestParseSerialize.test_roundtrip_fixture
     @pytest.mark.parametrize("events", [
@@ -131,15 +131,24 @@ class TestParseEquivalence:
     def test_roundtrip(self, events):
         assert parse_trace(serialize_trace(events)) == events
 
-    @pytest.mark.parametrize("name", sorted(_RAW_LINES))
-    def test_raw_line_matches_json_loads_path(self, name, monkeypatch):
-        text = "\n".join([_RAW_LINES[name], '{"seq": 2, "op": "seal"}']) + "\n"
+    # each raw line first, and after a valid line, where the per-line scan
+    # takes one line before it meets the raw one (renumbered to seq 2)
+    @pytest.mark.parametrize("name, after_a_line", [
+        *(pytest.param(name, False, id=name) for name in sorted(_RAW_LINES)),
+        *(pytest.param(name, True, id=f"{name}-after_a_line") for name in sorted(_RAW_LINES)),
+    ])
+    def test_raw_line_matches_json_loads_path(self, name, after_a_line, monkeypatch):
+        if after_a_line:
+            lines = [_SEAL, _RAW_LINES[name].replace('"seq": 1,', '"seq": 2,')]
+        else:
+            lines = [_RAW_LINES[name], '{"seq": 2, "op": "seal"}']
+        text = "\n".join(lines) + "\n"
         scanned = outcome(text)
         monkeypatch.setattr(trace, "_scan_once", _never_scans)
         assert outcome(text) == scanned
 
-    # multi-line texts: the whole-text decode gives what the line-by-line
-    # path through ``json.loads`` gives, events or error
+    # multi-line texts: the per-line scan gives what the line-by-line path
+    # through ``json.loads`` gives, events or error
     @pytest.mark.parametrize("text", [
         pytest.param(_SEAL + ", " + _SEAL.replace("1", "2") + "\n" + _SEAL.replace("1", "3"),
                      id="two_values_on_one_line"),
@@ -175,21 +184,25 @@ class TestParseEquivalence:
         monkeypatch.setattr(trace, "_scan_once", _never_scans)
         assert outcome(text) == scanned
 
-    def test_whole_text_is_one_scanner_call(self, monkeypatch):
+    def test_one_scanner_call_per_line(self, monkeypatch):
+        """Each line of a valid trace is decoded once, and a blank line not
+        at all."""
         calls = []
 
-        def counted(doc, idx):
-            calls.append(idx)
-            return scan(doc, idx)
+        def counted(line, idx):
+            calls.append(line)
+            return scan(line, idx)
 
         scan = trace._scan_once
         monkeypatch.setattr(trace, "_scan_once", counted)
+        monkeypatch.setattr(trace, "_decode_lines", lambda text: pytest.fail("decoded again"))
         events = fixture_three_iis()
-        assert parse_trace(serialize_trace(events)) == events
-        assert len(calls) == 1
+        text = serialize_trace(events)
+        assert parse_trace(text) == events
+        assert calls == text.splitlines()
         calls.clear()
-        parse_trace("\n" + serialize_trace(events).replace("\n", "\n \n"))
-        assert len(calls) == 1
+        assert parse_trace("\n" + text.replace("\n", "\n \n")) == events
+        assert calls == text.splitlines()
 
 
 # a valid value for every payload field
@@ -572,16 +585,18 @@ class TestSchema:
         assert covered == payload
 
 
-class TestReadme:
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
+
+class TestReadme:
     def test_example_trace_replays_clean(self):
-        block = re.search(r"```jsonl\n(.*?)```", self.text, re.S).group(1)
+        block = re.search(r"```jsonl\n(.*?)```", _readme(), re.S).group(1)
         report = replay(parse_trace(block), dual=True)
         assert report.ok and report.assertions_passed == 2
 
     def test_op_list_matches_schema(self):
-        listed = re.search(r"^Ops: (.*?)\.\s", self.text, re.M | re.S).group(1)
+        listed = re.search(r"^Ops: (.*?)\.\s", _readme(), re.M | re.S).group(1)
         assert re.findall(r"`(\w+)`", listed) == list(OP_SCHEMA)
 
 
