@@ -75,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_replay_options(parser):
     parser.add_argument("--dual-oracle", action="store_true",
-                        help="run the reference oracle in lockstep")
+                        help="compare every create and open with the full-scan oracle; "
+                             "only a VM caller's outcomes other than VmGlobal can "
+                             "differ, so only those are scanned")
     parser.add_argument("--report", metavar="PATH", help="write the replay report JSON")
 
 

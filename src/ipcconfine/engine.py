@@ -68,6 +68,7 @@ from .model import (
     IpcCategory,
     ProcessRef,
     Scope,
+    VmId,
     check_object_name,
     is_ascii_digits,
     is_global_name,
@@ -461,9 +462,16 @@ class ReferenceEngine(_ResolvePipeline):
 
     Every host-object lookup scans the entire long list (exact entries and
     patterns alike), so it is never affected by sealing. Entries are split
-    into exact names and pattern prefixes once, at load. It keeps its own
-    global-object tables so it can be driven over a trace in lockstep with
-    the optimized engine.
+    into exact names and pattern prefixes once, at load.
+
+    A dual replay asks it only what it decides differently from the engine.
+    Host callers take step (a), and ``VmGlobal`` outcomes come from steps
+    (b) and (c): both engines decide these with the same pipeline code on
+    the same global-object tables, so the oracle could only agree. Every
+    other outcome of a VM caller is step (d), (e), (f) or (g) in the engine
+    and (f) or (g) here, and :meth:`host_object_outcome` decides it with
+    one full scan. ``resolve`` keeps its own global-object tables and every
+    check, for callers that drive it alone.
     """
 
     def __init__(self):
@@ -479,6 +487,15 @@ class ReferenceEngine(_ResolvePipeline):
     def seal_host_objects(self):
         # the oracle has no flag; sealing changes nothing
         self._require_loaded()
+
+    def host_object_outcome(self, name: str, vm: VmId) -> ResolveOutcome:
+        """Steps (f) and (g) for VM ``vm``: ``name`` passes through if the
+        full scan lists it and is renamed into the VM otherwise. No check,
+        lock or counter: the caller passes a name that the engine resolved
+        for that VM, with the same long list loaded."""
+        if self._scan(name):
+            return _new(ResolveOutcome, (name, _PASSTHROUGH))
+        return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE))
 
     def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
         if self._scan(name):

@@ -56,15 +56,9 @@ class BadCategory(ConfinementError):
 # --- kernel errors ----------------------------------------------------------
 
 class KernelError(ConfinementError):
-    """Kernel op failure; may carry the resolve outcome that led to it."""
-
-    def __init__(self, message: str = "", outcome=None):
-        # ``BaseException.__new__`` has already set ``args`` to the positional
-        # arguments; a replay raises one of these per failed create or open,
-        # so the base ``__init__`` call is skipped unless ``args`` must change
-        if len(self.args) != 1:
-            self.args = (message,)
-        self.outcome = outcome
+    """Kernel op failure. A failed create or open raises one from the
+    public kernel op; the kernel's non-raising cores return its class,
+    with the resolve outcome, instead."""
 
 
 class AlreadyExists(KernelError):

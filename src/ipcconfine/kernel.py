@@ -22,6 +22,7 @@ from .errors import (
     CategoryMismatch,
     InvalidHandle,
     InvalidPort,
+    KernelError,
     NotFound,
     UnknownProcess,
 )
@@ -97,11 +98,15 @@ class SimKernel:
     """Registry, message bus, window table, and socket table behind the engine.
 
     Mutations appear atomic (one kernel lock); message delivery is FIFO per
-    (sender, receiver) pair. ``create_object``, ``open_object`` and ``close``,
-    called once per name event of a replay, take the lock with explicit
-    ``acquire()`` / ``release()`` calls, with a ``finally`` that releases it
-    on every error: a ``with`` block's context-manager calls cost about
-    120 ns more per call (Python 3.11, Intel Xeon).
+    (sender, receiver) pair. ``create_object`` and ``open_object`` each
+    run a non-raising core, ``try_create_object`` and ``try_open_object``,
+    that returns a failure's error class with the resolve outcome instead
+    of raising it; a replay calls the cores, so a failed create or open
+    costs no raise and no catch. The cores and ``close``, called once per
+    name event of a replay, take the lock with explicit ``acquire()`` /
+    ``release()`` calls, with a ``finally`` that releases it on every
+    error: a ``with`` block's context-manager calls cost about 120 ns more
+    per call (Python 3.11, Intel Xeon).
     Windows are indexed per (VM id, class name) and per VM, each list in
     registration order, so a lookup never reads another VM's windows.
     Every op that takes a process checks it against the registry first, so
@@ -127,42 +132,67 @@ class SimKernel:
 
     def create_object(self, caller: ProcessRef, name: str, category: IpcCategory,
                       scope: Scope = Scope.LOCAL) -> Handle:
-        self._check_live(caller)
-        outcome = self.engine.resolve(caller, name, category, Intent.CREATE, scope)
-        lock = self._lock
-        lock.acquire()
-        try:
-            record = self._objects.get(outcome.effective_name)
-            if record is not None:
-                if record.category.group is not category.group:
-                    raise CategoryMismatch(
-                        f"{outcome.effective_name} exists as {record.category}, not {category}",
-                        outcome=outcome)
-                raise AlreadyExists(outcome.effective_name, outcome=outcome)
-            record = ObjectRecord(outcome.effective_name, category, caller, refcount=1)
-            self._objects[outcome.effective_name] = record
-            return self._new_handle(record, outcome)
-        finally:
-            lock.release()
+        with self._lock:
+            return self._handle_or_raise(
+                self.try_create_object(caller, name, category, scope), category)
 
     def open_object(self, caller: ProcessRef, name: str,
                     category: IpcCategory) -> Handle:
+        with self._lock:
+            return self._handle_or_raise(self.try_open_object(caller, name, category), category)
+
+    def try_create_object(self, caller: ProcessRef, name: str, category: IpcCategory,
+                          scope: Scope = Scope.LOCAL) -> tuple[Handle | type[KernelError],
+                                                               ResolveOutcome]:
+        """The create core: ``(handle, outcome)``, or, where ``create_object``
+        raises a KernelError, ``(its class, outcome)``. Engine and caller
+        errors raise as from ``create_object``."""
+        self._check_live(caller)
+        outcome = self.engine.resolve(caller, name, category, Intent.CREATE, scope)
+        effective = outcome[0]
+        lock = self._lock
+        lock.acquire()
+        try:
+            record = self._objects.get(effective)
+            if record is not None:
+                if record.category.group is not category.group:
+                    return CategoryMismatch, outcome
+                return AlreadyExists, outcome
+            record = self._objects[effective] = ObjectRecord(effective, category, caller, 1)
+            return self._new_handle(record, outcome), outcome
+        finally:
+            lock.release()
+
+    def try_open_object(self, caller: ProcessRef, name: str,
+                        category: IpcCategory) -> tuple[Handle | type[KernelError],
+                                                        ResolveOutcome]:
+        """The open core, as ``try_create_object`` is the create core."""
         self._check_live(caller)
         outcome = self.engine.resolve(caller, name, category, Intent.OPEN, Scope.LOCAL)
         lock = self._lock
         lock.acquire()
         try:
-            record = self._objects.get(outcome.effective_name)
+            record = self._objects.get(outcome[0])
             if record is None:
-                raise NotFound(outcome.effective_name, outcome=outcome)
+                return NotFound, outcome
             if record.category.group is not category.group:
-                raise CategoryMismatch(
-                    f"{outcome.effective_name} exists as {record.category}, not {category}",
-                    outcome=outcome)
+                return CategoryMismatch, outcome
             record.refcount += 1
-            return self._new_handle(record, outcome)
+            return self._new_handle(record, outcome), outcome
         finally:
             lock.release()
+
+    def _handle_or_raise(self, result: tuple, category: IpcCategory) -> Handle:
+        """A core's handle, or its failure raised; called with the lock held
+        since the core ran, so a mismatched record is still there."""
+        handle, outcome = result
+        if type(handle) is Handle:
+            return handle
+        effective = outcome.effective_name
+        if handle is CategoryMismatch:
+            raise handle(f"{effective} exists as {self._objects[effective].category}, "
+                         f"not {category}")
+        raise handle(effective)
 
     def close(self, handle: Handle):
         lock = self._lock

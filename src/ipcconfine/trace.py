@@ -55,9 +55,8 @@ from .errors import (
     ReplayError,
     ValidationError,
 )
-from .kernel import HookScope, SimKernel
+from .kernel import Handle, HookScope, SimKernel
 from .model import (
-    Intent,
     IpcCategory,
     Scope,
     VmId,
@@ -169,6 +168,7 @@ class OpSpec:
 _category = lru_cache(maxsize=64)(IpcCategory.parse)
 
 _SCOPES = {None: Scope.LOCAL, **{s.value: s for s in Scope}}
+_VM_GLOBAL = Route.VM_GLOBAL
 _HOOK_SCOPES = {h.value: h for h in HookScope}
 
 
@@ -508,9 +508,16 @@ class ReplayReport:
 class Replayer:
     """Executes a validated event list against a fresh engine + kernel.
 
-    In dual mode the reference oracle is driven in lockstep over every
-    name resolution and any outcome divergence is recorded. Replay is
-    deterministic: identical input yields identical reports.
+    In dual mode each create or open's outcome is compared with the
+    reference oracle's, whole, and any divergence is recorded. The oracle
+    is asked only where it can decide differently: once, with one full
+    scan, for a VM caller whose engine route is not ``VmGlobal``. Host
+    callers (step (a)) and ``VmGlobal`` outcomes (steps (b) and (c)) are
+    decided by the pipeline code both engines share, on global-object
+    tables that the same creates fill alike, so there the oracle's whole
+    ``resolve`` could only agree; every remaining outcome is the engine's
+    host-object lookup against the oracle's scan. Replay is deterministic:
+    identical input yields identical reports.
     """
 
     def __init__(self, dual: bool = False):
@@ -553,10 +560,10 @@ class Replayer:
         except ConfinementError as exc:
             result["error"] = exc.code
             # a KernelError is a normal, assertable outcome of an op contract
-            # (create and open record theirs, with the outcome, in
-            # ``_create_or_open``; bind's ``AddressInUse`` carries none); any
-            # other error is a precondition violation and aborts the run
-            # unless the event expects it
+            # (bind's ``AddressInUse``; create and open record theirs, with
+            # the outcome, in ``_create_or_open``, and raise none); any other
+            # error is a precondition violation and aborts the run unless the
+            # event expects it
             if not isinstance(exc, KernelError) and (event.expect or {}).get("error") is None:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
         return result
@@ -575,40 +582,33 @@ class Replayer:
         result["pid"] = self.registry.process_spawn(VmId(event.vm)).pid
 
     def _create_or_open(self, event: TraceEvent, result: dict) -> None:
-        """Run a create or an open and record its result: the new handle, or
-        the KernelError's code, then the outcome's fields. In dual mode the
-        outcome is compared with the oracle's. The arguments are derived
-        once, for the kernel and the oracle; an open has no scope, which
-        ``_SCOPES`` reads as Local."""
+        """Run a create or an open through the kernel's non-raising core and
+        record its result: the new handle, or the failure's error code, then
+        the outcome's fields. In dual mode the outcome is compared with the
+        oracle's (see the class docstring)."""
         caller = self.registry.process(event.actor)
         name = event.name
-        category, scope = _category(event.category), _SCOPES[event.scope]
-        create = event.op == "create"
-        try:
-            if create:
-                handle = self.kernel.create_object(caller, name, category, scope)
-            else:
-                handle = self.kernel.open_object(caller, name, category)
-        except KernelError as exc:
-            # read here: ``exc`` is unbound when the block ends, so no name
-            # keeps its traceback and frame alive in a cycle
-            result["error"] = exc.code
-            outcome = exc.outcome
+        if event.op == "create":
+            handle, outcome = self.kernel.try_create_object(
+                caller, name, _category(event.category), _SCOPES[event.scope])
         else:
+            handle, outcome = self.kernel.try_open_object(caller, name, _category(event.category))
+        if type(handle) is Handle:
             key = (event.actor, name)
             stack = self._handles.get(key)
             if stack is None:
                 self._handles[key] = [handle]
             else:
                 stack.append(handle)
-            outcome = handle.outcome
+        else:
+            result["error"] = handle.code
         # the outcome's fields, in ``to_dict`` order
         result["effective_name"], route = outcome
         result["route"] = route._value_
         result["principle"] = route.principle._value_
-        if self.reference is not None:
-            intent = Intent.CREATE if create else Intent.OPEN
-            ref = self.reference.resolve(caller, name, category, intent, scope)
+        reference = self.reference
+        if reference is not None and route is not _VM_GLOBAL and caller.vm.id:
+            ref = reference.host_object_outcome(name, caller.vm)
             if ref != outcome:
                 self._divergences.append({
                     "seq": event.seq,
@@ -665,9 +665,8 @@ class Replayer:
         result["effective_ip"], result["effective_port"] = binding.effective
 
     def _seal(self, event: TraceEvent, result: dict) -> None:
+        # the oracle has no flag, so it is not sealed
         self.engine.seal_host_objects()
-        if self.reference is not None:
-            self.reference.seal_host_objects()
         self.seal_snapshot = self.engine.snapshot()
 
     def _check_expect(self, expect: dict, result: dict) -> list[dict]:

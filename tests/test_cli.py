@@ -257,7 +257,7 @@ class TestStrictStdout:
     @settings(max_examples=200, deadline=None)
     @given(events=_surrogate_traces())
     def test_replay_of_a_valid_trace_never_raises(self, events, tmp_path_factory):
-        """Every trace ``validate`` accepts replays, oracle in lockstep, to
+        """Every trace ``validate`` accepts replays in dual mode to
         an exit code, with stdout a UTF-8 stream that refuses what is not
         UTF-8 text, as a terminal's does."""
         path = tmp_path_factory.getbasetemp() / "surrogates.jsonl"

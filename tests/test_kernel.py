@@ -78,9 +78,11 @@ class TestNamedObjects:
 
     def test_duplicate_create_same_vm(self, kernel, vm1_proc):
         kernel.create_object(vm1_proc, r"\app\x", PORT)
-        with pytest.raises(AlreadyExists) as exc:
+        with pytest.raises(AlreadyExists, match=r"^\\vm1\\app\\x$"):
             kernel.create_object(vm1_proc, r"\app\x", PORT)
-        assert exc.value.outcome.effective_name == r"\vm1\app\x"
+        failed, outcome = kernel.try_create_object(vm1_proc, r"\app\x", PORT)
+        assert failed is AlreadyExists
+        assert outcome.effective_name == r"\vm1\app\x"
 
     def test_same_name_coexists_across_contexts(self, kernel, host_proc,
                                                  vm1_proc, vm2_proc):
@@ -113,16 +115,42 @@ class TestNamedObjects:
 
     def test_cross_vm_private_object_unreachable(self, kernel, vm1_proc, vm2_proc):
         kernel.create_object(vm1_proc, r"\app\secret", PORT)
-        with pytest.raises(NotFound) as exc:
+        with pytest.raises(NotFound):
             kernel.open_object(vm2_proc, r"\app\secret", PORT)
-        assert exc.value.outcome.effective_name == r"\vm2\app\secret"
+        failed, outcome = kernel.try_open_object(vm2_proc, r"\app\secret", PORT)
+        assert failed is NotFound
+        assert outcome.effective_name == r"\vm2\app\secret"
 
     def test_category_group_mismatch(self, kernel, vm1_proc):
         kernel.create_object(vm1_proc, r"\app\x", PORT)
-        with pytest.raises(CategoryMismatch):
+        with pytest.raises(CategoryMismatch) as exc:
             kernel.open_object(vm1_proc, r"\app\x", PSEUDO_FILE)
-        with pytest.raises(CategoryMismatch):
+        assert exc.value.args == (r"\vm1\app\x exists as I_Port, not II_PseudoFile",)
+        with pytest.raises(CategoryMismatch) as exc:
             kernel.create_object(vm1_proc, r"\app\x", SHARED_MEMORY)
+        assert exc.value.args == (r"\vm1\app\x exists as I_Port, not III_SharedMemory",)
+
+    def test_cores_return_what_the_ops_raise(self, kernel, vm1_proc):
+        """Each failure of a core is the class that its public op raises,
+        with the outcome; a failure changes no object or handle, and a
+        success returns the handle with its own outcome."""
+        handle, outcome = kernel.try_create_object(vm1_proc, r"\app\x", PORT)
+        assert handle.outcome is outcome and handle.object.refcount == 1
+        failures = [
+            (kernel.try_create_object, kernel.create_object, PORT, AlreadyExists),
+            (kernel.try_create_object, kernel.create_object, SHARED_MEMORY, CategoryMismatch),
+            (kernel.try_open_object, kernel.open_object, PSEUDO_FILE, CategoryMismatch),
+        ]
+        for core, op, category, cls in failures:
+            before = (kernel.objects(), dict(kernel._handles))
+            assert core(vm1_proc, r"\app\x", category) == (cls, outcome)
+            with pytest.raises(cls):
+                op(vm1_proc, r"\app\x", category)
+            assert (kernel.objects(), dict(kernel._handles)) == before
+        assert handle.object.refcount == 1
+        opened, again = kernel.try_open_object(vm1_proc, r"\app\x", PORT)
+        assert again == outcome and opened.object is handle.object
+        assert kernel.live_handle_count(handle.object) == 2
 
     def test_subtypes_within_group_interchange(self, kernel, vm1_proc):
         mutex = IpcCategory(IpcGroup.SYNC, "Mutex")
@@ -131,9 +159,11 @@ class TestNamedObjects:
         assert opened.object.category == mutex
 
     def test_not_found_carries_outcome(self, kernel, vm1_proc):
-        with pytest.raises(NotFound) as exc:
+        with pytest.raises(NotFound):
             kernel.open_object(vm1_proc, r"\app\ghost", PORT)
-        assert exc.value.outcome.route.value == "VmPrivate"
+        failed, outcome = kernel.try_open_object(vm1_proc, r"\app\ghost", PORT)
+        assert failed is NotFound
+        assert outcome.route.value == "VmPrivate"
 
     def test_unknown_process_rejected(self, kernel):
         ghost = ProcessRef(999, VmId(1))
@@ -255,6 +285,8 @@ class TestSockets:
 CALLER_OPS = {
     "create_object": lambda k, proc, peer: k.create_object(proc, r"\app\new", PORT),
     "open_object": lambda k, proc, peer: k.open_object(proc, r"\app\secret", PORT),
+    "try_create_object": lambda k, proc, peer: k.try_create_object(proc, r"\app\new", PORT),
+    "try_open_object": lambda k, proc, peer: k.try_open_object(proc, r"\app\secret", PORT),
     "send_message/sender": lambda k, proc, peer: k.send_message(proc, peer),
     "send_message/target": lambda k, proc, peer: k.send_message(peer, proc),
     "inbox": lambda k, proc, peer: k.inbox(proc),
@@ -321,8 +353,10 @@ def subclasses(cls):
 
 
 class TestErrors:
-    """A failed create or open raises one KernelError per call; its text,
-    arguments and code are those of a plain exception with one message."""
+    """A KernelError's text, arguments and repr are those of a plain
+    exception made with the same arguments, and its code is its class
+    name. It carries no resolve outcome: the kernel's cores return that
+    with the error class."""
 
     OUTCOME = ResolveOutcome(r"\vm1\app\a", Route.VM_PRIVATE)
 
@@ -331,15 +365,15 @@ class TestErrors:
     @pytest.mark.parametrize("how", ["keyword", "positional", "bare"])
     def test_kernel_error_fields(self, cls, how):
         if how == "keyword":
-            exc, message, outcome = cls("msg", outcome=self.OUTCOME), "msg", self.OUTCOME
-        elif how == "positional":
-            exc, message, outcome = cls("msg", self.OUTCOME), "msg", self.OUTCOME
-        else:
-            exc, message, outcome = cls(), "", None
-        assert str(exc) == message
-        assert exc.args == (message,)
-        assert repr(exc) == f"{cls.__name__}({message!r})"
-        assert exc.outcome is outcome
+            # the ``outcome=`` keyword is gone with the attribute
+            with pytest.raises(TypeError):
+                cls("msg", outcome=self.OUTCOME)
+        args = () if how == "bare" else ("msg",)
+        exc, plain = cls(*args), Exception(*args)
+        assert str(exc) == str(plain)
+        assert exc.args == plain.args == args
+        assert repr(exc) == cls.__name__ + repr(plain).removeprefix("Exception")
+        assert not hasattr(exc, "outcome")
         assert exc.code == cls.__name__
 
     def test_every_code_is_the_class_name(self):

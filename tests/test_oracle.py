@@ -10,6 +10,8 @@ through (HostPassthrough), and ``first_post_seal_host_touches`` names
 exactly the diverging names.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +23,12 @@ from ipcconfine.trace import (
     TraceEvent,
     TraceParams,
     first_post_seal_host_touches,
+    fixture_rpcss,
+    fixture_three_iis,
     generate_random_trace,
     replay,
 )
+from reference_replay import lockstep_replay
 
 VM1 = ProcessRef(10, VmId(1))
 VM2 = ProcessRef(11, VmId(2))
@@ -323,3 +328,37 @@ class TestTraceEquivalence:
             assert seen >= 5   # most seeds at these parameters diverge somewhere
             # names listed only by a pattern are predicted too
             assert bool(detected_by_pattern) == (params.pattern_count > 0)
+
+
+class TestLockstepEquivalence:
+    """A dual replay asks the oracle only for a VM caller's outcomes that
+    are not ``VmGlobal``, one scan each; its report is byte-identical to
+    that of the oracle's whole ``resolve`` run in lockstep on every create
+    and open (``reference_replay``)."""
+
+    @pytest.mark.parametrize("params", [
+        TraceParams(event_count=120),
+        TraceParams(event_count=120, pattern_count=3),
+        TraceParams(event_count=120, global_fraction=0.5, vm_count=3, process_count=6),
+    ], ids=["plain", "patterns", "global_half"])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**20),
+           seal_position=st.integers(min_value=0, max_value=120))
+    def test_unconstrained_traces(self, params, seed, seal_position):
+        events = generate_random_trace(seed, replace(params, seal_position=seal_position),
+                                       constrained=False)
+        assert replay(events, dual=True).to_json() == lockstep_replay(events).to_json()
+
+    @pytest.mark.parametrize("fixture", [fixture_rpcss, fixture_three_iis])
+    def test_fixtures(self, fixture):
+        events = fixture()
+        assert replay(events, dual=True).to_json() == lockstep_replay(events).to_json()
+
+    def test_reference_sees_divergences(self):
+        # the comparison is not vacuous: the reference reports the
+        # divergences that the predictor names
+        params = TraceParams(event_count=120, seal_position=60, pattern_count=3)
+        events = generate_random_trace(3, params)
+        divergences = lockstep_replay(events).divergences
+        assert divergences
+        assert {d["name"] for d in divergences} == first_post_seal_host_touches(events)

@@ -11,10 +11,17 @@ from collections import Counter, OrderedDict
 import pytest
 
 import ipcconfine.engine as engine_module
-from ipcconfine.engine import ConfinementEngine, ReferenceEngine
+from ipcconfine.engine import ConfinementEngine, EngineCounters, ReferenceEngine
+from ipcconfine.errors import KernelError, NotFound
 from ipcconfine.kernel import SimKernel
 from ipcconfine.model import DIGITS, HOST, Intent, PORT, ProcessRef, Scope, VmId, VmRegistry
-from ipcconfine.trace import Replayer, TraceEvent, validate_events
+from ipcconfine.trace import (
+    Replayer,
+    TraceEvent,
+    TraceParams,
+    generate_random_trace,
+    validate_events,
+)
 
 LONG_LIST = (r"\srv\alpha", r"\srv\beta", r"\srv\gamma", r"\Device\NamedPipe\ctl\Pipe*")
 
@@ -368,3 +375,59 @@ def test_instance_work_is_flat_in_vm_count(probes):
     assert first["check"] == 4 and first["exact"] == 4 and first["class_name"] == 1
     assert first["_objects"] and first["_windows"] and first["_bindings"]
     assert all(counts == first for counts in seen.values()), seen
+
+
+def test_dual_replay_scans_once_per_host_object_decision(probes, monkeypatch):
+    """On a trace with patterns, global creates, host-actor events and
+    failed creates and opens, a dual replay makes one oracle scan, of the
+    event's name and in event order, per create or open of a VM caller whose
+    engine route is not ``VmGlobal``, and none for any other event. The
+    oracle makes no name check after its load (a dual replay makes as many
+    as a single one) and runs no ``resolve``, and no KernelError is made."""
+    made = []
+
+    def counted_init(self, *args):
+        made.append(type(self))
+        Exception.__init__(self, *args)
+
+    monkeypatch.setattr(KernelError, "__init__", counted_init, raising=False)
+    params = TraceParams(event_count=400, seal_position=200, pattern_count=3,
+                         global_fraction=0.5)
+    events = generate_random_trace(9, params)
+    assert events[0].op == "load_long_list"
+    checks = {}
+    for dual in (False, True):
+        replayer = Replayer(dual=dual)
+        replayer.run(events[:1])
+        scanned = []
+        if dual:
+            scan = replayer.reference._scan
+
+            def counted_scan(name):
+                scanned.append(name)
+                return scan(name)
+
+            replayer.reference._scan = counted_scan
+        probes.clear()
+        report = replayer.run(events[1:])
+        checks[dual] = probes["check"]
+
+    name_events = [(event, result, replayer.registry.process(event.actor).vm.id)
+                   for event, result in zip(events, replayer.outcomes)
+                   if event.op in ("create", "open")]
+    expected = [event.name for event, result, vm in name_events
+                if vm and result["route"] != "VmGlobal"]
+    assert scanned == expected
+    assert checks[True] == checks[False] > 0
+    assert replayer.reference.counters == EngineCounters()
+    assert made == []
+    # the trace holds every kind of event the gate is about
+    assert any(not vm for _, _, vm in name_events)
+    assert any(result["route"] == "VmGlobal" for _, result, _ in name_events)
+    assert {result.get("error") for _, result, _ in name_events} >= {
+        None, "NotFound", "AlreadyExists"}
+    assert report.counters.long_hits and report.divergences
+    assert any(name.startswith(r"\srv\pipe-") for name in expected)
+    # and the counted constructor counts
+    NotFound("x")
+    assert made == [NotFound]

@@ -170,8 +170,8 @@ class TestParseEquivalence:
         pytest.param('{"seq": 1, "op": "load_long_list", "names": [{"a": 1}\n'
                      '{"b": 2}]}\n' + _SEAL.replace("1", "2") + ", 0, " + _SEAL.replace("1", "3"),
                      id="value_across_lines_three_values"),
-        # a value that runs past its line, with a separator forged as an
-        # escape on the next line
+        # a value that runs past its line, with an escaped U+2028 in a
+        # value on the next line
         pytest.param('{"seq": 1, "op": "load_long_list", "names": [1\n'
                      '2]}, "\\u2028", ' + _SEAL.replace("1", "2"), id="escaped_separator"),
         pytest.param('{"seq": 1, "op": "load_long_list", "names": ["\\\\a\\u2028"]}\n'
