@@ -175,14 +175,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, ReplayError) as exc:
+    except (ParseError, ValidationError, ReplayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfinementError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -41,15 +41,16 @@ phases:
      name passed the check when it went in;
   2. the check: category, name, reserved ``vm<digits>`` prefix, loaded
      state, in that order of errors;
-  3. the decision: steps (a), (b), this engine's host-object lookup
-     (e)-(f), and (g).
+  3. the decision: steps (a), (b), (e), (f) and (g).
 
-:class:`ConfinementEngine` owns the host-object table: the long boot-time
-list, the MRU short list in front of it, and the one-way flag.
-:class:`ReferenceEngine`, the oracle it is equivalence-tested against, has
-no short list and no flag; it compares every exact entry and tries every
-prefix. A table hit returns the outcome stored with the name instead of
-renaming it again.
+The engines differ only in ``_listed``, the long-list predicate that (f)
+asks, and in the short list and flag that only :class:`ConfinementEngine`
+has: it owns the long boot-time list, the MRU short list in front of it,
+and the one-way flag. :class:`ReferenceEngine`, the oracle it is
+equivalence-tested against, has no short list and no flag, so it never
+takes (d) or (e); its ``_listed`` compares every exact entry and tries
+every prefix. A table hit returns the outcome stored with the name instead
+of renaming it again.
 """
 
 from __future__ import annotations
@@ -225,20 +226,19 @@ class EngineSnapshot:
 
 class _ResolvePipeline:
     """The resolve pipeline both engines run: stored outcomes, checks, and
-    steps (a), (b) and (g).
+    steps (a) to (g), each with its counter.
 
-    An engine supplies its host-object lookup: ``_load(exact, prefixes)``
-    keeps the checked long-list entries and returns their count without
-    repeats; ``_host_lookup(name, counters)``, the host-object steps after
-    the short list, counts the step that decided and returns the name's
-    pass-through outcome, or None to have the name renamed into the caller's
-    VM. An engine with a short list, step (d), sets ``_short`` to it and
-    ``_flag`` to its seal state; with the class defaults, None and False,
-    an engine has no step (d). A single lock makes each resolve, with its table updates,
-    atomic: all operations are linearizable. ``resolve`` takes it with
-    explicit ``acquire()`` / ``release()`` calls, with a ``finally`` that
-    releases it on every error: a ``with`` block's context-manager calls
-    cost about 120 ns more per resolve (Python 3.11, Intel Xeon).
+    An engine supplies only its long list: ``_load(exact, prefixes)`` keeps
+    the checked entries and returns their count without repeats, and
+    ``_listed(name)`` says whether the list holds a name. An engine with a
+    short list, step (d), sets ``_short`` to it and ``_flag`` to its seal
+    state, which step (e) reads; with the class defaults, None and False,
+    an engine takes neither (d) nor (e). A single lock makes each resolve,
+    with its table updates, atomic: all operations are linearizable.
+    ``resolve`` takes it with explicit ``acquire()`` / ``release()`` calls,
+    with a ``finally`` that releases it on every error: a ``with`` block's
+    context-manager calls cost about 120 ns more per resolve (Python 3.11,
+    Intel Xeon).
     """
 
     _short: OrderedDict[str, ResolveOutcome] | None = None
@@ -289,6 +289,7 @@ class _ResolvePipeline:
         try:
             c = self.counters
             table = None
+            short = self._short
             # 1. stored outcomes. Each stored name passed the check when it
             # went in, so a hit skips it; a name that is no str is never
             # probed and fails the check below.
@@ -302,7 +303,6 @@ class _ResolvePipeline:
                     return table[name]
                 # (d) recently used host objects pass through, unless this is
                 # a Create of a global name, which (b) decides
-                short = self._short
                 if short is not None:
                     outcome = short.get(name)  # the one short-list probe
                     if outcome is not None and not (
@@ -333,10 +333,19 @@ class _ResolvePipeline:
                 c.global_table_hits += 1
                 return outcome
 
-            # (e)-(f) this engine's host-object lookup
-            outcome = self._host_lookup(name, c)
-            if outcome is not None:
+            # (e) after the seal the long list is never consulted again
+            if self._flag:
+                c.post_seal_long_skips += 1
+            # (f) a listed name passes through and enters the short list
+            elif self._listed(name):
+                c.long_hits += 1
+                outcome = _new(ResolveOutcome, (name, _PASSTHROUGH))
+                if short is not None:
+                    short[name] = outcome
+                    short.move_to_end(name, last=False)
                 return outcome
+            else:
+                c.long_misses += 1
 
             # (g) everything else is renamed into the caller VM's namespace
             return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE))
@@ -378,7 +387,7 @@ class ConfinementEngine(_ResolvePipeline):
             stem for p in self._prefixes if (stem := p.rstrip(DIGITS)) != p)
         return len(self._exact) + len(self._prefixes)
 
-    def _long_contains(self, name: str) -> bool:
+    def _listed(self, name: str) -> bool:
         if name in self._exact:
             return True
         # ``prefix*`` matches only names whose digit stem is the prefix's
@@ -396,22 +405,6 @@ class ConfinementEngine(_ResolvePipeline):
             if name[:cut] in prefixes:
                 return True
         return False
-
-    def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
-        # the short list, step (d), missed in the pipeline's first phase
-        # (e) after seal the long list is never consulted again
-        if self._flag:
-            c.post_seal_long_skips += 1
-            return None
-        # (f) a listed name passes through and enters the short list
-        if self._long_contains(name):
-            short = self._short
-            outcome = short[name] = _new(ResolveOutcome, (name, _PASSTHROUGH))
-            short.move_to_end(name, last=False)
-            c.long_hits += 1
-            return outcome
-        c.long_misses += 1
-        return None
 
     def seal_host_objects(self):
         """Set the host-object flag: stop consulting the long list, freeze
@@ -460,9 +453,11 @@ class ConfinementEngine(_ResolvePipeline):
 class ReferenceEngine(_ResolvePipeline):
     """Naive oracle: the same pipeline with no short list and no flag.
 
-    Every host-object lookup scans the entire long list (exact entries and
-    patterns alike), so it is never affected by sealing. Entries are split
-    into exact names and pattern prefixes once, at load.
+    It differs from the engine only in ``_listed``, which scans the entire
+    long list (exact entries and patterns alike), and in having no short
+    list and no flag, so it never takes (d) or (e) and sealing does not
+    affect it. Entries are split into exact names and pattern prefixes
+    once, at load.
 
     A dual replay asks it only what it decides differently from the engine.
     Host callers take step (a), and ``VmGlobal`` outcomes come from steps
@@ -493,18 +488,11 @@ class ReferenceEngine(_ResolvePipeline):
         full scan lists it and is renamed into the VM otherwise. No check,
         lock or counter: the caller passes a name that the engine resolved
         for that VM, with the same long list loaded."""
-        if self._scan(name):
+        if self._listed(name):
             return _new(ResolveOutcome, (name, _PASSTHROUGH))
         return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE))
 
-    def _host_lookup(self, name: str, c: EngineCounters) -> ResolveOutcome | None:
-        if self._scan(name):
-            c.long_hits += 1
-            return _new(ResolveOutcome, (name, _PASSTHROUGH))
-        c.long_misses += 1
-        return None
-
-    def _scan(self, name: str) -> bool:
+    def _listed(self, name: str) -> bool:
         # deliberate full scan, entry by entry: list membership compares the
         # exact names one at a time, then one ``startswith`` call tries every
         # pattern prefix; only a name that some prefix starts is checked,

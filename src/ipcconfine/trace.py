@@ -420,16 +420,17 @@ def _build(lines, builders: dict) -> list[TraceEvent]:
 
 def _line_error(data) -> str | None:
     """Why a decoded line is not a JSON object of event fields with ``seq``
-    and ``op``, or None; a missing ``seq`` or ``op`` is worded as a
-    ``TraceEvent`` call without it words it."""
+    and ``op``, or None; a missing ``seq`` or ``op`` is the error of the
+    ``TraceEvent`` call without it."""
     if not isinstance(data, dict):
         return "event must be a JSON object"
     if not _KNOWN_FIELDS.issuperset(data):
         return f"unknown fields: {sorted(set(data) - _KNOWN_FIELDS)}"
-    missing = [repr(f) for f in ("seq", "op") if f not in data]
-    if missing:
-        return (f"TraceEvent.__init__() missing {len(missing)} required positional "
-                f"argument{'s' * (len(missing) > 1)}: {' and '.join(missing)}")
+    if "seq" not in data or "op" not in data:
+        try:
+            TraceEvent(**data)
+        except TypeError as exc:
+            return str(exc)
     return None
 
 
@@ -553,7 +554,7 @@ class Replayer:
     def _execute(self, event: TraceEvent) -> dict:
         result = {"seq": event.seq, "op": event.op}
         handler = _HANDLERS.get(event.op)
-        if handler is None:  # pragma: no cover - validation rejects unknown ops
+        if handler is None:
             raise ReplayError(event.seq, f"unknown op {event.op!r}")
         try:
             handler(self, event, result)
@@ -958,6 +959,6 @@ def first_post_seal_host_touches(events) -> set[str]:
     """
     replayer = Replayer()
     replayer.run(events)
-    listed = replayer.engine._long_contains
+    listed = replayer.engine._listed
     return {event.name for event, result in zip(events, replayer.outcomes)
             if result.get("route") == Route.VM_PRIVATE.value and listed(event.name)}

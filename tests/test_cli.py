@@ -87,7 +87,11 @@ class TestReplay:
         assert "error:" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["replay", str(tmp_path / "nope.jsonl")]) == 2
+        path = tmp_path / "nope.jsonl"
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2]")
+        assert str(path) in err
 
     def test_precondition_violation_exits_2(self, tmp_path, capsys):
         events = [

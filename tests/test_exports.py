@@ -4,12 +4,15 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ipcconfine
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ["ipcconfine"] + [f"ipcconfine.{info.name}"
                             for info in pkgutil.iter_modules(ipcconfine.__path__)]
 
@@ -42,3 +45,16 @@ def test_module_imports_are_used(path):
     unused = [name for name in bound
               if name not in read and name not in getattr(module, "__all__", ())]
     assert unused == []
+
+
+@pytest.mark.skipif(not (PERFBENCH / "run.py").is_file(), reason="no perfbench/ in this tree")
+def test_benchmark_tracer_finds_every_entry():
+    """A traced benchmark run wraps public entries by name (for example
+    ``ReferenceEngine.resolve``, ``SimKernel.create_object``,
+    ``engine.rename``, ``dangerous_decide`` and ``validate_events``);
+    installing its tracer against this tree's package finds every one."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import run, spans; "
+            "run.install(spans.Tracer(), run.import_package())")
+    done = subprocess.run([sys.executable, "-c", code, str(PERFBENCH)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -117,7 +117,7 @@ def lookups(long_list):
     engine, reference = ConfinementEngine(), ReferenceEngine()
     engine.load_long_list(long_list)
     reference.load_long_list(long_list)
-    return engine._long_contains, reference._scan
+    return engine._listed, reference._listed
 
 
 class TestWildcardLookup:

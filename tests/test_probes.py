@@ -108,13 +108,13 @@ def count_tables(engine, probes: Counter) -> None:
         engine._short = counting(OrderedDict, probes, "short")(engine._short)
     else:
         # the oracle's one long-list read is a full scan
-        scan = engine._scan
+        scan = engine._listed
 
         def counted_scan(name):
             probes["scan"] += 1
             return scan(name)
 
-        engine._scan = counted_scan
+        engine._listed = counted_scan
 
 
 def resolve(engine, proc, name, intent=Intent.OPEN, scope=Scope.LOCAL):
@@ -401,13 +401,13 @@ def test_dual_replay_scans_once_per_host_object_decision(probes, monkeypatch):
         replayer.run(events[:1])
         scanned = []
         if dual:
-            scan = replayer.reference._scan
+            scan = replayer.reference._listed
 
             def counted_scan(name):
                 scanned.append(name)
                 return scan(name)
 
-            replayer.reference._scan = counted_scan
+            replayer.reference._listed = counted_scan
         probes.clear()
         report = replayer.run(events[1:])
         checks[dual] = probes["check"]

@@ -731,6 +731,12 @@ class TestReplaySemantics:
         with pytest.raises(ReplayError):
             replay(events)
 
+    def test_unknown_op_aborts(self):
+        # replay does not validate the events it is given
+        with pytest.raises(ReplayError) as exc:
+            replay([TraceEvent(1, "fork")])
+        assert str(exc.value) == "seq 1: unknown op 'fork'"
+
     def test_expected_fatal_error_is_recorded(self):
         events = preamble() + [
             ev(4, "close", actor=1, name=r"\a\b", expect={"error": "InvalidHandle"}),
