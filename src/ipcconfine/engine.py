@@ -228,8 +228,9 @@ class _ResolvePipeline:
     """The resolve pipeline both engines run: stored outcomes, checks, and
     steps (a) to (g), each with its counter.
 
-    An engine supplies only its long list: ``_load(exact, prefixes)`` keeps
-    the checked entries and returns their count without repeats, and
+    An engine supplies only its long list: ``_load(exact, prefixes)``
+    builds its index from the checked entries, which come without repeats
+    and in load order, and returns nothing, as the pipeline counts them;
     ``_listed(name)`` says whether the list holds a name. An engine with a
     short list, step (d), sets ``_short`` to it and ``_flag`` to its seal
     state, which step (e) reads; with the class defaults, None and False,
@@ -256,14 +257,16 @@ class _ResolvePipeline:
         with self._lock:
             if self._loaded:
                 raise AlreadyLoaded("long host-object list may be loaded only once")
-            exact, prefixes = [], []
+            # ordered dicts: repeats dropped, load order kept
+            exact, prefixes = {}, {}
             for name in names:
                 check_object_name(name, allow_pattern=True)
                 if name[-1] == "*":
-                    prefixes.append(name[:-1])
+                    prefixes[name[:-1]] = None
                 else:
-                    exact.append(name)
-            count = self._load(exact, prefixes)
+                    exact[name] = None
+            self._load(exact, prefixes)
+            count = len(exact) + len(prefixes)
             self._loaded = True
             logger.info("long host-object list loaded: %d entries", count)
             return count
@@ -357,10 +360,10 @@ class ConfinementEngine(_ResolvePipeline):
     """Optimized confinement engine. It owns the host-object table: the long
     boot-time list, the MRU short list in front of it, and the one-way flag.
 
-    The long list is a hash set of exact names plus a dict of pattern
-    prefixes in load order (``prefix*`` matches ``prefix`` and one or more
+    The long list is a dict of exact names plus a dict of pattern prefixes,
+    both in load order (``prefix*`` matches ``prefix`` and one or more
     ASCII digits). Such a name's digit stem, the name without its trailing
-    ASCII digits, equals the prefix's, so a lookup probes the exact set
+    ASCII digits, equals the prefix's, so a lookup probes the exact dict
     once and, for a name with a trailing digit, the prefix dict once, at its
     stem. ``_digit_stems`` holds the stems of the prefixes that end in a
     digit; only when it holds the name's stem are the cut points inside the
@@ -372,20 +375,18 @@ class ConfinementEngine(_ResolvePipeline):
 
     def __init__(self):
         super().__init__()
-        self._exact: set[str] = set()
+        self._exact: dict[str, None] = {}
         self._prefixes: dict[str, None] = {}
         self._digit_stems: frozenset[str] = frozenset()
         self._short: OrderedDict[str, ResolveOutcome] = OrderedDict()
         # set here too: an instance attribute reads faster than the default
         self._flag = False
 
-    def _load(self, exact: list[str], prefixes: list[str]) -> int:
-        self._exact = set(exact)
-        self._prefixes = dict.fromkeys(prefixes)  # drops repeats, keeps order
+    def _load(self, exact: dict[str, None], prefixes: dict[str, None]):
+        self._exact, self._prefixes = exact, prefixes
         # the digit stems of the prefixes that end in a digit
         self._digit_stems = frozenset(
-            stem for p in self._prefixes if (stem := p.rstrip(DIGITS)) != p)
-        return len(self._exact) + len(self._prefixes)
+            stem for p in prefixes if (stem := p.rstrip(DIGITS)) != p)
 
     def _listed(self, name: str) -> bool:
         if name in self._exact:
@@ -474,10 +475,8 @@ class ReferenceEngine(_ResolvePipeline):
         self._exact: list[str] = []
         self._prefixes: tuple[str, ...] = ()
 
-    def _load(self, exact: list[str], prefixes: list[str]) -> int:
-        # repeats dropped, load order kept
-        self._exact, self._prefixes = list(dict.fromkeys(exact)), tuple(dict.fromkeys(prefixes))
-        return len(self._exact) + len(self._prefixes)
+    def _load(self, exact: dict[str, None], prefixes: dict[str, None]):
+        self._exact, self._prefixes = list(exact), tuple(prefixes)
 
     def seal_host_objects(self):
         # the oracle has no flag; sealing changes nothing

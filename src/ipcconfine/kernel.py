@@ -48,7 +48,6 @@ __all__ = [
 
 @dataclass(slots=True)
 class ObjectRecord:
-    effective_name: str
     category: IpcCategory
     creator: ProcessRef
     refcount: int = 0
@@ -107,8 +106,8 @@ class SimKernel:
     ``release()`` calls, with a ``finally`` that releases it on every
     error: a ``with`` block's context-manager calls cost about 120 ns more
     per call (Python 3.11, Intel Xeon).
-    Windows are indexed per (VM id, class name) and per VM, each list in
-    registration order, so a lookup never reads another VM's windows.
+    Windows are held in one list per VM, in registration order, so a lookup
+    never reads another VM's windows.
     Every op that takes a process checks it against the registry first, so
     a ref that pairs a live pid with another VM id is refused.
     ``send_message`` (True when delivered) and ``create_remote_thread``
@@ -123,9 +122,8 @@ class SimKernel:
         self._handles: dict[int, Handle] = {}
         self._handle_ids = itertools.count(1)
         self._inboxes: dict[int, deque] = {}
-        # windows in registration order, per (vm id, class name) and per vm id
-        self._windows: dict[tuple[int, str], list[WindowRecord]] = {}
-        self._vm_windows: dict[int, list[WindowRecord]] = {}
+        # vm id -> its windows, in registration order
+        self._windows: dict[int, list[WindowRecord]] = {}
         self._bindings: dict[tuple[str, int], SocketBinding] = {}
 
     # -- named objects (categories I-IV) --------------------------------------
@@ -158,7 +156,7 @@ class SimKernel:
                 if record.category.group is not category.group:
                     return CategoryMismatch, outcome
                 return AlreadyExists, outcome
-            record = self._objects[effective] = ObjectRecord(effective, category, caller, 1)
+            record = self._objects[effective] = ObjectRecord(category, caller, 1)
             return self._new_handle(record, outcome), outcome
         finally:
             lock.release()
@@ -204,7 +202,7 @@ class SimKernel:
             record = handle.object
             record.refcount -= 1
             if record.refcount == 0:
-                self._objects.pop(record.effective_name, None)
+                del self._objects[handle.outcome[0]]
         finally:
             lock.release()
 
@@ -236,10 +234,8 @@ class SimKernel:
     def register_window(self, owner: ProcessRef, class_name: str) -> WindowRecord:
         self._check_live(owner)
         record = WindowRecord(class_name, owner)
-        vm_id = owner.vm.id
         with self._lock:
-            self._windows.setdefault((vm_id, class_name), []).append(record)
-            self._vm_windows.setdefault(vm_id, []).append(record)
+            self._windows.setdefault(owner.vm.id, []).append(record)
         return record
 
     def find_window(self, caller: ProcessRef, class_name: str) -> WindowRecord | None:
@@ -247,13 +243,15 @@ class SimKernel:
         in other VMs (and in the host, for VM callers) are invisible."""
         self._check_live(caller)
         with self._lock:
-            records = self._windows.get((caller.vm.id, class_name))
-            return records[0] if records else None
+            for record in self._windows.get(caller.vm.id, ()):
+                if record.class_name == class_name:
+                    return record
+            return None
 
     def enumerate_windows(self, caller: ProcessRef) -> list[WindowRecord]:
         self._check_live(caller)
         with self._lock:
-            return list(self._vm_windows.get(caller.vm.id, ()))
+            return list(self._windows.get(caller.vm.id, ()))
 
     # -- dangerous calls (category VII) -------------------------------------------
 

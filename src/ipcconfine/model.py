@@ -237,7 +237,8 @@ def is_global_name(name: str, declared_scope: Scope) -> bool:
 class VmRegistry:
     """Allocates VM ids and pids; tracks alias IPs and live processes.
 
-    Ids are never reused within one run. Allocation is linearizable: a lock
+    A new id is its table's size plus one, which never repeats an id, as
+    nothing removes a VM or a process. Allocation is linearizable: a lock
     makes each create/spawn atomic, so concurrent callers observe a total
     order with unique, monotonically increasing ids.
     """
@@ -246,8 +247,6 @@ class VmRegistry:
         self._lock = threading.Lock()
         self._aliases: dict[VmId, str] = {}
         self._by_alias: dict[str, VmId] = {}
-        self._next_vm = 1
-        self._next_pid = 1
         self._processes: dict[int, ProcessRef] = {}
 
     def vm_create(self, alias_ip: str) -> VmId:
@@ -256,8 +255,7 @@ class VmRegistry:
         with self._lock:
             if alias_ip in self._by_alias:
                 raise DuplicateAlias(f"alias {alias_ip} already assigned to {self._by_alias[alias_ip]}")
-            vm = VmId(self._next_vm)
-            self._next_vm += 1
+            vm = VmId(len(self._aliases) + 1)
             self._aliases[vm] = alias_ip
             self._by_alias[alias_ip] = vm
             return vm
@@ -266,8 +264,7 @@ class VmRegistry:
         with self._lock:
             if not vm.is_host and vm not in self._aliases:
                 raise UnknownVm(f"no such VM: {vm}")
-            proc = ProcessRef(self._next_pid, vm)
-            self._next_pid += 1
+            proc = ProcessRef(len(self._processes) + 1, vm)
             self._processes[proc.pid] = proc
             return proc
 

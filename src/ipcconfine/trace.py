@@ -522,7 +522,6 @@ class Replayer:
     """
 
     def __init__(self, dual: bool = False):
-        self.dual = dual
         self.registry = VmRegistry()
         self.engine = ConfinementEngine()
         self.kernel = SimKernel(self.registry, self.engine)

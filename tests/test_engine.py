@@ -54,8 +54,9 @@ class TestLifecycle:
         with pytest.raises(AlreadyLoaded):
             engine.load_long_list([r"\x\y"])
 
-    def test_load_counts_and_dedups(self):
-        engine = ConfinementEngine()
+    @pytest.mark.parametrize("engine_class", [ConfinementEngine, ReferenceEngine])
+    def test_load_counts_and_dedups(self, engine_class):
+        engine = engine_class()
         assert engine.load_long_list([r"\a\b", r"\a\b", r"\p\q*", r"\p\q*"]) == 2
 
     def test_load_validates_names(self):

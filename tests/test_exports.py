@@ -1,7 +1,9 @@
-"""Every public export resolves, and every import is used: a stale
-``__all__`` entry or import is what deleting a name leaves behind."""
+"""Every public export resolves, every import is used and every assigned
+attribute is read: a stale ``__all__`` entry, import or attribute is what
+deleting a name leaves behind."""
 
 import ast
+import functools
 import importlib
 import pkgutil
 import subprocess
@@ -12,7 +14,8 @@ import pytest
 
 import ipcconfine
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 MODULES = ["ipcconfine"] + [f"ipcconfine.{info.name}"
                             for info in pkgutil.iter_modules(ipcconfine.__path__)]
 
@@ -45,6 +48,37 @@ def test_module_imports_are_used(path):
     unused = [name for name in bound
               if name not in read and name not in getattr(module, "__all__", ())]
     assert unused == []
+
+
+@functools.cache
+def attribute_reads() -> frozenset[str]:
+    """Each attribute name that some ``.py`` file under ``src/``, ``tests/``
+    or ``perfbench/`` loads as ``<expr>.<name>``."""
+    paths = [path for folder in (ROOT / "src", ROOT / "tests", PERFBENCH) if folder.is_dir()
+             for path in folder.rglob("*.py")]
+    return frozenset(node.attr for path in paths
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", sorted(Path(ipcconfine.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_assigned_attributes_are_read(path):
+    """Each name a method assigns as ``self.<name>``, plainly or with an
+    annotation, is read as an attribute somewhere: state that is written
+    and never read is what deleting its readers leaves behind."""
+    assigned = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign):
+            targets = [sub for target in node.targets for sub in ast.walk(target)]
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        assigned.update(target.attr for target in targets
+                        if isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name) and target.value.id == "self")
+    assert sorted(assigned - attribute_reads()) == []
 
 
 @pytest.mark.skipif(not (PERFBENCH / "run.py").is_file(), reason="no perfbench/ in this tree")

@@ -216,6 +216,19 @@ class TestWindows:
         kernel.register_window(peer, "W")
         assert kernel.find_window(vm1_proc, "W").owner is vm1_proc
 
+    def test_find_window_matches_class_in_one_list(self, kernel, registry, vm1_proc):
+        """A VM's windows of several classes share one list: a lookup finds
+        the first window of the class asked for, and enumeration returns
+        them all in registration order."""
+        peer = registry.process_spawn(VmId(1))
+        first_a = kernel.register_window(vm1_proc, "A")
+        b = kernel.register_window(vm1_proc, "B")
+        second_a = kernel.register_window(peer, "A")
+        found = kernel.find_window(peer, "A")
+        assert found is first_a and found.class_name == "A"
+        assert kernel.find_window(vm1_proc, "B") is b
+        assert kernel.enumerate_windows(vm1_proc) == [first_a, b, second_a]
+
     def test_enumerate_windows_same_vm_only(self, kernel, vm1_proc, vm2_proc):
         kernel.register_window(vm1_proc, "A")
         kernel.register_window(vm2_proc, "B")
@@ -306,8 +319,7 @@ def kernel_state(kernel) -> tuple:
         {name: (r.category, r.creator, r.refcount) for name, r in kernel.objects().items()},
         dict(kernel._handles),
         {pid: list(queue) for pid, queue in kernel._inboxes.items()},
-        {key: list(records) for key, records in kernel._windows.items()},
-        {vm: list(records) for vm, records in kernel._vm_windows.items()},
+        {vm: list(records) for vm, records in kernel._windows.items()},
         kernel.bindings,
         kernel.engine.snapshot(),
     )

@@ -102,7 +102,7 @@ def probes(monkeypatch) -> Counter:
 def count_tables(engine, probes: Counter) -> None:
     """Swap the engine's host-object containers for counting copies."""
     if isinstance(engine, ConfinementEngine):
-        engine._exact = counting(set, probes, "exact")(engine._exact)
+        engine._exact = counting(dict, probes, "exact")(engine._exact)
         engine._prefixes = counting(dict, probes, "prefix")(engine._prefixes)
         engine._digit_stems = counting(frozenset, probes, "digit_stem")(engine._digit_stems)
         engine._short = counting(OrderedDict, probes, "short")(engine._short)
@@ -342,7 +342,7 @@ def count_replayer(replayer: Replayer, probes: Counter) -> None:
     containers = [(registry, "_aliases"), (registry, "_by_alias"), (registry, "_processes"),
                   (replayer.engine, "_global_tables")]
     containers += [(kernel, attr) for attr in ("_objects", "_handles", "_inboxes",
-                                               "_windows", "_vm_windows", "_bindings")]
+                                               "_windows", "_bindings")]
     for owner, attr in containers:
         setattr(owner, attr, scanning(dict, probes, attr)(getattr(owner, attr)))
     count_tables(replayer.engine, probes)
