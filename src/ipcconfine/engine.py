@@ -32,25 +32,20 @@ Resolve pipeline, in order:
       short list;
   (g) everything else is renamed into the caller VM's private namespace.
 
-Both engines run one pipeline, ``_ResolvePipeline.resolve``, in three
-phases:
+``ConfinementEngine.resolve`` runs them in three phases:
 
   1. stored outcomes: for a VM caller, a hit in a table that holds decided
-     outcomes, the VM's global-object table (c) or the engine's short list
-     (d), returns the stored outcome before any name check; every stored
-     name passed the check when it went in;
+     outcomes, the VM's global-object table (c) or the short list (d),
+     returns the stored outcome before any name check; every stored name
+     passed the check when it went in;
   2. the check: category, name, reserved ``vm<digits>`` prefix, loaded
      state, in that order of errors;
   3. the decision: steps (a), (b), (e), (f) and (g).
 
-The engines differ only in ``_listed``, the long-list predicate that (f)
-asks, and in the short list and flag that only :class:`ConfinementEngine`
-has: it owns the long boot-time list, the MRU short list in front of it,
-and the one-way flag. :class:`ReferenceEngine`, the oracle it is
-equivalence-tested against, has no short list and no flag, so it never
-takes (d) or (e); its ``_listed`` compares every exact entry and tries
-every prefix. A table hit returns the outcome stored with the name instead
-of renaming it again.
+:class:`ReferenceEngine`, the oracle the engine is compared with in dual
+replay, is only a long list and steps (f) and (g): its ``resolve(name, vm)``
+scans every exact entry and tries every prefix. The two share only
+``_split_long_list``, which checks and splits the long-list entries.
 """
 
 from __future__ import annotations
@@ -74,8 +69,9 @@ from .model import (
     is_ascii_digits,
     is_global_name,
 )
-# Both engines check a name once, on entry to ``resolve``, so renaming skips
-# the re-check that the public ``model.rename`` makes.
+# The engine checks a name once, on entry to ``resolve``, and the oracle is
+# given names the engine checked, so renaming skips the re-check that the
+# public ``model.rename`` makes.
 from .model import rename_unchecked as rename
 
 logger = logging.getLogger(__name__)
@@ -224,26 +220,44 @@ class EngineSnapshot:
         }
 
 
-class _ResolvePipeline:
-    """The resolve pipeline both engines run: stored outcomes, checks, and
-    steps (a) to (g), each with its counter.
+def _split_long_list(names) -> tuple[dict[str, None], dict[str, None]]:
+    """Check each long-list entry, patterns allowed, and split the entries
+    into exact names and pattern prefixes: two ordered dicts, repeats
+    dropped, load order kept."""
+    exact, prefixes = {}, {}
+    for name in names:
+        check_object_name(name, allow_pattern=True)
+        if name[-1] == "*":
+            prefixes[name[:-1]] = None
+        else:
+            exact[name] = None
+    return exact, prefixes
 
-    An engine supplies only its long list: ``_load(exact, prefixes)``
-    builds its index from the checked entries, which come without repeats
-    and in load order, and returns nothing, as the pipeline counts them;
-    ``_listed(name)`` says whether the list holds a name. An engine with a
-    short list, step (d), sets ``_short`` to it and ``_flag`` to its seal
-    state, which step (e) reads; with the class defaults, None and False,
-    an engine takes neither (d) nor (e). A single lock makes each resolve,
-    with its table updates, atomic: all operations are linearizable.
-    ``resolve`` takes it with explicit ``acquire()`` / ``release()`` calls,
-    with a ``finally`` that releases it on every error: a ``with`` block's
-    context-manager calls cost about 120 ns more per resolve (Python 3.11,
-    Intel Xeon).
+
+class ConfinementEngine:
+    """The confinement engine: stored outcomes, checks, and steps (a) to (g),
+    each with its counter. It owns the per-VM global-object tables and the
+    host-object table: the long boot-time list, the MRU short list in front
+    of it, and the one-way flag.
+
+    The long list is a dict of exact names plus a dict of pattern prefixes,
+    both in load order (``prefix*`` matches ``prefix`` and one or more
+    ASCII digits). Such a name's digit stem, the name without its trailing
+    ASCII digits, equals the prefix's, so a lookup probes the exact dict
+    once and, for a name with a trailing digit, the prefix dict once, at its
+    stem. ``_digit_stems`` holds the stems of the prefixes that end in a
+    digit; only when it holds the name's stem are the cut points inside the
+    name's digits probed too. The cost depends on neither list size nor
+    pattern count. The short list maps concrete names, most recently used
+    first, to their ``HOST_PASSTHROUGH`` outcome; each matches the long
+    list. Once set, the flag never reverts, and the short list is frozen.
+
+    A single lock makes each resolve, with its table updates, atomic: all
+    operations are linearizable. ``resolve`` takes it with explicit
+    ``acquire()`` / ``release()`` calls, with a ``finally`` that releases it
+    on every error: a ``with`` block's context-manager calls cost about
+    120 ns more per resolve (Python 3.11, Intel Xeon).
     """
-
-    _short: OrderedDict[str, ResolveOutcome] | None = None
-    _flag = False
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -251,29 +265,26 @@ class _ResolvePipeline:
         # vm id -> {name: its VM_GLOBAL outcome in that VM}
         self._global_tables: dict[int, dict[str, ResolveOutcome]] = {}
         self.counters = EngineCounters()
+        self._exact: dict[str, None] = {}
+        self._prefixes: dict[str, None] = {}
+        self._digit_stems: frozenset[str] = frozenset()
+        self._short: OrderedDict[str, ResolveOutcome] = OrderedDict()
+        self._flag = False
 
     def load_long_list(self, names) -> int:
         """Load the boot-time host-object inventory. Callable once."""
         with self._lock:
             if self._loaded:
                 raise AlreadyLoaded("long host-object list may be loaded only once")
-            # ordered dicts: repeats dropped, load order kept
-            exact, prefixes = {}, {}
-            for name in names:
-                check_object_name(name, allow_pattern=True)
-                if name[-1] == "*":
-                    prefixes[name[:-1]] = None
-                else:
-                    exact[name] = None
-            self._load(exact, prefixes)
+            exact, prefixes = _split_long_list(names)
+            self._exact, self._prefixes = exact, prefixes
+            # the digit stems of the prefixes that end in a digit
+            self._digit_stems = frozenset(
+                stem for p in prefixes if (stem := p.rstrip(DIGITS)) != p)
             count = len(exact) + len(prefixes)
             self._loaded = True
             logger.info("long host-object list loaded: %d entries", count)
             return count
-
-    def _require_loaded(self):
-        if not self._loaded:
-            raise NotLoaded("long host-object list not loaded")
 
     def resolve(
         self,
@@ -306,15 +317,14 @@ class _ResolvePipeline:
                     return table[name]
                 # (d) recently used host objects pass through, unless this is
                 # a Create of a global name, which (b) decides
-                if short is not None:
-                    outcome = short.get(name)  # the one short-list probe
-                    if outcome is not None and not (
-                            intent is _CREATE and is_global_name(name, scope)):
-                        if not self._flag:
-                            short.move_to_end(name, last=False)
-                        c.resolves_total += 1
-                        c.short_hits += 1
-                        return outcome
+                outcome = short.get(name)  # the one short-list probe
+                if outcome is not None and not (
+                        intent is _CREATE and is_global_name(name, scope)):
+                    if not self._flag:
+                        short.move_to_end(name, last=False)
+                    c.resolves_total += 1
+                    c.short_hits += 1
+                    return outcome
 
             # 2. every other resolve is checked
             check_object_name(name)
@@ -343,9 +353,8 @@ class _ResolvePipeline:
             elif self._listed(name):
                 c.long_hits += 1
                 outcome = _new(ResolveOutcome, (name, _PASSTHROUGH))
-                if short is not None:
-                    short[name] = outcome
-                    short.move_to_end(name, last=False)
+                short[name] = outcome
+                short.move_to_end(name, last=False)
                 return outcome
             else:
                 c.long_misses += 1
@@ -354,39 +363,6 @@ class _ResolvePipeline:
             return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE))
         finally:
             lock.release()
-
-
-class ConfinementEngine(_ResolvePipeline):
-    """Optimized confinement engine. It owns the host-object table: the long
-    boot-time list, the MRU short list in front of it, and the one-way flag.
-
-    The long list is a dict of exact names plus a dict of pattern prefixes,
-    both in load order (``prefix*`` matches ``prefix`` and one or more
-    ASCII digits). Such a name's digit stem, the name without its trailing
-    ASCII digits, equals the prefix's, so a lookup probes the exact dict
-    once and, for a name with a trailing digit, the prefix dict once, at its
-    stem. ``_digit_stems`` holds the stems of the prefixes that end in a
-    digit; only when it holds the name's stem are the cut points inside the
-    name's digits probed too. The cost depends on neither list size nor
-    pattern count. The short list maps concrete names, most recently used
-    first, to their ``HOST_PASSTHROUGH`` outcome; each matches the long
-    list. Once set, the flag never reverts, and the short list is frozen.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._exact: dict[str, None] = {}
-        self._prefixes: dict[str, None] = {}
-        self._digit_stems: frozenset[str] = frozenset()
-        self._short: OrderedDict[str, ResolveOutcome] = OrderedDict()
-        # set here too: an instance attribute reads faster than the default
-        self._flag = False
-
-    def _load(self, exact: dict[str, None], prefixes: dict[str, None]):
-        self._exact, self._prefixes = exact, prefixes
-        # the digit stems of the prefixes that end in a digit
-        self._digit_stems = frozenset(
-            stem for p in prefixes if (stem := p.rstrip(DIGITS)) != p)
 
     def _listed(self, name: str) -> bool:
         if name in self._exact:
@@ -411,7 +387,8 @@ class ConfinementEngine(_ResolvePipeline):
         """Set the host-object flag: stop consulting the long list, freeze
         the short list. Idempotent; irreversible."""
         with self._lock:
-            self._require_loaded()
+            if not self._loaded:
+                raise NotLoaded("long host-object list not loaded")
             if not self._flag:
                 self._flag = True
                 logger.info("host-object flag set; short list frozen at %d entries",
@@ -451,42 +428,35 @@ class ConfinementEngine(_ResolvePipeline):
             )
 
 
-class ReferenceEngine(_ResolvePipeline):
-    """Naive oracle: the same pipeline with no short list and no flag.
+class ReferenceEngine:
+    """The full-scan oracle of dual replay: the long list, and one decision.
 
-    It differs from the engine only in ``_listed``, which scans the entire
-    long list (exact entries and patterns alike), and in having no short
-    list and no flag, so it never takes (d) or (e) and sealing does not
-    affect it. Entries are split into exact names and pattern prefixes
-    once, at load.
-
-    A dual replay asks it only what it decides differently from the engine.
-    Host callers take step (a), and ``VmGlobal`` outcomes come from steps
-    (b) and (c): both engines decide these with the same pipeline code on
-    the same global-object tables, so the oracle could only agree. Every
-    other outcome of a VM caller is step (d), (e), (f) or (g) in the engine
-    and (f) or (g) here, and :meth:`host_object_outcome` decides it with
-    one full scan. ``resolve`` keeps its own global-object tables and every
-    check, for callers that drive it alone.
+    It holds the same checked entries as the engine, split once at load
+    into exact names and pattern prefixes, and decides steps (f) and (g)
+    with a full scan of them: :meth:`resolve` passes a listed name through
+    and renames any other. It has no short list and no flag, so sealing
+    does not touch it; no lock, counters or global-object tables, as it
+    decides nothing else. A dual replay asks it for each outcome of a VM
+    caller that is not ``VmGlobal``: the engine decides those by step (d),
+    (e), (f) or (g), and only (e) can decide otherwise than the scan.
     """
 
     def __init__(self):
-        super().__init__()
         self._exact: list[str] = []
         self._prefixes: tuple[str, ...] = ()
 
-    def _load(self, exact: dict[str, None], prefixes: dict[str, None]):
+    def load_long_list(self, names) -> int:
+        """Load the long list with the engine's entry check; returns the
+        number of distinct entries."""
+        exact, prefixes = _split_long_list(names)
         self._exact, self._prefixes = list(exact), tuple(prefixes)
+        return len(exact) + len(prefixes)
 
-    def seal_host_objects(self):
-        # the oracle has no flag; sealing changes nothing
-        self._require_loaded()
-
-    def host_object_outcome(self, name: str, vm: VmId) -> ResolveOutcome:
+    def resolve(self, name: str, vm: VmId) -> ResolveOutcome:
         """Steps (f) and (g) for VM ``vm``: ``name`` passes through if the
-        full scan lists it and is renamed into the VM otherwise. No check,
-        lock or counter: the caller passes a name that the engine resolved
-        for that VM, with the same long list loaded."""
+        full scan lists it and is renamed into the VM otherwise. No check:
+        the caller passes a name that the engine resolved for that VM, with
+        the same long list loaded."""
         if self._listed(name):
             return _new(ResolveOutcome, (name, _PASSTHROUGH))
         return _new(ResolveOutcome, (rename(name, vm), _VM_PRIVATE))

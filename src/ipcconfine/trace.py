@@ -509,16 +509,14 @@ class ReplayReport:
 class Replayer:
     """Executes a validated event list against a fresh engine + kernel.
 
-    In dual mode each create or open's outcome is compared with the
-    reference oracle's, whole, and any divergence is recorded. The oracle
-    is asked only where it can decide differently: once, with one full
-    scan, for a VM caller whose engine route is not ``VmGlobal``. Host
-    callers (step (a)) and ``VmGlobal`` outcomes (steps (b) and (c)) are
-    decided by the pipeline code both engines share, on global-object
-    tables that the same creates fill alike, so there the oracle's whole
-    ``resolve`` could only agree; every remaining outcome is the engine's
-    host-object lookup against the oracle's scan. Replay is deterministic:
-    identical input yields identical reports.
+    In dual mode each create or open of a VM caller whose engine route is
+    not ``VmGlobal`` is compared, whole, with the full-scan oracle's
+    outcome, one scan each, and any divergence is recorded. The engine
+    decides such an outcome by step (d), (e), (f) or (g), and the oracle
+    by (f) or (g). Host callers (step (a)) and ``VmGlobal`` outcomes (steps
+    (b) and (c)) do not depend on the host-object list, so the oracle, which
+    holds nothing else, is not asked. Replay is deterministic: identical
+    input yields identical reports.
     """
 
     def __init__(self, dual: bool = False):
@@ -608,7 +606,7 @@ class Replayer:
         result["principle"] = route.principle._value_
         reference = self.reference
         if reference is not None and route is not _VM_GLOBAL and caller.vm.id:
-            ref = reference.host_object_outcome(name, caller.vm)
+            ref = reference.resolve(name, caller.vm)
             if ref != outcome:
                 self._divergences.append({
                     "seq": event.seq,
@@ -949,12 +947,12 @@ def first_post_seal_host_touches(events) -> set[str]:
     """Names the engine confines by step (e): listed host objects it
     renames after the seal.
 
-    This is exactly where the engine and the full-scan oracle disagree. The
-    two keep identical global-object tables, so on every other step they
-    decide alike; a name the engine's long list holds is renamed
-    (``VmPrivate``) only by step (e), while the oracle, with no flag, passes
-    it through. The events are replayed once in single mode, so a trace the
-    replay rejects raises as :func:`replay` would.
+    This is exactly where the engine and the full-scan oracle disagree.
+    The oracle is asked only for outcomes that steps (d) to (g) decide, and
+    it passes every listed name through; the engine renames
+    (``VmPrivate``) a name its long list holds only by step (e). The events
+    are replayed once in single mode, so a trace the replay rejects raises
+    as :func:`replay` would.
     """
     replayer = Replayer()
     replayer.run(events)

@@ -1,0 +1,145 @@
+"""Mutation checks that can be run again.
+
+    python3 tests/mutants.py [NAME ...]
+
+Each mutant breaks one rule in ``src/``: it names a file, an exact old
+text, the new text that replaces it, and the tests that must fail. For
+each mutant, all of them or those named, the script copies ``src/`` to a
+temporary directory, applies the mutant there, and runs its tests in one
+pytest process with that copy on the path. It prints ``caught`` when every
+named test fails and ``missed`` otherwise, and ends with one line that
+counts both. The mutants run one after another, never in parallel.
+
+Pytest does not collect this file, as its name does not match
+``test_*.py``; ``test_mutants.py`` checks only that each old text occurs
+exactly once in ``src/``, so a change that moves the code must update the
+mutant. Add a mutant here for each mutation a change checks; a missed one
+is reported, not dropped.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                 # relative to ``src/``
+    old: str
+    new: str
+    tests: tuple[str, ...]    # pytest node ids, relative to the repository root
+
+
+MODEL_TESTS = ("tests/test_pipeline_model.py::test_engine_matches_model",
+               "tests/test_pipeline_model.py::test_a_fixed_sequence_takes_every_step")
+
+MUTANTS = (
+    # step (b) without the literal Global component: dual replay cannot see
+    # it, as both sides ran it and the oracle is not asked about (b)
+    Mutant("b-global-component", "ipcconfine/engine.py",
+           "if intent is _CREATE and is_global_name(name, scope):",
+           "if intent is _CREATE and scope is Scope.GLOBAL:",
+           MODEL_TESTS + (
+               "tests/test_engine.py::TestPipeline::test_literal_global_component_counts",)),
+    # step (c) reads VM 1's global table for every VM
+    Mutant("c-table-lookup", "ipcconfine/engine.py",
+           "table = self._global_tables.get(vm_id)",
+           "table = self._global_tables.get(1)",
+           MODEL_TESTS + ("tests/test_engine.py::TestPipeline::test_global_tables_are_per_vm",)),
+    # step (d) no longer moves a hit to the front before the seal
+    Mutant("d-mru-move", "ipcconfine/engine.py",
+           "                    if not self._flag:\n"
+           "                        short.move_to_end(name, last=False)\n",
+           "",
+           MODEL_TESTS + ("tests/test_engine.py::TestPipeline::test_mru_order",)),
+    # step (f) no longer inserts a long hit into the short list
+    Mutant("f-short-insert", "ipcconfine/engine.py",
+           "                short[name] = outcome\n"
+           "                short.move_to_end(name, last=False)\n",
+           "",
+           MODEL_TESTS + ("tests/test_engine.py::TestPipeline::test_first_host_touch_long_hit",)),
+    # the oracle's exact entries hashed: its scan no longer compares them
+    Mutant("oracle-hashed-scan", "ipcconfine/engine.py",
+           "self._exact, self._prefixes = list(exact), tuple(prefixes)",
+           "self._exact, self._prefixes = exact, tuple(prefixes)",
+           ("tests/test_oracle.py::TestReferenceEngine::test_miss_compares_every_exact_entry",)),
+    # the oracle's pattern match accepts non-ASCII digits such as '²'
+    Mutant("oracle-unicode-digits", "ipcconfine/engine.py",
+           "is_ascii_digits(name[len(prefix):])",
+           "name[len(prefix):].isdigit()",
+           ("tests/test_pipeline_model.py::test_engine_matches_model",
+            "tests/test_oracle.py::TestAsciiDigits::test_unicode_digit_suffix_is_not_a_host_object",
+            )),
+    # dual replay never asks the oracle
+    Mutant("dual-replay-skips-oracle", "ipcconfine/trace.py",
+           "if reference is not None and route is not _VM_GLOBAL and caller.vm.id:",
+           "if reference is not None and route is not _VM_GLOBAL and not caller.vm.id:",
+           ("tests/test_probes.py::test_dual_replay_scans_once_per_host_object_decision",
+            "tests/test_acceptance.py::test_criterion_3_oracle_equivalence_and_divergence")),
+    # a constrained trace with no private names keeps its global creates
+    Mutant("generator-constrained-global", "ipcconfine/trace.py",
+           "            global_create = False\n",
+           "            pass\n",
+           ("tests/test_trace.py::TestRandomTraces::"
+            "test_constrained_trace_with_only_host_names_drops_global_creates",)),
+)
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """Apply ``mutant`` to a temporary copy of ``src/`` and run its tests
+    there; return whether every named test failed, and a note."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        src = Path(work) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = src / mutant.path
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return False, f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        # the copy replaces src/ on the path: pytest's ``pythonpath`` setting
+        # is overridden, and the run's caches stay in the temporary directory
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+             "-o", f"pythonpath={src}", *(str(ROOT / test) for test in mutant.tests)],
+            cwd=work, env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, timeout=900)
+        # pytest prints each node id relative to the run's directory
+        failed = set()
+        for line in done.stdout.splitlines():
+            if line.startswith(("FAILED ", "ERROR ")):
+                path, _, test = line.split(" - ")[0].split(" ", 1)[1].partition("::")
+                failed.add(f"{(Path(work) / path).resolve().relative_to(ROOT)}::{test}")
+    # a parametrized test fails when any of its cases does
+    survived = [test for test in mutant.tests
+                if not any(f == test or f.startswith(test + "[") for f in failed)]
+    if survived:
+        return False, "passed: " + ", ".join(survived)
+    return True, f"{len(mutant.tests)} named tests failed"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in chosen}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    caught = 0
+    for mutant in chosen:
+        ok, note = run(mutant)
+        caught += ok
+        print(f"{'caught' if ok else 'missed'} {mutant.name}: {note}", flush=True)
+    print(f"{caught} caught, {len(chosen) - caught} missed, of {len(chosen)} mutants")
+    return 0 if caught == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

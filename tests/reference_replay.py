@@ -1,51 +1,52 @@
-"""The reference dual replay: the full-scan oracle's whole ``resolve`` run in
-lockstep with every create and open.
+"""The reference dual replay: every create and open compared, in lockstep,
+with an unsealed ``PipelineModel``.
 
-``Replayer`` in dual mode asks the oracle only for the outcomes it can
-decide differently, with one scan each. ``lockstep_replay`` asks it
-everything instead: the oracle keeps its own global-object tables and
-checks every call, as an independent engine would. ``test_oracle.py``
-compares the two reports byte for byte, so a route that the Replayer skips
-but the oracle would decide otherwise, or a wrong outcome compared in its
-place, shows as a difference.
+``Replayer`` in dual mode asks the full-scan oracle only for the outcomes
+it can decide differently, with one scan each. ``lockstep_replay`` asks
+the model everything instead: the model keeps its own global names and
+short list and is never sealed, so it decides every create and open as the
+oracle would if it ran the whole pipeline. ``test_oracle.py`` compares the
+two reports byte for byte, so a route that the Replayer skips but the
+oracle would decide otherwise, or a wrong outcome compared in its place,
+shows as a difference.
 """
 
 from ipcconfine import trace
-from ipcconfine.engine import ResolveOutcome, Route
-from ipcconfine.model import Intent, IpcCategory, Scope
 from ipcconfine.trace import Replayer, ReplayReport
-
-
-def lockstep_create_or_open(replayer: Replayer, event, result: dict) -> None:
-    """The Replayer's own create or open, with its oracle detached, then the
-    oracle's public ``resolve`` on the same arguments; a difference between
-    the two outcomes is recorded as a divergence."""
-    oracle, replayer.reference = replayer.reference, None
-    try:
-        Replayer._create_or_open(replayer, event, result)
-    finally:
-        replayer.reference = oracle
-    engine = ResolveOutcome(result["effective_name"], Route(result["route"]))
-    intent = Intent.CREATE if event.op == "create" else Intent.OPEN
-    reference = oracle.resolve(replayer.registry.process(event.actor), event.name,
-                               IpcCategory.parse(event.category), intent,
-                               Scope(event.scope or Scope.LOCAL.value))
-    if reference != engine:
-        replayer._divergences.append({
-            "seq": event.seq,
-            "name": event.name,
-            "engine": engine.to_dict(),
-            "reference": reference.to_dict(),
-        })
+from pipeline_model import PRINCIPLES, PipelineModel
 
 
 def lockstep_replay(events) -> ReplayReport:
-    """``replay(events, dual=True)`` with every create and open compared by
-    ``lockstep_create_or_open``."""
+    """``replay(events)`` with every create and open compared with the
+    model, loaded with the trace's long list; a difference between the two
+    outcomes is recorded as a divergence, as a dual replay records one."""
+    model = None
+
+    def load(replayer: Replayer, event, result: dict) -> None:
+        nonlocal model
+        Replayer._load_long_list(replayer, event, result)
+        model = PipelineModel(event.names)
+
+    def create_or_open(replayer: Replayer, event, result: dict) -> None:
+        Replayer._create_or_open(replayer, event, result)
+        engine = result["effective_name"], result["route"]
+        vm = replayer.registry.process(event.actor).vm.id
+        reference = model.resolve(vm, event.name, event.op == "create",
+                                  event.scope == "Global")[:2]
+        if reference != engine:
+            replayer._divergences.append({
+                "seq": event.seq,
+                "name": event.name,
+                "engine": {key: result[key] for key in ("effective_name", "route", "principle")},
+                "reference": {"effective_name": reference[0], "route": reference[1],
+                              "principle": PRINCIPLES[reference[1]]},
+            })
+
     handlers = trace._HANDLERS
-    saved = handlers["create"], handlers["open"]
-    handlers["create"] = handlers["open"] = lockstep_create_or_open
+    saved = {op: handlers[op] for op in ("load_long_list", "create", "open")}
+    handlers.update(load_long_list=load, create=create_or_open, open=create_or_open)
     try:
-        return Replayer(dual=True).run(events)
+        # single mode: the model, not the oracle, is compared
+        return Replayer().run(events)
     finally:
-        handlers["create"], handlers["open"] = saved
+        handlers.update(saved)

@@ -81,14 +81,45 @@ def test_assigned_attributes_are_read(path):
     assert sorted(assigned - attribute_reads()) == []
 
 
-@pytest.mark.skipif(not (PERFBENCH / "run.py").is_file(), reason="no perfbench/ in this tree")
+def run_with_perfbench(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``perfbench/`` first on its
+    path and return its stdout."""
+    done = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1])\n"
+                           + code, str(PERFBENCH)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+needs_perfbench = pytest.mark.skipif(not (PERFBENCH / "run.py").is_file(),
+                                     reason="no perfbench/ in this tree")
+
+
+@needs_perfbench
 def test_benchmark_tracer_finds_every_entry():
     """A traced benchmark run wraps public entries by name (for example
     ``ReferenceEngine.resolve``, ``SimKernel.create_object``,
     ``engine.rename``, ``dangerous_decide`` and ``validate_events``);
     installing its tracer against this tree's package finds every one."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import run, spans; "
-            "run.install(spans.Tracer(), run.import_package())")
-    done = subprocess.run([sys.executable, "-c", code, str(PERFBENCH)],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    run_with_perfbench("import run, spans; run.install(spans.Tracer(), run.import_package())")
+
+
+@needs_perfbench
+def test_traced_dual_replay_times_every_oracle_scan():
+    """The benchmark's ``oracle.resolve`` span records one call per scan
+    that the oracle makes in a dual replay, so the span cannot read 0."""
+    out = run_with_perfbench("""
+import run, spans
+pkg = run.import_package()
+oracle, trace = pkg.engine.ReferenceEngine, pkg.trace
+scans = []
+scan = oracle._listed
+oracle._listed = lambda self, name: scans.append(name) or scan(self, name)
+tracer = spans.Tracer()
+run.install(tracer, pkg)
+events = trace.generate_random_trace(3, trace.TraceParams(event_count=300, pattern_count=2))
+trace.Replayer(dual=True).run(events)
+print(tracer.analyse().calls("oracle.resolve"), len(scans))
+""")
+    spans, scans = map(int, out.split())
+    assert spans == scans > 0

@@ -1,13 +1,14 @@
 """Equivalence between the optimized engine and the full-scan reference.
 
-The reference engine keeps no short list and no flag; sealing changes
-nothing for it. The two keep identical global-object tables and agree
-everywhere except on a listed name confined by step (e): after the seal, a
-name the long list holds that is neither on the short list nor in the
-caller VM's global-object table. Every divergence has exactly that one
-shape, the optimized engine renaming (VmPrivate) where the reference passes
-through (HostPassthrough), and ``first_post_seal_host_touches`` names
-exactly the diverging names.
+The reference is the oracle's semantics: the whole pipeline with no skip of
+the long list, as an unsealed ``PipelineModel`` states it, and the oracle's
+one scan, ``ReferenceEngine.resolve(name, vm)``, for steps (f) and (g).
+The engine agrees with it everywhere except on a listed name confined by
+step (e): after the seal, a name the long list holds that is neither on the
+short list nor in the caller VM's global-object table. Every divergence has
+exactly that one shape, the optimized engine renaming (VmPrivate) where the
+reference passes through (HostPassthrough), and
+``first_post_seal_host_touches`` names exactly the diverging names.
 """
 
 from dataclasses import replace
@@ -15,8 +16,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipcconfine.engine import ConfinementEngine, ReferenceEngine, Route
-from ipcconfine.errors import NotLoaded
+from ipcconfine.engine import ConfinementEngine, ReferenceEngine, ResolveOutcome, Route
 from ipcconfine.model import Intent, PORT, ProcessRef, Scope, VmId, unrename
 from ipcconfine.trace import (
     Replayer,
@@ -28,6 +28,7 @@ from ipcconfine.trace import (
     generate_random_trace,
     replay,
 )
+from pipeline_model import PipelineModel
 from reference_replay import lockstep_replay
 
 VM1 = ProcessRef(10, VmId(1))
@@ -37,37 +38,29 @@ HOSTS = (r"\srv\alpha", r"\srv\beta", r"\srv\ctl\Pipe*")
 
 
 def pair():
+    """The engine and the reference, an unsealed model, both loaded with
+    ``HOSTS``."""
     engine = ConfinementEngine()
-    reference = ReferenceEngine()
     engine.load_long_list(HOSTS)
-    reference.load_long_list(HOSTS)
-    return engine, reference
+    return engine, PipelineModel(HOSTS)
 
 
-def both(engine, reference, proc, name, intent=Intent.OPEN, scope=Scope.LOCAL):
+def both(engine, model, proc, name, intent=Intent.OPEN, scope=Scope.LOCAL):
+    """The engine's outcome and the model's, as a ``ResolveOutcome``."""
+    effective, route, _ = model.resolve(proc.vm.id, name, intent is Intent.CREATE,
+                                        scope is Scope.GLOBAL)
     return (engine.resolve(proc, name, PORT, intent, scope),
-            reference.resolve(proc, name, PORT, intent, scope))
+            ResolveOutcome(effective, Route(route)))
 
 
 class TestReferenceEngine:
-    def test_seal_is_a_no_op(self):
-        reference = ReferenceEngine()
-        reference.load_long_list(HOSTS)
-        reference.seal_host_objects()
-        out = reference.resolve(VM1, r"\srv\beta", PORT, Intent.OPEN)
-        assert out.route is Route.HOST_PASSTHROUGH
-
-    def test_seal_requires_load(self):
-        with pytest.raises(NotLoaded):
-            ReferenceEngine().seal_host_objects()
-
     def test_scan_handles_patterns(self):
         reference = ReferenceEngine()
         reference.load_long_list(HOSTS)
-        assert reference.resolve(VM1, r"\srv\ctl\Pipe3", PORT,
-                                 Intent.OPEN).route is Route.HOST_PASSTHROUGH
-        assert reference.resolve(VM1, r"\srv\ctl\PipeX", PORT,
-                                 Intent.OPEN).route is Route.VM_PRIVATE
+        assert reference.resolve(r"\srv\ctl\Pipe3", VM1.vm) == ResolveOutcome(
+            r"\srv\ctl\Pipe3", Route.HOST_PASSTHROUGH)
+        assert reference.resolve(r"\srv\ctl\PipeX", VM1.vm) == ResolveOutcome(
+            r"\vm1\srv\ctl\PipeX", Route.VM_PRIVATE)
 
     def test_miss_compares_every_exact_entry(self):
         compared = []
@@ -82,31 +75,33 @@ class TestReferenceEngine:
         entries = [Entry(rf"\srv\host-{i}") for i in range(20)]
         reference = ReferenceEngine()
         reference.load_long_list(entries + [r"\srv\ctl\Pipe*"])
-        out = reference.resolve(VM1, r"\srv\other", PORT, Intent.OPEN)
+        out = reference.resolve(r"\srv\other", VM1.vm)
         assert out.route is Route.VM_PRIVATE
         assert compared == [str(e) for e in entries]
 
 
 class TestAsciiDigits:
     """Pattern suffixes and ``vm<digits>`` tags take ASCII digits only, in
-    both engines."""
+    the engine, the reference and the oracle's scan."""
 
     @pytest.mark.parametrize("seal", [False, True])
     def test_unicode_digit_suffix_is_not_a_host_object(self, seal):
         engine, reference = pair()
+        oracle = ReferenceEngine()
+        oracle.load_long_list(HOSTS)
         if seal:
             engine.seal_host_objects()
-            reference.seal_host_objects()
         for name in ("\\srv\\ctl\\Pipe\u00b2", "\\srv\\ctl\\Pipe\u0661"):
             a, b = both(engine, reference, VM1, name)
-            assert a == b
+            assert a == b == oracle.resolve(name, VM1.vm)
             assert a.route is Route.VM_PRIVATE and a.effective_name == "\\vm1" + name
 
     def test_unicode_digit_tag_is_an_ordinary_name(self):
         engine, reference = pair()
         name = "\\vm\u0661\\x"
         a, b = both(engine, reference, VM1, name)
-        assert a == b and a.route is Route.VM_PRIVATE
+        assert a == b == ReferenceEngine().resolve(name, VM1.vm)
+        assert a.route is Route.VM_PRIVATE
         assert unrename(a.effective_name) == (VmId(1), name)
         assert unrename(name) is None
 
@@ -144,8 +139,8 @@ class TestWildcardLookup:
         engine.load_long_list(long_list)
         reference.load_long_list(long_list)
         for stem, suffix in names:
-            a, b = both(engine, reference, VM1, rf"\p\{stem}{suffix}")
-            assert a == b
+            name = rf"\p\{stem}{suffix}"
+            assert engine.resolve(VM1, name, PORT, Intent.OPEN) == reference.resolve(name, VM1.vm)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -193,8 +188,8 @@ class TestWildcardLookup:
             e.load_long_list([r"\p\a1*", r"\p\b*"])
         for name, listed in ((r"\p\a12", True), (r"\p\a1", False), (r"\p\a2", False),
                              (r"\p\b0", True), (r"\p\b", False), ("\\p\\a1\u00b2", False)):
-            a, b = both(engine, reference, VM1, name)
-            assert a == b
+            a = engine.resolve(VM1, name, PORT, Intent.OPEN)
+            assert a == reference.resolve(name, VM1.vm)
             assert (a.route is Route.HOST_PASSTHROUGH) is listed
 
 
@@ -219,7 +214,6 @@ class TestAgreementBeforeSeal:
         a, b = both(engine, reference, VM1, r"\srv\alpha")
         assert a == b
         engine.seal_host_objects()
-        reference.seal_host_objects()
         a, b = both(engine, reference, VM2, r"\srv\alpha")
         assert a == b
         assert a.route is Route.HOST_PASSTHROUGH
@@ -229,7 +223,6 @@ class TestConstructedDivergence:
     def test_post_seal_first_touch_diverges(self):
         engine, reference = pair()
         engine.seal_host_objects()
-        reference.seal_host_objects()
         a, b = both(engine, reference, VM1, r"\srv\alpha")
         assert a.route is Route.VM_PRIVATE
         assert a.effective_name == r"\vm1\srv\alpha"
@@ -243,7 +236,6 @@ class TestConstructedDivergence:
         a, b = both(engine, reference, VM1, r"\srv\alpha", Intent.CREATE, Scope.GLOBAL)
         assert a == b and a.route is Route.VM_GLOBAL
         engine.seal_host_objects()
-        reference.seal_host_objects()
         a, b = both(engine, reference, VM1, r"\srv\alpha")
         assert a == b   # vm1 still hits its own global table
         a, b = both(engine, reference, VM2, r"\srv\alpha")
@@ -333,8 +325,8 @@ class TestTraceEquivalence:
 class TestLockstepEquivalence:
     """A dual replay asks the oracle only for a VM caller's outcomes that
     are not ``VmGlobal``, one scan each; its report is byte-identical to
-    that of the oracle's whole ``resolve`` run in lockstep on every create
-    and open (``reference_replay``)."""
+    that of an unsealed model run in lockstep on every create and open
+    (``reference_replay``)."""
 
     @pytest.mark.parametrize("params", [
         TraceParams(event_count=120),

@@ -1084,6 +1084,17 @@ class TestRandomTraces:
                     if event.op == "create" and event.scope == "Global":
                         assert event.name not in host_pool
 
+    def test_constrained_trace_with_only_host_names_drops_global_creates(self):
+        """With every pooled name a host name, a constrained trace turns each
+        global create it draws into a local one, and never diverges."""
+        params = TraceParams(event_count=120, seal_position=40, host_fraction=1.0,
+                             global_fraction=0.5)
+        for seed in range(5):
+            assert any(e.scope == "Global" for e in generate_random_trace(seed, params))
+            events = generate_random_trace(seed, params, constrained=True)
+            assert {e.scope for e in events if e.op == "create" and e.actor != 1} == {"Local"}
+            assert replay(events, dual=True).divergences == []
+
     def test_detector_on_handcrafted_trace(self):
         events = [
             ev(1, "load_long_list", names=(r"\h\a", r"\h\b", r"\h\c")),
