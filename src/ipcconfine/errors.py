@@ -56,9 +56,10 @@ class BadCategory(ConfinementError):
 # --- kernel errors ----------------------------------------------------------
 
 class KernelError(ConfinementError):
-    """Kernel op failure. A failed create or open raises one from the
-    public kernel op; the kernel's non-raising cores return its class,
-    with the resolve outcome, instead."""
+    """Kernel op failure, a normal outcome of an op. ``bind_socket`` raises
+    ``AddressInUse``; a failed create or open raises nothing, as
+    ``create_object`` and ``open_object`` return the failure's class with
+    the resolve outcome."""
 
 
 class AlreadyExists(KernelError):

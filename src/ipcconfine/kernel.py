@@ -1,17 +1,16 @@
 """Simulated OS surface routing every IPC action through the confinement engine.
 
 State held here: a named-object registry keyed by effective (post-resolution)
-names with refcounted handles, per-process message inboxes, a window registry,
-and per-VM IP-aliased socket bindings. No real syscalls, networking, or data
-transfer; this is the bookkeeping needed to observe the confinement semantics
-end to end.
+names with refcounted handles, a window registry, and per-VM IP-aliased socket
+bindings. Messages and dangerous calls are decided, not stored. No real
+syscalls, networking, or data transfer; this is the bookkeeping needed to
+observe the confinement semantics end to end.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,34 +93,31 @@ class HookGrant:
 
 
 class SimKernel:
-    """Registry, message bus, window table, and socket table behind the engine.
+    """Object registry, window table, and socket table behind the engine.
 
-    Mutations appear atomic (one kernel lock); message delivery is FIFO per
-    (sender, receiver) pair. ``create_object`` and ``open_object`` each
-    run a non-raising core, ``try_create_object`` and ``try_open_object``,
-    that returns a failure's error class with the resolve outcome instead
-    of raising it; a replay calls the cores, so a failed create or open
-    costs no raise and no catch. The cores and ``close``, called once per
-    name event of a replay, take the lock with explicit ``acquire()`` /
-    ``release()`` calls, with a ``finally`` that releases it on every
-    error: a ``with`` block's context-manager calls cost about 120 ns more
-    per call (Python 3.11, Intel Xeon).
+    Mutations appear atomic (one plain, non-re-entrant kernel lock).
+    ``create_object`` and ``open_object`` return a failure's error class
+    with the resolve outcome instead of raising it, so a failed create or
+    open in a replay costs no raise and no catch. They and ``close``,
+    called once per name event of a replay, take the lock with explicit
+    ``acquire()`` / ``release()`` calls, with a ``finally`` that releases it
+    on every error: a ``with`` block's context-manager calls cost about
+    120 ns more per call (Python 3.11, Intel Xeon).
     Windows are held in one list per VM, in registration order, so a lookup
     never reads another VM's windows.
     Every op that takes a process checks it against the registry first, so
     a ref that pairs a live pid with another VM id is refused.
-    ``send_message`` (True when delivered) and ``create_remote_thread``
-    return the engine's access decision, True to allow, False to deny.
+    ``send_message`` and ``create_remote_thread`` return the engine's access
+    decision, True to allow, False to deny; a message is not stored.
     """
 
     def __init__(self, registry: VmRegistry, engine: ConfinementEngine):
         self.registry = registry
         self.engine = engine
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._objects: dict[str, ObjectRecord] = {}
         self._handles: dict[int, Handle] = {}
         self._handle_ids = itertools.count(1)
-        self._inboxes: dict[int, deque] = {}
         # vm id -> its windows, in registration order
         self._windows: dict[int, list[WindowRecord]] = {}
         self._bindings: dict[tuple[str, int], SocketBinding] = {}
@@ -129,22 +125,11 @@ class SimKernel:
     # -- named objects (categories I-IV) --------------------------------------
 
     def create_object(self, caller: ProcessRef, name: str, category: IpcCategory,
-                      scope: Scope = Scope.LOCAL) -> Handle:
-        with self._lock:
-            return self._handle_or_raise(
-                self.try_create_object(caller, name, category, scope), category)
-
-    def open_object(self, caller: ProcessRef, name: str,
-                    category: IpcCategory) -> Handle:
-        with self._lock:
-            return self._handle_or_raise(self.try_open_object(caller, name, category), category)
-
-    def try_create_object(self, caller: ProcessRef, name: str, category: IpcCategory,
-                          scope: Scope = Scope.LOCAL) -> tuple[Handle | type[KernelError],
-                                                               ResolveOutcome]:
-        """The create core: ``(handle, outcome)``, or, where ``create_object``
-        raises a KernelError, ``(its class, outcome)``. Engine and caller
-        errors raise as from ``create_object``."""
+                      scope: Scope = Scope.LOCAL) -> tuple[Handle | type[KernelError],
+                                                           ResolveOutcome]:
+        """``(handle, outcome)``, or, where the name is taken, ``(AlreadyExists
+        or CategoryMismatch, outcome)``; a failure changes no object or
+        handle. Engine and caller errors raise."""
         self._check_live(caller)
         outcome = self.engine.resolve(caller, name, category, Intent.CREATE, scope)
         effective = outcome[0]
@@ -161,10 +146,11 @@ class SimKernel:
         finally:
             lock.release()
 
-    def try_open_object(self, caller: ProcessRef, name: str,
-                        category: IpcCategory) -> tuple[Handle | type[KernelError],
-                                                        ResolveOutcome]:
-        """The open core, as ``try_create_object`` is the create core."""
+    def open_object(self, caller: ProcessRef, name: str,
+                    category: IpcCategory) -> tuple[Handle | type[KernelError],
+                                                    ResolveOutcome]:
+        """As ``create_object``, with ``NotFound`` or ``CategoryMismatch`` as
+        the failures; a success adds one to the record's refcount."""
         self._check_live(caller)
         outcome = self.engine.resolve(caller, name, category, Intent.OPEN, Scope.LOCAL)
         lock = self._lock
@@ -179,18 +165,6 @@ class SimKernel:
             return self._new_handle(record, outcome), outcome
         finally:
             lock.release()
-
-    def _handle_or_raise(self, result: tuple, category: IpcCategory) -> Handle:
-        """A core's handle, or its failure raised; called with the lock held
-        since the core ran, so a mismatched record is still there."""
-        handle, outcome = result
-        if type(handle) is Handle:
-            return handle
-        effective = outcome.effective_name
-        if handle is CategoryMismatch:
-            raise handle(f"{effective} exists as {self._objects[effective].category}, "
-                         f"not {category}")
-        raise handle(effective)
 
     def close(self, handle: Handle):
         lock = self._lock
@@ -213,21 +187,10 @@ class SimKernel:
 
     # -- messages (category V) --------------------------------------------------
 
-    def send_message(self, sender: ProcessRef, target: ProcessRef,
-                     subtype: str = "WindowsMessage", payload: bytes = b"") -> bool:
+    def send_message(self, sender: ProcessRef, target: ProcessRef) -> bool:
         self._check_live(sender)
         self._check_live(target)
-        if not self.engine.access_decide(sender, target):
-            return False
-        with self._lock:
-            self._inboxes.setdefault(target.pid, deque()).append(
-                (sender.pid, subtype, payload))
-        return True
-
-    def inbox(self, proc: ProcessRef) -> list:
-        self._check_live(proc)
-        with self._lock:
-            return list(self._inboxes.get(proc.pid, ()))
+        return self.engine.access_decide(sender, target)
 
     # -- windows (what FindWindow searches) ---------------------------------------
 
@@ -247,11 +210,6 @@ class SimKernel:
                 if record.class_name == class_name:
                     return record
             return None
-
-    def enumerate_windows(self, caller: ProcessRef) -> list[WindowRecord]:
-        self._check_live(caller)
-        with self._lock:
-            return list(self._windows.get(caller.vm.id, ()))
 
     # -- dangerous calls (category VII) -------------------------------------------
 

@@ -242,6 +242,8 @@ OP_SCHEMA = {
                      {"scope": SCOPE}),
     "open": OpSpec("_create_or_open", {"actor": PID, "name": NAME, "category": CATEGORY}),
     "close": OpSpec("_close", {"actor": PID, "name": NAME}),
+    # a send's subtype and payload are checked text; replay reads neither,
+    # as the kernel decides a message and stores none
     "send": OpSpec("_send", {"actor": PID, "target": PID},
                    {"subtype": TEXT, "payload": TEXT}),
     "register_window": OpSpec("_register_window", {"actor": PID, "class_name": TEXT}),
@@ -558,10 +560,10 @@ class Replayer:
         except ConfinementError as exc:
             result["error"] = exc.code
             # a KernelError is a normal, assertable outcome of an op contract
-            # (bind's ``AddressInUse``; create and open record theirs, with
-            # the outcome, in ``_create_or_open``, and raise none); any other
-            # error is a precondition violation and aborts the run unless the
-            # event expects it
+            # (bind's ``AddressInUse``; the kernel returns a failed create's
+            # or open's class, which ``_create_or_open`` records with the
+            # outcome); any other error is a precondition violation and
+            # aborts the run unless the event expects it
             if not isinstance(exc, KernelError) and (event.expect or {}).get("error") is None:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
         return result
@@ -580,17 +582,17 @@ class Replayer:
         result["pid"] = self.registry.process_spawn(VmId(event.vm)).pid
 
     def _create_or_open(self, event: TraceEvent, result: dict) -> None:
-        """Run a create or an open through the kernel's non-raising core and
-        record its result: the new handle, or the failure's error code, then
-        the outcome's fields. In dual mode the outcome is compared with the
-        oracle's (see the class docstring)."""
+        """Run a create or an open through the kernel and record its result:
+        the new handle, or the failure's error code, then the outcome's
+        fields. In dual mode the outcome is compared with the oracle's (see
+        the class docstring)."""
         caller = self.registry.process(event.actor)
         name = event.name
         if event.op == "create":
-            handle, outcome = self.kernel.try_create_object(
+            handle, outcome = self.kernel.create_object(
                 caller, name, _category(event.category), _SCOPES[event.scope])
         else:
-            handle, outcome = self.kernel.try_open_object(caller, name, _category(event.category))
+            handle, outcome = self.kernel.open_object(caller, name, _category(event.category))
         if type(handle) is Handle:
             key = (event.actor, name)
             stack = self._handles.get(key)
@@ -628,9 +630,7 @@ class Replayer:
     def _send(self, event: TraceEvent, result: dict) -> None:
         sender = self.registry.process(event.actor)
         target = self.registry.process(event.target)
-        payload = (event.payload or "").encode()
-        delivered = self.kernel.send_message(sender, target,
-                                             event.subtype or "WindowsMessage", payload)
+        delivered = self.kernel.send_message(sender, target)
         result["delivery"] = "Delivered" if delivered else "Blocked"
         result["decision"] = "Allow" if delivered else "Deny"
 

@@ -91,6 +91,71 @@ MUTANTS = (
            "            pass\n",
            ("tests/test_trace.py::TestRandomTraces::"
             "test_constrained_trace_with_only_host_names_drops_global_creates",)),
+    # a window lookup returns the VM's first window, whatever its class
+    Mutant("find-window-ignores-class", "ipcconfine/kernel.py",
+           "if record.class_name == class_name:",
+           "if True:",
+           ("tests/test_kernel.py::TestWindows::test_find_window_matches_class_in_one_list",
+            "tests/test_probes.py::test_window_lookups_are_flat_in_vm_count")),
+    # a window lookup returns the last window of its class
+    Mutant("find-window-last", "ipcconfine/kernel.py",
+           "for record in self._windows.get(caller.vm.id, ()):",
+           "for record in reversed(self._windows.get(caller.vm.id, [])):",
+           ("tests/test_kernel.py::TestWindows::test_registration_order_wins",
+            "tests/test_kernel.py::TestWindows::test_find_window_matches_class_in_one_list")),
+    # the first VM gets the host's id 0
+    Mutant("vm-ids-from-zero", "ipcconfine/model.py",
+           "vm = VmId(len(self._aliases) + 1)",
+           "vm = VmId(len(self._aliases))",
+           ("tests/test_model.py::TestVmRegistry::test_monotone_ids",
+            "tests/test_concurrency.py::TestRegistryStress::test_parallel_allocation_is_linearizable",
+            "tests/test_golden.py::test_fixture_report_bytes")),
+    # the first process gets pid 0, which no trace can name
+    Mutant("pids-from-zero", "ipcconfine/model.py",
+           "proc = ProcessRef(len(self._processes) + 1, vm)",
+           "proc = ProcessRef(len(self._processes), vm)",
+           ("tests/test_model.py::TestVmRegistry::test_monotone_ids",
+            "tests/test_concurrency.py::TestRegistryStress::test_parallel_allocation_is_linearizable",
+            "tests/test_golden.py::test_fixture_report_bytes")),
+    # the long list keeps repeated entries
+    Mutant("long-list-keeps-repeats", "ipcconfine/engine.py",
+           "    exact, prefixes = {}, {}\n"
+           "    for name in names:\n"
+           "        check_object_name(name, allow_pattern=True)\n"
+           "        if name[-1] == \"*\":\n"
+           "            prefixes[name[:-1]] = None\n"
+           "        else:\n"
+           "            exact[name] = None\n",
+           "    exact, prefixes = [], []\n"
+           "    for name in names:\n"
+           "        check_object_name(name, allow_pattern=True)\n"
+           "        if name[-1] == \"*\":\n"
+           "            prefixes.append(name[:-1])\n"
+           "        else:\n"
+           "            exact.append(name)\n",
+           ("tests/test_engine.py::TestLifecycle::test_load_counts_and_dedups",)),
+    # a create of a taken name hands out a second handle to its record
+    Mutant("create-reopens-existing", "ipcconfine/kernel.py",
+           "                return AlreadyExists, outcome\n",
+           "                record.refcount += 1\n"
+           "                return self._new_handle(record, outcome), outcome\n",
+           ("tests/test_kernel.py::TestNamedObjects::test_duplicate_create_same_vm",
+            "tests/test_kernel.py::TestNamedObjects::test_failure_returns_class_and_changes_nothing",
+            "tests/test_concurrency.py::TestKernelStress::test_single_winner_for_concurrent_create",
+            "tests/test_concurrency.py::TestLockRelease::test_create_releases_on_already_exists")),
+    # the last close keeps the record, at refcount 0
+    Mutant("close-keeps-record", "ipcconfine/kernel.py",
+           "                del self._objects[handle.outcome[0]]\n",
+           "                pass\n",
+           ("tests/test_kernel.py::TestNamedObjects::test_create_open_close_refcounts",
+            "tests/test_concurrency.py::TestKernelStress::test_parallel_create_close_distinct_names")),
+    # a message is allowed without asking the engine
+    Mutant("send-skips-engine", "ipcconfine/kernel.py",
+           "return self.engine.access_decide(sender, target)",
+           "return True",
+           ("tests/test_kernel.py::TestMessages::test_cross_vm_blocked",
+            "tests/test_concurrency.py::TestKernelStress::test_host_and_vms_share_message_bus",
+            "tests/test_acceptance.py::test_criterion_5_exhaustive_crossborder_denial")),
 )
 
 

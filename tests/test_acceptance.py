@@ -192,9 +192,6 @@ def test_criterion_5_exhaustive_crossborder_denial():
             assert found.owner is receiver
 
     for proc in procs:
-        visible = kernel.enumerate_windows(proc)
-        assert {w.owner.pid for w in visible} == {
-            p.pid for p in procs if p.vm == proc.vm}
         grant = kernel.set_hook(proc, HookScope.SYSTEM_WIDE)
         assert grant.effective_vm == proc.vm and grant.narrowed
 

@@ -47,8 +47,9 @@ def failing_trace(tmp_path):
 
 
 # Traces whose strings hold a lone surrogate, each refused with exit 2: a
-# payload, which ``replay`` would encode to bytes, and a listed name, which
-# ``replay --dual-oracle`` would print in a divergence record.
+# payload, which the schema's text rule refuses although ``replay`` never
+# reads it, and a listed name, which ``replay --dual-oracle`` would print in
+# a divergence record.
 _SURROGATE_PAYLOAD = [
     TraceEvent(seq=1, op="load_long_list", names=()),
     TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),

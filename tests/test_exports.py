@@ -5,6 +5,7 @@ deleting a name leaves behind."""
 import ast
 import functools
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -104,12 +105,13 @@ def test_benchmark_tracer_finds_every_entry():
     run_with_perfbench("import run, spans; run.install(spans.Tracer(), run.import_package())")
 
 
-@needs_perfbench
-def test_traced_dual_replay_times_every_oracle_scan():
-    """The benchmark's ``oracle.resolve`` span records one call per scan
-    that the oracle makes in a dual replay, so the span cannot read 0."""
+@functools.cache
+def traced_dual_replay() -> dict:
+    """Span calls and the work they should time, from one dual replay of a
+    300-event trace with patterns, traced by the benchmark's tracer: the
+    oracle's scans, and the trace's create and open events."""
     out = run_with_perfbench("""
-import run, spans
+import collections, json, run, spans
 pkg = run.import_package()
 oracle, trace = pkg.engine.ReferenceEngine, pkg.trace
 scans = []
@@ -119,7 +121,30 @@ tracer = spans.Tracer()
 run.install(tracer, pkg)
 events = trace.generate_random_trace(3, trace.TraceParams(event_count=300, pattern_count=2))
 trace.Replayer(dual=True).run(events)
-print(tracer.analyse().calls("oracle.resolve"), len(scans))
+calls = tracer.analyse().calls
+ops = collections.Counter(event.op for event in events)
+print(json.dumps({
+    "oracle.resolve": [calls("oracle.resolve"), len(scans)],
+    "kernel.create_object": [calls("kernel.create_object"), ops["create"]],
+    "kernel.open_object": [calls("kernel.open_object"), ops["open"]],
+}))
 """)
-    spans, scans = map(int, out.split())
+    return json.loads(out)
+
+
+@needs_perfbench
+def test_traced_dual_replay_times_every_oracle_scan():
+    """The benchmark's ``oracle.resolve`` span records one call per scan
+    that the oracle makes in a dual replay, so the span cannot read 0."""
+    spans, scans = traced_dual_replay()["oracle.resolve"]
     assert spans == scans > 0
+
+
+@needs_perfbench
+@pytest.mark.parametrize("span", ["kernel.create_object", "kernel.open_object"])
+def test_traced_dual_replay_times_every_create_and_open(span):
+    """The benchmark's ``kernel.create_object`` and ``kernel.open_object``
+    spans record one call per create and per open event of a dual replay,
+    so neither span can read 0."""
+    spans, events = traced_dual_replay()[span]
+    assert spans == events > 0

@@ -18,7 +18,7 @@ from ipcconfine.errors import (
     NotFound,
     UnknownProcess,
 )
-from ipcconfine.kernel import HookScope
+from ipcconfine.kernel import Handle, HookScope
 from ipcconfine.model import (
     HOST,
     Intent,
@@ -35,11 +35,16 @@ from ipcconfine.model import (
 
 
 class TestNamedObjects:
+    """``create_object`` and ``open_object`` return ``(handle, outcome)``,
+    or a failure's error class with the outcome; only engine and caller
+    errors raise."""
+
     def test_create_open_close_refcounts(self, kernel, vm1_proc):
-        handle = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        handle, outcome = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        assert handle.outcome is outcome
         assert handle.object.refcount == 1
         assert handle.outcome.effective_name == r"\vm1\app\x"
-        second = kernel.open_object(vm1_proc, r"\app\x", PORT)
+        second, _ = kernel.open_object(vm1_proc, r"\app\x", PORT)
         assert second.object is handle.object
         assert handle.object.refcount == 2
         assert kernel.live_handle_count(handle.object) == 2
@@ -47,12 +52,11 @@ class TestNamedObjects:
         assert handle.object.refcount == 1
         kernel.close(handle)
         assert r"\vm1\app\x" not in kernel.objects()
-        with pytest.raises(NotFound):
-            kernel.open_object(vm1_proc, r"\app\x", PORT)
+        assert kernel.open_object(vm1_proc, r"\app\x", PORT) == (NotFound, outcome)
 
     def test_double_close_rejected(self, kernel, vm1_proc):
-        handle = kernel.create_object(vm1_proc, r"\app\x", PORT)
-        second = kernel.open_object(vm1_proc, r"\app\x", PORT)
+        handle, _ = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        second, _ = kernel.open_object(vm1_proc, r"\app\x", PORT)
         kernel.close(handle)
         with pytest.raises(InvalidHandle):
             kernel.close(handle)
@@ -66,8 +70,8 @@ class TestNamedObjects:
         other_engine = ConfinementEngine()
         other_engine.load_long_list([])
         other = SimKernel(registry, other_engine)
-        mine = kernel.create_object(vm1_proc, r"\app\x", PORT)
-        foreign = other.create_object(vm1_proc, r"\app\x", PORT)
+        mine, _ = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        foreign, _ = other.create_object(vm1_proc, r"\app\x", PORT)
         assert foreign.id == mine.id  # each kernel counts its own ids
         with pytest.raises(InvalidHandle):
             kernel.close(foreign)
@@ -77,91 +81,84 @@ class TestNamedObjects:
         other.close(foreign)
 
     def test_duplicate_create_same_vm(self, kernel, vm1_proc):
-        kernel.create_object(vm1_proc, r"\app\x", PORT)
-        with pytest.raises(AlreadyExists, match=r"^\\vm1\\app\\x$"):
-            kernel.create_object(vm1_proc, r"\app\x", PORT)
-        failed, outcome = kernel.try_create_object(vm1_proc, r"\app\x", PORT)
+        handle, _ = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        failed, outcome = kernel.create_object(vm1_proc, r"\app\x", PORT)
         assert failed is AlreadyExists
         assert outcome.effective_name == r"\vm1\app\x"
+        assert handle.object.refcount == 1
 
     def test_same_name_coexists_across_contexts(self, kernel, host_proc,
                                                  vm1_proc, vm2_proc):
         # one original name, three distinct objects
-        kernel.create_object(host_proc, r"\app\x", PORT)
-        kernel.create_object(vm1_proc, r"\app\x", PORT)
-        kernel.create_object(vm2_proc, r"\app\x", PORT)
+        for proc in (host_proc, vm1_proc, vm2_proc):
+            assert type(kernel.create_object(proc, r"\app\x", PORT)[0]) is Handle
         assert set(kernel.objects()) == {r"\app\x", r"\vm1\app\x", r"\vm2\app\x"}
 
     def test_host_cannot_plant_a_vm_object(self, kernel, host_proc, vm1_proc):
         # \vm1\secret is where vm1's own \secret lives
         with pytest.raises(InvalidName, match="reserved"):
             kernel.create_object(host_proc, r"\vm1\secret", PORT)
-        with pytest.raises(NotFound):
-            kernel.open_object(vm1_proc, r"\secret", PORT)
+        assert kernel.objects() == {}
+        assert kernel.open_object(vm1_proc, r"\secret", PORT)[0] is NotFound
         with pytest.raises(InvalidName, match="reserved"):
             kernel.open_object(host_proc, r"\vm1\secret", PORT)
 
     def test_vm_opens_its_own_copy(self, kernel, host_proc, vm1_proc):
         kernel.create_object(host_proc, r"\app\x", PORT)
         kernel.create_object(vm1_proc, r"\app\x", PORT)
-        opened = kernel.open_object(vm1_proc, r"\app\x", PORT)
+        opened, _ = kernel.open_object(vm1_proc, r"\app\x", PORT)
         assert opened.object.creator is vm1_proc
 
     def test_vm_opens_listed_host_object(self, kernel, host_proc, vm1_proc):
         kernel.create_object(host_proc, r"\srv\alpha", PORT)
-        opened = kernel.open_object(vm1_proc, r"\srv\alpha", PORT)
+        opened, outcome = kernel.open_object(vm1_proc, r"\srv\alpha", PORT)
         assert opened.object.creator is host_proc
-        assert opened.outcome.route.value == "HostPassthrough"
+        assert outcome.route.value == "HostPassthrough"
 
     def test_cross_vm_private_object_unreachable(self, kernel, vm1_proc, vm2_proc):
         kernel.create_object(vm1_proc, r"\app\secret", PORT)
-        with pytest.raises(NotFound):
-            kernel.open_object(vm2_proc, r"\app\secret", PORT)
-        failed, outcome = kernel.try_open_object(vm2_proc, r"\app\secret", PORT)
+        failed, outcome = kernel.open_object(vm2_proc, r"\app\secret", PORT)
         assert failed is NotFound
         assert outcome.effective_name == r"\vm2\app\secret"
 
     def test_category_group_mismatch(self, kernel, vm1_proc):
-        kernel.create_object(vm1_proc, r"\app\x", PORT)
-        with pytest.raises(CategoryMismatch) as exc:
-            kernel.open_object(vm1_proc, r"\app\x", PSEUDO_FILE)
-        assert exc.value.args == (r"\vm1\app\x exists as I_Port, not II_PseudoFile",)
-        with pytest.raises(CategoryMismatch) as exc:
-            kernel.create_object(vm1_proc, r"\app\x", SHARED_MEMORY)
-        assert exc.value.args == (r"\vm1\app\x exists as I_Port, not III_SharedMemory",)
+        handle, outcome = kernel.create_object(vm1_proc, r"\app\x", PORT)
+        assert kernel.open_object(vm1_proc, r"\app\x", PSEUDO_FILE) == (CategoryMismatch, outcome)
+        assert kernel.create_object(vm1_proc, r"\app\x", SHARED_MEMORY) == (CategoryMismatch,
+                                                                          outcome)
+        assert kernel.objects()[r"\vm1\app\x"].category == PORT
 
-    def test_cores_return_what_the_ops_raise(self, kernel, vm1_proc):
-        """Each failure of a core is the class that its public op raises,
-        with the outcome; a failure changes no object or handle, and a
-        success returns the handle with its own outcome."""
-        handle, outcome = kernel.try_create_object(vm1_proc, r"\app\x", PORT)
+    def test_failure_returns_class_and_changes_nothing(self, kernel, vm1_proc):
+        """Each failure returns its error class with the outcome and changes
+        no object or handle; a success returns the handle with its own
+        outcome."""
+        handle, outcome = kernel.create_object(vm1_proc, r"\app\x", PORT)
         assert handle.outcome is outcome and handle.object.refcount == 1
         failures = [
-            (kernel.try_create_object, kernel.create_object, PORT, AlreadyExists),
-            (kernel.try_create_object, kernel.create_object, SHARED_MEMORY, CategoryMismatch),
-            (kernel.try_open_object, kernel.open_object, PSEUDO_FILE, CategoryMismatch),
+            (kernel.create_object, PORT, AlreadyExists),
+            (kernel.create_object, SHARED_MEMORY, CategoryMismatch),
+            (kernel.open_object, PSEUDO_FILE, CategoryMismatch),
         ]
-        for core, op, category, cls in failures:
+        for op, category, cls in failures:
             before = (kernel.objects(), dict(kernel._handles))
-            assert core(vm1_proc, r"\app\x", category) == (cls, outcome)
-            with pytest.raises(cls):
-                op(vm1_proc, r"\app\x", category)
+            assert op(vm1_proc, r"\app\x", category) == (cls, outcome)
             assert (kernel.objects(), dict(kernel._handles)) == before
         assert handle.object.refcount == 1
-        opened, again = kernel.try_open_object(vm1_proc, r"\app\x", PORT)
+        before = kernel.objects()
+        assert kernel.open_object(vm1_proc, r"\app\ghost", PORT)[0] is NotFound
+        assert kernel.objects() == before and len(kernel._handles) == 1
+        opened, again = kernel.open_object(vm1_proc, r"\app\x", PORT)
         assert again == outcome and opened.object is handle.object
         assert kernel.live_handle_count(handle.object) == 2
 
     def test_subtypes_within_group_interchange(self, kernel, vm1_proc):
         mutex = IpcCategory(IpcGroup.SYNC, "Mutex")
         kernel.create_object(vm1_proc, r"\app\m", mutex)
-        opened = kernel.open_object(vm1_proc, r"\app\m", SYNC)
+        opened, _ = kernel.open_object(vm1_proc, r"\app\m", SYNC)
         assert opened.object.category == mutex
 
     def test_not_found_carries_outcome(self, kernel, vm1_proc):
-        with pytest.raises(NotFound):
-            kernel.open_object(vm1_proc, r"\app\ghost", PORT)
-        failed, outcome = kernel.try_open_object(vm1_proc, r"\app\ghost", PORT)
+        failed, outcome = kernel.open_object(vm1_proc, r"\app\ghost", PORT)
         assert failed is NotFound
         assert outcome.route.value == "VmPrivate"
 
@@ -172,18 +169,18 @@ class TestNamedObjects:
 
 
 class TestMessages:
-    def test_same_vm_delivery_fifo(self, kernel, registry, vm1_proc):
+    """A message is decided by the engine and stored nowhere: the op
+    returns the decision."""
+
+    def test_same_vm_delivered(self, kernel, registry, vm1_proc):
         peer = registry.process_spawn(VmId(1))
-        assert kernel.send_message(vm1_proc, peer, "WindowsMessage", b"a") is True
-        assert kernel.send_message(vm1_proc, peer, "Clipboard", b"b") is True
-        assert kernel.inbox(peer) == [
-            (vm1_proc.pid, "WindowsMessage", b"a"),
-            (vm1_proc.pid, "Clipboard", b"b"),
-        ]
+        assert kernel.send_message(vm1_proc, peer) is True
+        assert kernel.send_message(peer, vm1_proc) is True
+        assert kernel.send_message(vm1_proc, vm1_proc) is True
+        assert kernel.engine.counters.denials == 0
 
     def test_cross_vm_blocked(self, kernel, vm1_proc, vm2_proc):
         assert kernel.send_message(vm1_proc, vm2_proc) is False
-        assert kernel.inbox(vm2_proc) == []
         assert kernel.engine.counters.denials == 1
 
     def test_host_border_blocked_both_ways(self, kernel, host_proc, vm1_proc):
@@ -218,21 +215,15 @@ class TestWindows:
 
     def test_find_window_matches_class_in_one_list(self, kernel, registry, vm1_proc):
         """A VM's windows of several classes share one list: a lookup finds
-        the first window of the class asked for, and enumeration returns
-        them all in registration order."""
+        the first window of the class asked for."""
         peer = registry.process_spawn(VmId(1))
         first_a = kernel.register_window(vm1_proc, "A")
         b = kernel.register_window(vm1_proc, "B")
-        second_a = kernel.register_window(peer, "A")
+        kernel.register_window(peer, "A")
         found = kernel.find_window(peer, "A")
         assert found is first_a and found.class_name == "A"
         assert kernel.find_window(vm1_proc, "B") is b
-        assert kernel.enumerate_windows(vm1_proc) == [first_a, b, second_a]
-
-    def test_enumerate_windows_same_vm_only(self, kernel, vm1_proc, vm2_proc):
-        kernel.register_window(vm1_proc, "A")
-        kernel.register_window(vm2_proc, "B")
-        assert [w.class_name for w in kernel.enumerate_windows(vm1_proc)] == ["A"]
+        assert kernel.find_window(peer, "C") is None
 
 
 class TestDangerousCalls:
@@ -298,14 +289,10 @@ class TestSockets:
 CALLER_OPS = {
     "create_object": lambda k, proc, peer: k.create_object(proc, r"\app\new", PORT),
     "open_object": lambda k, proc, peer: k.open_object(proc, r"\app\secret", PORT),
-    "try_create_object": lambda k, proc, peer: k.try_create_object(proc, r"\app\new", PORT),
-    "try_open_object": lambda k, proc, peer: k.try_open_object(proc, r"\app\secret", PORT),
     "send_message/sender": lambda k, proc, peer: k.send_message(proc, peer),
     "send_message/target": lambda k, proc, peer: k.send_message(peer, proc),
-    "inbox": lambda k, proc, peer: k.inbox(proc),
     "register_window": lambda k, proc, peer: k.register_window(proc, "W"),
     "find_window": lambda k, proc, peer: k.find_window(proc, "W"),
-    "enumerate_windows": lambda k, proc, peer: k.enumerate_windows(proc),
     "create_remote_thread/caller": lambda k, proc, peer: k.create_remote_thread(proc, peer),
     "create_remote_thread/target": lambda k, proc, peer: k.create_remote_thread(peer, proc),
     "set_hook": lambda k, proc, peer: k.set_hook(proc, HookScope.SYSTEM_WIDE),
@@ -318,7 +305,6 @@ def kernel_state(kernel) -> tuple:
     return (
         {name: (r.category, r.creator, r.refcount) for name, r in kernel.objects().items()},
         dict(kernel._handles),
-        {pid: list(queue) for pid, queue in kernel._inboxes.items()},
         {vm: list(records) for vm, records in kernel._windows.items()},
         kernel.bindings,
         kernel.engine.snapshot(),

