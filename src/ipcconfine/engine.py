@@ -252,15 +252,17 @@ class ConfinementEngine:
     first, to their ``HOST_PASSTHROUGH`` outcome; each matches the long
     list. Once set, the flag never reverts, and the short list is frozen.
 
-    A single lock makes each resolve, with its table updates, atomic: all
-    operations are linearizable. ``resolve`` takes it with explicit
-    ``acquire()`` / ``release()`` calls, with a ``finally`` that releases it
-    on every error: a ``with`` block's context-manager calls cost about
-    120 ns more per resolve (Python 3.11, Intel Xeon).
+    A single plain lock makes each resolve, with its table updates, atomic:
+    all operations are linearizable. No method calls another engine method
+    while it holds the lock, so the lock is not re-entrant. ``resolve``
+    takes it with explicit ``acquire()`` / ``release()`` calls, with a
+    ``finally`` that releases it on every error: a ``with`` block's
+    context-manager calls cost about 120 ns more per resolve (Python 3.11,
+    Intel Xeon).
     """
 
     def __init__(self):
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._loaded = False
         # vm id -> {name: its VM_GLOBAL outcome in that VM}
         self._global_tables: dict[int, dict[str, ResolveOutcome]] = {}
@@ -393,10 +395,6 @@ class ConfinementEngine:
                 self._flag = True
                 logger.info("host-object flag set; short list frozen at %d entries",
                             len(self._short))
-
-    @property
-    def sealed(self) -> bool:
-        return self._flag
 
     # -- access decision (categories V and VII) --------------------------------
 

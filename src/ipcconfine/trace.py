@@ -76,7 +76,6 @@ __all__ = [
     "fixture_three_iis",
     "TraceParams",
     "generate_random_trace",
-    "first_post_seal_host_touches",
     "RPCSS_LONG_LIST",
     "RPCSS_ISOLATION",
     "RPCSS_GLOBAL",
@@ -942,20 +941,3 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
     validate_events(events)
     return events
 
-
-def first_post_seal_host_touches(events) -> set[str]:
-    """Names the engine confines by step (e): listed host objects it
-    renames after the seal.
-
-    This is exactly where the engine and the full-scan oracle disagree.
-    The oracle is asked only for outcomes that steps (d) to (g) decide, and
-    it passes every listed name through; the engine renames
-    (``VmPrivate``) a name its long list holds only by step (e). The events
-    are replayed once in single mode, so a trace the replay rejects raises
-    as :func:`replay` would.
-    """
-    replayer = Replayer()
-    replayer.run(events)
-    listed = replayer.engine._listed
-    return {event.name for event, result in zip(events, replayer.outcomes)
-            if result.get("route") == Route.VM_PRIVATE.value and listed(event.name)}

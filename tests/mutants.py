@@ -43,13 +43,14 @@ MODEL_TESTS = ("tests/test_pipeline_model.py::test_engine_matches_model",
                "tests/test_pipeline_model.py::test_a_fixed_sequence_takes_every_step")
 
 MUTANTS = (
-    # step (b) without the literal Global component: dual replay cannot see
-    # it, as both sides ran it and the oracle is not asked about (b)
+    # step (b) without the literal Global component: dual replay alone cannot
+    # see it, as the oracle is not asked about (b); the lockstep model can
     Mutant("b-global-component", "ipcconfine/engine.py",
            "if intent is _CREATE and is_global_name(name, scope):",
            "if intent is _CREATE and scope is Scope.GLOBAL:",
            MODEL_TESTS + (
-               "tests/test_engine.py::TestPipeline::test_literal_global_component_counts",)),
+               "tests/test_engine.py::TestPipeline::test_literal_global_component_counts",
+               "tests/test_oracle.py::TestLockstepEquivalence::test_literal_global_component")),
     # step (c) reads VM 1's global table for every VM
     Mutant("c-table-lookup", "ipcconfine/engine.py",
            "table = self._global_tables.get(vm_id)",
@@ -67,6 +68,50 @@ MUTANTS = (
            "                short.move_to_end(name, last=False)\n",
            "",
            MODEL_TESTS + ("tests/test_engine.py::TestPipeline::test_first_host_touch_long_hit",)),
+    # step (d) no longer leaves a global Create to (b): a short-listed name
+    # created Global passes through instead of entering the VM's table
+    Mutant("d-no-global-create-guard", "ipcconfine/engine.py",
+           "if outcome is not None and not (\n"
+           "                        intent is _CREATE and is_global_name(name, scope)):",
+           "if outcome is not None:",
+           MODEL_TESTS + (
+               "tests/test_engine.py::TestStoredOutcomes::"
+               "test_global_create_of_short_listed_name_is_vm_global",
+               "tests/test_oracle.py::TestLockstepEquivalence::test_unconstrained_traces")),
+    # step (f) passes a listed name through under another name
+    Mutant("f-passthrough-suffix", "ipcconfine/engine.py",
+           "outcome = _new(ResolveOutcome, (name, _PASSTHROUGH))",
+           "outcome = _new(ResolveOutcome, (name + \"x\", _PASSTHROUGH))",
+           ("tests/test_engine.py::TestPipeline::test_first_host_touch_long_hit",
+            "tests/test_oracle.py::TestTraceEquivalence::test_constrained_traces_never_diverge",
+            "tests/test_golden.py::test_fixture_report_bytes",
+            "tests/test_acceptance.py::test_criterion_1_service_inventory_classification")),
+    # step (f) passes a listed name through under its renamed copy's name
+    Mutant("f-passthrough-renamed", "ipcconfine/engine.py",
+           "outcome = _new(ResolveOutcome, (name, _PASSTHROUGH))",
+           "outcome = _new(ResolveOutcome, (rename(name, vm), _PASSTHROUGH))",
+           ("tests/test_engine.py::TestPipeline::test_first_host_touch_long_hit",
+            "tests/test_oracle.py::TestTraceEquivalence::test_constrained_traces_never_diverge",
+            "tests/test_golden.py::test_fixture_report_bytes",
+            "tests/test_acceptance.py::test_criterion_1_service_inventory_classification")),
+    # step (g) no longer counts a long-list miss: counter conservation fails
+    Mutant("g-no-long-miss-count", "ipcconfine/engine.py",
+           "                c.long_misses += 1\n",
+           "                pass\n",
+           MODEL_TESTS + (
+               "tests/test_engine.py::TestPipeline::test_miss_renames",
+               "tests/test_engine.py::TestCounters::test_conservation_over_mixed_sequence",
+               "tests/test_acceptance.py::test_criterion_4_short_list_frozen_after_seal")),
+    # the engine's long list without its prefix probe: no pattern matches a
+    # name whose prefix does not end in a digit
+    Mutant("listed-no-prefix-probe", "ipcconfine/engine.py",
+           "        if stem in prefixes:\n"
+           "            return True\n",
+           "",
+           ("tests/test_engine.py::TestWildcard::test_matched_concrete_name_enters_short_list",
+            "tests/test_oracle.py::TestWildcardLookup::test_engine_lookup_matches_full_scan",
+            "tests/test_pipeline_model.py::test_engine_matches_model",
+            "tests/test_acceptance.py::test_criterion_1_service_inventory_classification")),
     # the oracle's exact entries hashed: its scan no longer compares them
     Mutant("oracle-hashed-scan", "ipcconfine/engine.py",
            "self._exact, self._prefixes = list(exact), tuple(prefixes)",
@@ -85,6 +130,60 @@ MUTANTS = (
            "if reference is not None and route is not _VM_GLOBAL and not caller.vm.id:",
            ("tests/test_probes.py::test_dual_replay_scans_once_per_host_object_decision",
             "tests/test_acceptance.py::test_criterion_3_oracle_equivalence_and_divergence")),
+    # dual replay asks the oracle only about VmPrivate outcomes, so a
+    # short-list hit is never compared
+    Mutant("dual-replay-scans-private-only", "ipcconfine/trace.py",
+           "if reference is not None and route is not _VM_GLOBAL and caller.vm.id:",
+           "if reference is not None and route is Route.VM_PRIVATE and caller.vm.id:",
+           ("tests/test_probes.py::test_dual_replay_scans_once_per_host_object_decision",)),
+    # parse_trace's per-line scan accepts a line with more after its value
+    Mutant("parse-no-end-check", "ipcconfine/trace.py",
+           "if end != len(line) or type(value) is not dict:",
+           "if type(value) is not dict:",
+           ("tests/test_trace.py::TestParseEquivalence::"
+            "test_text_matches_json_loads_path[two_values_on_one_line]",
+            "tests/test_trace.py::TestParseEquivalence::"
+            "test_text_matches_json_loads_path[line_ends_in_bracket]")),
+    # ... and a line whose value is not a JSON object
+    Mutant("parse-no-dict-check", "ipcconfine/trace.py",
+           "if end != len(line) or type(value) is not dict:",
+           "if end != len(line):",
+           ("tests/test_trace.py::TestParseSerialize::test_non_object_line",
+            "tests/test_trace.py::TestParseEquivalence::test_raw_line_matches_json_loads_path",
+            "tests/test_trace.py::TestBuilders::test_parse_matches_reference_walk")),
+    # ... and skips a refused line instead of decoding the text line by line
+    Mutant("parse-skips-refused-line", "ipcconfine/trace.py",
+           "        if end != len(line) or type(value) is not dict:\n"
+           "            break\n",
+           "        if end != len(line) or type(value) is not dict:\n"
+           "            continue\n",
+           ("tests/test_trace.py::TestParseSerialize::test_non_object_line",
+            "tests/test_trace.py::TestParseEquivalence::"
+            "test_raw_line_matches_json_loads_path[trailing_data]",
+            "tests/test_trace.py::TestParseEquivalence::"
+            "test_text_matches_json_loads_path[two_values_on_one_line]")),
+    # ... hands blank lines to the scanner, which refuses them: every padded
+    # text is decoded again line by line
+    Mutant("parse-no-blank-skip", "ipcconfine/trace.py",
+           "        if not line or line.isspace():\n"
+           "            continue\n"
+           "        try:\n"
+           "            value, end = _scan_once(line, 0)\n",
+           "        try:\n"
+           "            value, end = _scan_once(line, 0)\n",
+           ("tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line",)),
+    # ... always decodes the text again line by line
+    Mutant("parse-always-falls-back", "ipcconfine/trace.py",
+           "            return _build(values, _LINE_BUILDERS)\n",
+           "            _build(values, _LINE_BUILDERS)\n",
+           ("tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line",
+            "tests/test_trace.py::TestBuilders::test_null_for_a_field_the_op_does_not_take")),
+    # ... raises a ValidationError that a ParseError on a later line beats
+    Mutant("parse-no-fallback-on-validation-error", "ipcconfine/trace.py",
+           "            pass  # a later line may be a ParseError, which ``_decode_lines`` finds\n",
+           "            raise\n",
+           ("tests/test_trace.py::TestBuilders::test_parse_error_beats_an_earlier_validation_error",
+            "tests/test_trace.py::TestParseSerialize::test_unknown_field")),
     # a constrained trace with no private names keeps its global creates
     Mutant("generator-constrained-global", "ipcconfine/trace.py",
            "            global_create = False\n",
@@ -143,6 +242,13 @@ MUTANTS = (
             "tests/test_kernel.py::TestNamedObjects::test_failure_returns_class_and_changes_nothing",
             "tests/test_concurrency.py::TestKernelStress::test_single_winner_for_concurrent_create",
             "tests/test_concurrency.py::TestLockRelease::test_create_releases_on_already_exists")),
+    # an open of a missing name raises where it should return NotFound
+    Mutant("open-raises-not-found", "ipcconfine/kernel.py",
+           "                return NotFound, outcome\n",
+           "                raise NotFound(name)\n",
+           ("tests/test_kernel.py::TestNamedObjects::test_failure_returns_class_and_changes_nothing",
+            "tests/test_concurrency.py::TestLockRelease::test_open_releases_on_not_found",
+            "tests/test_golden.py::test_random_dual_report_bytes")),
     # the last close keeps the record, at refcount 0
     Mutant("close-keeps-record", "ipcconfine/kernel.py",
            "                del self._objects[handle.outcome[0]]\n",

@@ -50,3 +50,9 @@ def lockstep_replay(events) -> ReplayReport:
         return Replayer().run(events)
     finally:
         handlers.update(saved)
+
+
+def diverging_names(events) -> set[str]:
+    """The names on which the engine and the unsealed model disagree: where
+    a dual replay of ``events`` is expected to diverge."""
+    return {d["name"] for d in lockstep_replay(events).divergences}

@@ -22,7 +22,8 @@ from ipcconfine import (
 )
 from ipcconfine.kernel import HookScope
 from ipcconfine.model import HOST, PORT, SHARED_MEMORY, Intent, ProcessRef, Scope, VmId, unrename
-from ipcconfine.trace import first_post_seal_host_touches, fixture_rpcss, fixture_three_iis
+from ipcconfine.trace import fixture_rpcss, fixture_three_iis
+from reference_replay import diverging_names
 
 V = "\\vm1"
 
@@ -130,7 +131,7 @@ def test_criterion_3_oracle_equivalence_and_divergence():
     qualifying = 0
     for seed in range(40):
         events = generate_random_trace(seed, constrained, constrained=False)
-        detected = first_post_seal_host_touches(events)
+        detected = diverging_names(events)
         if not detected:
             continue
         qualifying += 1
@@ -351,7 +352,7 @@ def test_criterion_8_replay_reports_byte_identical():
     params = TraceParams(event_count=120, seal_position=60)
     diverging_seed = next(
         seed for seed in range(40)
-        if first_post_seal_host_touches(generate_random_trace(seed, params)))
+        if diverging_names(generate_random_trace(seed, params)))
     cases = [
         fixture_rpcss(),
         fixture_three_iis(),

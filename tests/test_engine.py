@@ -358,11 +358,11 @@ class TestWildcard:
 
 class TestSeal:
     def test_seal_sets_one_way_flag(self, engine):
-        assert not engine.sealed
+        assert not engine.snapshot().flag
         engine.seal_host_objects()
-        assert engine.sealed
+        assert engine.snapshot().flag
         engine.seal_host_objects()   # idempotent
-        assert engine.sealed
+        assert engine.snapshot().flag
 
     def test_post_seal_skips_long_list(self, engine):
         resolve(engine, VM1, r"\srv\alpha")

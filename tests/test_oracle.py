@@ -7,8 +7,9 @@ The engine agrees with it everywhere except on a listed name confined by
 step (e): after the seal, a name the long list holds that is neither on the
 short list nor in the caller VM's global-object table. Every divergence has
 exactly that one shape, the optimized engine renaming (VmPrivate) where the
-reference passes through (HostPassthrough), and
-``first_post_seal_host_touches`` names exactly the diverging names.
+reference passes through (HostPassthrough). Where a dual replay is
+expected to diverge is read from the lockstep replay against the model,
+``reference_replay.diverging_names``, never from the engine itself.
 """
 
 from dataclasses import replace
@@ -22,14 +23,14 @@ from ipcconfine.trace import (
     Replayer,
     TraceEvent,
     TraceParams,
-    first_post_seal_host_touches,
     fixture_rpcss,
     fixture_three_iis,
     generate_random_trace,
     replay,
+    validate_events,
 )
-from pipeline_model import PipelineModel
-from reference_replay import lockstep_replay
+from pipeline_model import PipelineModel, listed
+from reference_replay import diverging_names, lockstep_replay
 
 VM1 = ProcessRef(10, VmId(1))
 VM2 = ProcessRef(11, VmId(2))
@@ -271,7 +272,7 @@ class TestConstructedDivergence:
             "reference": {"effective_name": r"\srv\alpha", "route": "HostPassthrough",
                           "principle": "HostObject"},
         }]
-        assert first_post_seal_host_touches(events) == {r"\srv\alpha"}
+        assert diverging_names(events) == {r"\srv\alpha"}
 
 
 class TestTraceEquivalence:
@@ -314,7 +315,7 @@ class TestTraceEquivalence:
                     assert div["name"] in host_pool
                     assert div["engine"]["route"] == "VmPrivate"
                     assert div["reference"]["route"] == "HostPassthrough"
-                detected = first_post_seal_host_touches(events)
+                detected = diverging_names(events)
                 assert detected == {d["name"] for d in report.divergences}
                 detected_by_pattern |= detected - set(long_list)
             assert seen >= 5   # most seeds at these parameters diverge somewhere
@@ -346,11 +347,39 @@ class TestLockstepEquivalence:
         events = fixture()
         assert replay(events, dual=True).to_json() == lockstep_replay(events).to_json()
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**20))
+    def test_literal_global_component(self, seed):
+        # the generator names no object with a literal Global component, so
+        # every third private name is moved under one: a Local-scope create
+        # of it is then global by step (b)'s component rule, which the
+        # oracle is never asked about
+        params = TraceParams(event_count=150, seal_position=70, vm_count=3, process_count=6)
+        remap = {rf"\app\obj-{i:04d}": rf"\app\Global\obj-{i:04d}"
+                 for i in range(0, params.name_pool_size, 3)}
+        events = [replace(e, name=remap[e.name]) if e.name in remap else e
+                  for e in generate_random_trace(seed, params)]
+        validate_events(events)
+        assert any(e.op == "create" and e.scope == "Local" and e.name in remap.values()
+                   for e in events)
+        assert replay(events, dual=True).to_json() == lockstep_replay(events).to_json()
+
     def test_reference_sees_divergences(self):
-        # the comparison is not vacuous: the reference reports the
-        # divergences that the predictor names
+        # the comparison is not vacuous: the reference reports divergences,
+        # each of step (e)'s one shape, a listed name that the engine renames
+        # after the seal and the unsealed model passes through
         params = TraceParams(event_count=120, seal_position=60, pattern_count=3)
         events = generate_random_trace(3, params)
+        seal_seq = next(e.seq for e in events if e.op == "seal")
+        long_list = next(e.names for e in events if e.op == "load_long_list")
         divergences = lockstep_replay(events).divergences
         assert divergences
-        assert {d["name"] for d in divergences} == first_post_seal_host_touches(events)
+        for div in divergences:
+            name = div["name"]
+            assert div["seq"] > seal_seq
+            assert listed(long_list, name)
+            assert div["engine"]["route"] == "VmPrivate"
+            assert div["engine"]["principle"] == "Isolation"
+            assert unrename(div["engine"]["effective_name"])[1] == name
+            assert div["reference"] == {"effective_name": name, "route": "HostPassthrough",
+                                        "principle": "HostObject"}

@@ -30,7 +30,6 @@ from ipcconfine.trace import (
     Replayer,
     TraceEvent,
     TraceParams,
-    first_post_seal_host_touches,
     fixture_rpcss,
     fixture_three_iis,
     generate_random_trace,
@@ -39,6 +38,7 @@ from ipcconfine.trace import (
     serialize_trace,
     validate_events,
 )
+from reference_replay import diverging_names
 from reference_trace import event_from_line, reference_parse, reference_validate
 
 
@@ -1108,7 +1108,7 @@ class TestRandomTraces:
             ev(9, "create", actor=2, name=r"\h\c", category="I_Port", scope="Global"),
             ev(10, "open", actor=2, name=r"\h\c", category="I_Port"),
         ]
-        assert first_post_seal_host_touches(events) == {r"\h\b"}
+        assert diverging_names(events) == {r"\h\b"}
 
     def test_detector_sees_names_listed_by_a_pattern(self):
         events = [
@@ -1124,7 +1124,7 @@ class TestRandomTraces:
         validate_events(events)
         diverging = {d["name"] for d in replay(events, dual=True).divergences}
         assert diverging == {r"\h\pipe1"}
-        assert first_post_seal_host_touches(events) == diverging
+        assert diverging_names(events) == diverging
 
     @pytest.mark.parametrize("tail, expected", [
         # a VM's global create decides in step (b) and leaves the short list
@@ -1156,7 +1156,7 @@ class TestRandomTraces:
         validate_events(events)
         diverging = {d["name"] for d in replay(events, dual=True).divergences}
         assert diverging == expected
-        assert first_post_seal_host_touches(events) == diverging
+        assert diverging_names(events) == diverging
 
     def test_pattern_entries(self):
         params = TraceParams(event_count=40, seal_position=20, pattern_count=3)
