@@ -26,8 +26,9 @@ decoded line through its op's function, and ``validate_events`` each event
 built in Python, so the two accept the same events and give the same errors.
 
 A parsed event is a :class:`TraceEvent`, a slotted, mutable record: it has no
-per-instance ``__dict__``, and it is neither frozen nor hashable. Nothing in
-parsing, validation or replay assigns to an event after it is built.
+per-instance ``__dict__``, and it is neither frozen nor hashable. It holds each
+field as the JSON line does, ``names`` as a list. Nothing in parsing,
+validation or replay assigns to an event after it is built.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class TraceEvent:
     """One trace event: ``seq``, ``op`` and the op's payload fields.
 
     A slotted, mutable record: building one makes one slot store per field
-    and no per-instance ``__dict__``. Events are therefore not hashable, and
-    nothing stops an assignment to a field; parsing, validation and replay
-    never assign to one.
+    and no per-instance ``__dict__``. Each field holds its JSON value, so
+    ``names`` is a list. Events are therefore not hashable, and nothing
+    stops an assignment to a field; parsing, validation and replay never
+    assign to one.
     """
 
     seq: int
@@ -100,7 +102,7 @@ class TraceEvent:
     ip: str | None = None
     port: int | None = None
     name: str | None = None
-    names: tuple[str, ...] | None = None
+    names: list[str] | None = None
     category: str | None = None
     scope: str | None = None
     target: int | None = None
@@ -111,15 +113,8 @@ class TraceEvent:
     expect: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in _EVENT_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if name == "names":
-                value = list(value)
-            out[name] = value
-        return out
+        return {name: value for name in _EVENT_FIELDS
+                if (value := getattr(self, name)) is not None}
 
 
 _EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
@@ -130,18 +125,18 @@ _COMMON_FIELDS = frozenset({"seq", "op", "expect"})
 class FieldType:
     """A payload field's exact type and the rule its value must meet.
 
-    The type is matched exactly, so ``True`` is not an ``int``. ``rule``
-    takes a value of that type and returns an error message, or None.
-    ``label`` names the type in error messages. Only the function generated
-    for each op that takes the field applies them (see ``_compile_builders``).
+    The type is matched exactly, so ``True`` is not an ``int``; it is the
+    type of the JSON value, which the ``TraceEvent`` field holds as it is.
+    ``rule`` takes a value of that type and returns an error message, or
+    None. Only the function generated for each op that takes the field
+    applies them (see ``_compile_builders``).
     """
 
-    __slots__ = ("type", "rule", "label")
+    __slots__ = ("type", "rule")
 
-    def __init__(self, type_: type, rule=None, label: str | None = None):
+    def __init__(self, type_: type, rule=None):
         self.type = type_
         self.rule = rule
-        self.label = label or type_.__name__
 
 
 class OpSpec:
@@ -192,7 +187,7 @@ def _name_error(name: str, allow_pattern: bool = False) -> str | None:
     return None
 
 
-def _names_error(names: tuple) -> str | None:
+def _names_error(names: list) -> str | None:
     for name in names:
         error = _name_error(name, allow_pattern=True)
         if error is not None:
@@ -225,7 +220,7 @@ TEXT = FieldType(str, _text_error)
 # holds raw JSON values, not all hashable. ``CATEGORY`` needs no cache of its
 # own, as its rule parses through ``_category``.
 NAME = FieldType(str, lru_cache(maxsize=4096)(_name_error))
-NAMES = FieldType(tuple, _names_error, "tuple (a JSON list in a trace)")
+NAMES = FieldType(list, _names_error)
 CATEGORY = FieldType(str, _category_error)
 SCOPE = FieldType(str, _one_of({s.value for s in Scope}))
 HOOK_SCOPE = FieldType(str, _one_of(set(_HOOK_SCOPES)))
@@ -317,8 +312,8 @@ def _mistyped(op: str, spec: OpSpec, name: str, line: dict) -> str:
     value = line.get(name)
     if value is None:
         return f"{op} requires {sorted(f for f, _ in spec.required if line.get(f) is None)}"
-    label = dict(spec.required + spec.optional)[name].label
-    return f"{name} must be of type {label}, got {type(value).__name__}"
+    kind = dict(spec.required + spec.optional)[name]
+    return f"{name} must be of type {kind.type.__name__}, got {type(value).__name__}"
 
 
 def _not_taken(op: str, keys: frozenset, line: dict) -> str | None:
@@ -332,17 +327,6 @@ def _not_taken(op: str, keys: frozenset, line: dict) -> str | None:
 
 
 _BUILDERS = _compile_builders(OP_SCHEMA)
-
-
-def _load_long_list_line(seq: int, line: dict):
-    """``load_long_list``'s builder for a parsed line: JSON has no tuple, so
-    the line's ``names`` list becomes the tuple an event holds."""
-    if type(line.get("names")) is list:
-        line["names"] = tuple(line["names"])
-    return _BUILDERS["load_long_list"](seq, line)
-
-
-_LINE_BUILDERS = {**_BUILDERS, "load_long_list": _load_long_list_line}
 
 
 def serialize_trace(events) -> str:
@@ -360,11 +344,12 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
     Each non-blank line is decoded by one scanner call, and each decoded
     line is checked and built by its op's generated function in one pass,
-    as ``validate_events`` checks events built in Python. A text whose
-    per-line scan or build is refused is decoded again line by line
-    (``_decode_lines``): the first line that is bad JSON, or not a JSON
-    object of event fields with ``seq`` and ``op``, is a ParseError, and it
-    beats a ValidationError on any earlier line.
+    as ``validate_events`` checks events built in Python; an event holds
+    the values its line decodes to. A text whose per-line scan or build is
+    refused is decoded again line by line (``_decode_lines``): the first
+    line that is bad JSON, or not a JSON object of event fields with
+    ``seq`` and ``op``, is a ParseError, and it beats a ValidationError on
+    any earlier line.
     """
     values = []
     for line in text.splitlines():
@@ -379,24 +364,26 @@ def parse_trace(text: str) -> list[TraceEvent]:
         values.append(value)
     else:
         try:
-            return _build(values, _LINE_BUILDERS)
+            return _build(values)
         except ValidationError:
             pass  # a later line may be a ParseError, which ``_decode_lines`` finds
-    return _build(_decode_lines(text), _LINE_BUILDERS)
+    return _build(_decode_lines(text))
 
 
 def validate_events(events) -> None:
     """Check events built in Python, each by its op's generated function;
     the first invalid one is a ValidationError."""
-    _build(({f: getattr(event, f) for f in _EVENT_FIELDS} for event in events), _BUILDERS)
+    _build({f: getattr(event, f) for f in _EVENT_FIELDS} for event in events)
 
 
-def _build(lines, builders: dict) -> list[TraceEvent]:
-    """The event of each dict of event fields, checked and built by its op's
-    function in ``builders``; the first that is not a valid event, with
-    ``seq`` above the one before, is a ValidationError."""
+def _build(lines) -> list[TraceEvent]:
+    """The event of each dict of event fields, from a decoded line or a
+    Python-built event, checked and built by its op's function in
+    ``_BUILDERS``; the first that is not a valid event, with ``seq`` above
+    the one before, is a ValidationError."""
     events = []
     append = events.append
+    builder_of = _BUILDERS.get
     last_seq = 0
     for line in lines:
         seq = line.get("seq")
@@ -404,7 +391,7 @@ def _build(lines, builders: dict) -> list[TraceEvent]:
             raise ValidationError(seq if type(seq) is int else -1,
                                   f"seq must be a strictly increasing positive integer (after {last_seq})")
         op = line.get("op")
-        build = builders.get(op) if type(op) is str else None
+        build = builder_of(op) if type(op) is str else None
         if build is None:
             raise ValidationError(seq, f"unknown op {op!r}")
         event = build(seq, line)
@@ -752,7 +739,7 @@ def fixture_rpcss() -> list[TraceEvent]:
     events = []
     emit = partial(_emit, events)
 
-    emit("load_long_list", names=RPCSS_LONG_LIST)
+    emit("load_long_list", names=list(RPCSS_LONG_LIST))
     emit("vm_create", ip="10.0.0.2")
     emit("spawn", vm=0)   # pid 1: host services
     emit("spawn", vm=1)   # pid 2: virtualized RPCSS
@@ -796,7 +783,7 @@ def fixture_three_iis() -> list[TraceEvent]:
         (r"\BaseNamedObjects\IisWebContent", _SECTION),
     )
 
-    emit("load_long_list", names=())
+    emit("load_long_list", names=[])
     for ip in ips:
         emit("vm_create", ip=ip)
     for vm in (1, 2, 3):
@@ -884,7 +871,7 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
     host_count = round(params.name_pool_size * params.host_fraction)
     host_names = [rf"\srv\host-{i:04d}" for i in range(host_count)]
     private_names = [rf"\app\obj-{i:04d}" for i in range(params.name_pool_size - host_count)]
-    patterns = tuple(rf"\srv\pipe-{k:04d}-*" for k in range(params.pattern_count))
+    patterns = [rf"\srv\pipe-{k:04d}-*" for k in range(params.pattern_count)]
     pattern_names = [p[:-1] + str(i) for p in patterns for i in range(1, PATTERN_INSTANCES + 1)]
     pool = host_names + private_names + pattern_names
     categories = (_PORT, _PIPE, _SECTION, _MUTEX)
@@ -896,7 +883,7 @@ def generate_random_trace(seed: int, params: TraceParams = TraceParams(),
     events = []
     emit = partial(_emit, events)
 
-    emit("load_long_list", names=tuple(host_names) + patterns)
+    emit("load_long_list", names=host_names + patterns)
     for i in range(params.vm_count):
         emit("vm_create", ip=f"10.0.0.{2 + i}")
     emit("spawn", vm=0)   # pid 1: host service process

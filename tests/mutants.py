@@ -174,8 +174,8 @@ MUTANTS = (
            ("tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line",)),
     # ... always decodes the text again line by line
     Mutant("parse-always-falls-back", "ipcconfine/trace.py",
-           "            return _build(values, _LINE_BUILDERS)\n",
-           "            _build(values, _LINE_BUILDERS)\n",
+           "            return _build(values)\n",
+           "            _build(values)\n",
            ("tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line",
             "tests/test_trace.py::TestBuilders::test_null_for_a_field_the_op_does_not_take")),
     # ... raises a ValidationError that a ParseError on a later line beats
@@ -184,6 +184,19 @@ MUTANTS = (
            "            raise\n",
            ("tests/test_trace.py::TestBuilders::test_parse_error_beats_an_earlier_validation_error",
             "tests/test_trace.py::TestParseSerialize::test_unknown_field")),
+    # a serialized event keeps its null fields: every trace and report digest moves
+    Mutant("to-dict-keeps-null", "ipcconfine/trace.py",
+           "if (value := getattr(self, name)) is not None}",
+           "if (value := getattr(self, name)) is not None or True}",
+           ("tests/test_golden.py::test_fixture_report_bytes",
+            "tests/test_golden.py::test_random_dual_report_bytes")),
+    # the long list's names are checked for their type only
+    Mutant("names-no-rule", "ipcconfine/trace.py",
+           "NAMES = FieldType(list, _names_error)",
+           "NAMES = FieldType(list)",
+           ("tests/test_trace.py::TestValidation::test_rejected_events",
+            "tests/test_trace.py::TestLoneSurrogates::"
+            "test_each_string_field_refuses_one[load_long_list-names]")),
     # a constrained trace with no private names keeps its global creates
     Mutant("generator-constrained-global", "ipcconfine/trace.py",
            "            global_create = False\n",

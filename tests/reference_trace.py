@@ -5,8 +5,8 @@
 ``reference_parse`` and ``reference_validate``, as the engine is compared
 with ``ReferenceEngine``: the same events, or an error of the same type, on
 the same line or seq, with the same message. The walk reads each op's fields
-and each field's type, rule and label from the schema; the order of the
-checks and the wording of every error are stated here.
+and each field's type and rule from the schema; the order of the checks
+and the wording of every error are stated here.
 """
 
 import json
@@ -20,13 +20,11 @@ PAYLOAD_FIELDS = tuple(f for f in TraceEvent.__dataclass_fields__
 
 
 def event_from_line(data: dict) -> TraceEvent:
-    """The event a decoded line makes before any field is checked: a JSON
-    list held as a tuple. An unknown field is a ValueError, a missing
-    ``seq`` or ``op`` the TypeError of the ``TraceEvent`` call."""
+    """The event a decoded line makes before any field is checked, each
+    field holding its JSON value. An unknown field is a ValueError, a
+    missing ``seq`` or ``op`` the TypeError of the ``TraceEvent`` call."""
     if not KNOWN_FIELDS.issuperset(data):
         raise ValueError(f"unknown fields: {sorted(set(data) - KNOWN_FIELDS)}")
-    if type(data.get("names")) is list:
-        data = {**data, "names": tuple(data["names"])}
     return TraceEvent(**data)
 
 
@@ -55,7 +53,7 @@ def reference_parse(text: str) -> list[TraceEvent]:
 
 def _check(seq, name: str, kind, value) -> None:
     if type(value) is not kind.type:
-        raise ValidationError(seq, f"{name} must be of type {kind.label}, "
+        raise ValidationError(seq, f"{name} must be of type {kind.type.__name__}, "
                                    f"got {type(value).__name__}")
     if kind.rule is not None:
         error = kind.rule(value)

@@ -38,7 +38,7 @@ def write_trace(tmp_path, events, name="t.jsonl"):
 def failing_trace(tmp_path):
     """A trace whose one ``expect`` fails: its create is renamed."""
     return write_trace(tmp_path, [
-        TraceEvent(seq=1, op="load_long_list", names=()),
+        TraceEvent(seq=1, op="load_long_list", names=[]),
         TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
         TraceEvent(seq=3, op="spawn", vm=1),
         TraceEvent(seq=4, op="create", actor=1, name=r"\a\b", category="I_Port",
@@ -51,13 +51,13 @@ def failing_trace(tmp_path):
 # reads it, and a listed name, which ``replay --dual-oracle`` would print in
 # a divergence record.
 _SURROGATE_PAYLOAD = [
-    TraceEvent(seq=1, op="load_long_list", names=()),
+    TraceEvent(seq=1, op="load_long_list", names=[]),
     TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
     TraceEvent(seq=3, op="spawn", vm=1),
     TraceEvent(seq=4, op="send", actor=1, target=1, payload="\ud800"),
 ]
 _SURROGATE_NAME = [
-    TraceEvent(seq=1, op="load_long_list", names=("\\srv\\a\ud800",)),
+    TraceEvent(seq=1, op="load_long_list", names=["\\srv\\a\ud800"]),
     TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
     TraceEvent(seq=3, op="spawn", vm=0),
     TraceEvent(seq=4, op="spawn", vm=1),
@@ -96,7 +96,7 @@ class TestReplay:
 
     def test_precondition_violation_exits_2(self, tmp_path, capsys):
         events = [
-            TraceEvent(seq=1, op="load_long_list", names=()),
+            TraceEvent(seq=1, op="load_long_list", names=[]),
             TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
             TraceEvent(seq=3, op="spawn", vm=1),
             TraceEvent(seq=4, op="close", actor=1, name=r"\a\b"),
@@ -239,14 +239,14 @@ def _surrogate_traces(draw):
     names = draw(st.lists(_NAME, min_size=1, max_size=3))
     values = {
         "actor": st.integers(1, 2), "target": st.integers(1, 2), "vm": st.integers(0, 1),
-        "ip": _TEXT, "port": st.integers(1, 2), "names": st.lists(_NAME, max_size=2).map(tuple),
+        "ip": _TEXT, "port": st.integers(1, 2), "names": st.lists(_NAME, max_size=2),
         "name": st.sampled_from(names) | _NAME,
         "category": st.sampled_from(["I_Port", "IV_Sync:Mutex"]) | _TEXT.map("I_Port:".__add__),
         "scope": st.sampled_from(["Local", "Global"]),
         "subtype": _TEXT, "payload": _TEXT, "class_name": _TEXT,
         "hook_scope": st.sampled_from(["SystemWide", "OwnVm"]),
     }
-    events = [TraceEvent(1, "load_long_list", names=tuple(names)),
+    events = [TraceEvent(1, "load_long_list", names=names),
               TraceEvent(2, "vm_create", ip=draw(_TEXT)),
               TraceEvent(3, "spawn", vm=0), TraceEvent(4, "spawn", vm=1)]
     for seq in range(5, 5 + draw(st.integers(1, 10))):

@@ -220,19 +220,17 @@ class TestLockRelease:
     failed create's or open's error class."""
 
     # the oracle has no lock
-    @pytest.mark.parametrize("engine_class", [ConfinementEngine])
     @pytest.mark.parametrize("name", ["no-leading-backslash", r"\vm7\x"])
-    def test_resolve_releases_on_invalid_name(self, engine_class, name):
-        engine = engine_class()
+    def test_resolve_releases_on_invalid_name(self, name):
+        engine = ConfinementEngine()
         engine.load_long_list([r"\srv\alpha"])
         proc = ProcessRef(10, VmId(1))
         with pytest.raises(InvalidName):
             engine.resolve(proc, name, PORT, Intent.OPEN)
         assert free_in_another_thread(engine._lock)
 
-    @pytest.mark.parametrize("engine_class", [ConfinementEngine])
-    def test_resolve_releases_on_not_loaded(self, engine_class):
-        engine = engine_class()
+    def test_resolve_releases_on_not_loaded(self):
+        engine = ConfinementEngine()
         with pytest.raises(NotLoaded):
             engine.resolve(ProcessRef(10, VmId(1)), r"\srv\alpha", PORT, Intent.OPEN)
         assert free_in_another_thread(engine._lock)

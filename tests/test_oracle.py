@@ -249,7 +249,7 @@ class TestConstructedDivergence:
         # renames it into vm1, where nothing exists, while the oracle passes
         # it through
         events = [
-            TraceEvent(seq=1, op="load_long_list", names=(r"\srv\alpha",)),
+            TraceEvent(seq=1, op="load_long_list", names=[r"\srv\alpha"]),
             TraceEvent(seq=2, op="vm_create", ip="10.0.0.2"),
             TraceEvent(seq=3, op="spawn", vm=1),
             TraceEvent(seq=4, op="seal"),

@@ -115,11 +115,10 @@ def trailing_digits(name: str) -> int:
     return len(name) - len(name.rstrip(DIGITS))
 
 
-@pytest.mark.parametrize("seal", [False, True])
 # the oracle has no tables of stored outcomes
-@pytest.mark.parametrize("engine_class", [ConfinementEngine])
-def test_table_hits_make_no_check_and_no_long_list_probe(engine_class, seal, probes):
-    engine = engine_class()
+@pytest.mark.parametrize("seal", [False, True])
+def test_table_hits_make_no_check_and_no_long_list_probe(seal, probes):
+    engine = ConfinementEngine()
     engine.load_long_list(LONG_LIST)
     resolve(engine, VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL)
     resolve(engine, VM1, r"\srv\alpha")
@@ -291,7 +290,7 @@ def iis_instances(count: int) -> tuple[list[TraceEvent], list[list[TraceEvent]]]
     itself and one to the next instance, and sets a system-wide hook.
     """
     setup = [TraceEvent(seq=1, op="load_long_list",
-                        names=(r"\srv\alpha", r"\Device\NamedPipe\net\NtControlPipe*"))]
+                        names=[r"\srv\alpha", r"\Device\NamedPipe\net\NtControlPipe*"])]
     setup += [TraceEvent(seq=0, op="vm_create", ip=f"10.{i // 250}.{i % 250}.2")
               for i in range(count)]
     setup += [TraceEvent(seq=0, op="spawn", vm=vm) for vm in range(1, count + 1)]

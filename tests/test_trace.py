@@ -4,6 +4,7 @@ import concurrent.futures
 import gc
 import json
 import re
+import typing
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -48,7 +49,7 @@ def ev(seq, op, **kwargs):
 
 def preamble():
     return [
-        ev(1, "load_long_list", names=(r"\srv\alpha",)),
+        ev(1, "load_long_list", names=[r"\srv\alpha"]),
         ev(2, "vm_create", ip="10.0.0.2"),
         ev(3, "spawn", vm=1),
     ]
@@ -275,12 +276,10 @@ def _plausible_texts(draw):
     return "".join(line + "\n" for line in lines)
 
 
-# any value a Python-built event may hold in a field: valid ones in the
-# event's form, and ones of another type or against a rule, ``names`` as a
-# list and bools for ints among them
-_EVENT_VALID = {**_VALID, "names": tuple(_VALID["names"])}
-_ANY_VALUE = [None, *_INVALID, *_EVENT_VALID.values(), _VALID["names"], (r"\a\b", 5), (),
-              False, 2.5]
+# any value a Python-built event may hold in a field: valid ones, and ones
+# of another type or against a rule, ``names`` as a tuple and bools for ints
+# among them
+_ANY_VALUE = [None, *_INVALID, tuple(_VALID["names"]), (r"\a\b", 5), (), False, 2.5]
 
 
 @st.composite
@@ -298,12 +297,11 @@ def _python_events(draw):
         spec = OP_SCHEMA.get(op) if type(op) is str else None
         fields_ = {}
         for name in sorted(spec.fields) if spec else ():
-            # "json": the value a trace line holds, ``names`` as a list
-            choice = draw(st.sampled_from(["valid"] * 6 + ["absent", "json", "any"]))
+            choice = draw(st.sampled_from(["valid"] * 7 + ["absent", "any"]))
             if choice == "any":
                 fields_[name] = draw(st.sampled_from(_ANY_VALUE))
             elif choice != "absent":
-                fields_[name] = (_EVENT_VALID if choice == "valid" else _VALID)[name]
+                fields_[name] = _VALID[name]
         while draw(rare):
             fields_[draw(st.sampled_from(_PAYLOAD_FIELDS))] = draw(st.sampled_from(_ANY_VALUE))
         if draw(rare):
@@ -320,12 +318,6 @@ def validated(check, events):
     except ValidationError as exc:
         return type(exc).__name__, exc.seq, str(exc)
     return None
-
-
-def _event_dict(op: str) -> dict:
-    """The fields of a valid ``op`` event, as the builders take them."""
-    line = _full_line(op)
-    return {**line, "names": tuple(line["names"])} if "names" in line else line
 
 
 class TestBuilders:
@@ -357,7 +349,7 @@ class TestBuilders:
     @pytest.mark.parametrize("op", list(OP_SCHEMA))
     def test_accepted_keys_are_the_ops_fields(self, op):
         build = trace._BUILDERS[op]
-        line = _event_dict(op)
+        line = _full_line(op)
         assert set(line) == OP_SCHEMA[op].fields | {"seq", "op", "expect"}
         assert build(1, line) == event_from_line(line)
         for key in set(_VALID) - set(line):
@@ -451,7 +443,7 @@ class TestValidation:
         ev(1, "open", actor=1, name="a", category="I_Port"),          # bad name
         ev(1, "open", actor=1, name=r"\vm1\a", category="I_Port"),    # reserved
         ev(1, "open", actor=1, name=r"\a\b*", category="I_Port"),     # pattern
-        ev(1, "load_long_list", names=(r"\vm2\a",)),                  # reserved
+        ev(1, "load_long_list", names=[r"\vm2\a"]),                   # reserved
         ev(1, "create", actor=1, name=r"\a\b", category="V_Message"),
         ev(1, "create", actor=1, name=r"\a\b", category="X_Bad"),
         ev(1, "create", actor=1, name=r"\a\b", category="I_Port", scope="Shared"),
@@ -472,13 +464,13 @@ class TestValidation:
             validate_events([bad])
 
     def test_names_held_as_a_list(self):
-        # an event holds ``names`` as a tuple; a trace line holds a JSON list
+        # an event holds ``names`` as its trace line does, a JSON list
         with pytest.raises(ValidationError, match=re.escape(
-                "names must be of type tuple (a JSON list in a trace), got list")):
-            validate_events([ev(1, "load_long_list", names=[r"\a\b"])])
+                "seq 1: names must be of type list, got tuple")):
+            validate_events([ev(1, "load_long_list", names=(r"\a\b",))])
 
     def test_pattern_fine_in_long_list(self):
-        validate_events([ev(1, "load_long_list", names=(r"\pipe\Ctl*",))])
+        validate_events([ev(1, "load_long_list", names=[r"\pipe\Ctl*"])])
 
     def test_optional_fields_accepted(self):
         validate_events([
@@ -533,7 +525,7 @@ class TestFieldTypes:
 # (op, field) for every string field, and the field's valid value with a
 # lone surrogate in it; a scope must be one of its values anyway
 _STRING_FIELDS = [(op, name) for op, spec in OP_SCHEMA.items()
-                  for name, kind in spec.required + spec.optional if kind.type in (str, tuple)]
+                  for name, kind in spec.required + spec.optional if kind.type in (str, list)]
 _LONE = {**{f: v + "\ud800" for f, v in _VALID.items() if type(v) is str},
          "names": [_VALID["name"] + "\ud800"]}
 
@@ -550,10 +542,8 @@ class TestLoneSurrogates:
         message = f"seq 1: {field}: {rule}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             parse_trace(json.dumps(line) + "\n")
-        event = {**_event_dict(op), field: _LONE[field] if field != "names"
-                 else tuple(_LONE[field])}
         with pytest.raises(ValidationError, match=re.escape(message)):
-            validate_events([TraceEvent(**event)])
+            validate_events([TraceEvent(**line)])
 
     @pytest.mark.parametrize("key", ["effective_name", "error"])
     def test_expect_strings_refuse_one(self, key):
@@ -567,7 +557,7 @@ class TestLoneSurrogates:
         # decodes to it
         char = "\U0001f600"
         events = [
-            ev(1, "load_long_list", names=(r"\srv\a" + char,)),
+            ev(1, "load_long_list", names=[r"\srv\a" + char]),
             ev(2, "vm_create", ip=char),
             ev(3, "open", actor=1, name=r"\a" + char, category="I_Port:" + char),
             ev(4, "send", actor=1, target=1, subtype=char, payload=char),
@@ -583,6 +573,14 @@ class TestSchema:
         payload = {f.name for f in fields(TraceEvent)} - {"seq", "op", "expect"}
         covered = set().union(*(spec.fields for spec in OP_SCHEMA.values()))
         assert covered == payload
+
+    def test_annotation_states_the_field_type(self):
+        # an event holds each field in one form, the one its schema checks
+        hints = typing.get_type_hints(TraceEvent)
+        for spec in OP_SCHEMA.values():
+            for name, kind in spec.required + spec.optional:
+                (hint,) = [h for h in typing.get_args(hints[name]) if h is not type(None)]
+                assert (typing.get_origin(hint) or hint) is kind.type, name
 
 
 def _readme() -> str:
@@ -763,7 +761,7 @@ class TestReplaySemantics:
         """A listed name is one shared host object, whoever creates it first,
         a VM included: vm2 and then the host reach the object vm1 created."""
         events = [
-            ev(1, "load_long_list", names=(r"\srv\h",)),
+            ev(1, "load_long_list", names=[r"\srv\h"]),
             ev(2, "vm_create", ip="10.0.0.2"),
             ev(3, "vm_create", ip="10.0.0.3"),
             ev(4, "spawn", vm=1),
@@ -804,7 +802,7 @@ class TestReplaySemantics:
         """Every op's outcome keys, pinned: pid 1 is the host's, pids 2 and
         3 are vm1's, pid 4 is vm2's."""
         events = [
-            ev(1, "load_long_list", names=(r"\srv\host",)),
+            ev(1, "load_long_list", names=[r"\srv\host"]),
             ev(2, "vm_create", ip="10.0.0.2"),
             ev(3, "vm_create", ip="10.0.0.3"),
             ev(4, "spawn", vm=0),
@@ -1097,7 +1095,7 @@ class TestRandomTraces:
 
     def test_detector_on_handcrafted_trace(self):
         events = [
-            ev(1, "load_long_list", names=(r"\h\a", r"\h\b", r"\h\c")),
+            ev(1, "load_long_list", names=[r"\h\a", r"\h\b", r"\h\c"]),
             ev(2, "vm_create", ip="10.0.0.2"),
             ev(3, "spawn", vm=0),
             ev(4, "spawn", vm=1),
@@ -1112,7 +1110,7 @@ class TestRandomTraces:
 
     def test_detector_sees_names_listed_by_a_pattern(self):
         events = [
-            ev(1, "load_long_list", names=(r"\h\pipe*",)),
+            ev(1, "load_long_list", names=[r"\h\pipe*"]),
             ev(2, "vm_create", ip="10.0.0.2"),
             ev(3, "spawn", vm=0),
             ev(4, "spawn", vm=1),
@@ -1147,7 +1145,7 @@ class TestRandomTraces:
     ])
     def test_detector_matches_dual_replay(self, tail, expected):
         events = [
-            ev(1, "load_long_list", names=(r"\h\a", r"\h\Global\a")),
+            ev(1, "load_long_list", names=[r"\h\a", r"\h\Global\a"]),
             ev(2, "vm_create", ip="10.0.0.2"),
             ev(3, "vm_create", ip="10.0.0.3"),
             ev(4, "spawn", vm=1),
