@@ -77,7 +77,8 @@ def _add_replay_options(parser):
     parser.add_argument("--dual-oracle", action="store_true",
                         help="compare every create and open with the full-scan oracle; "
                              "only a VM caller's outcomes other than VmGlobal can "
-                             "differ, so only those are scanned")
+                             "differ, so only those are compared, with one scan per "
+                             "distinct name and VM")
     parser.add_argument("--report", metavar="PATH", help="write the replay report JSON")
 
 

@@ -434,9 +434,10 @@ class ReferenceEngine:
     with a full scan of them: :meth:`resolve` passes a listed name through
     and renames any other. It has no short list and no flag, so sealing
     does not touch it; no lock, counters or global-object tables, as it
-    decides nothing else. A dual replay asks it for each outcome of a VM
-    caller that is not ``VmGlobal``: the engine decides those by step (d),
-    (e), (f) or (g), and only (e) can decide otherwise than the scan.
+    decides nothing else. A dual replay asks it, once per distinct name and
+    VM, about the outcomes of a VM caller that are not ``VmGlobal``: the
+    engine decides those by step (d), (e), (f) or (g), and only (e) can
+    decide otherwise than the scan.
     """
 
     def __init__(self):

@@ -84,6 +84,12 @@ class HookScope(Enum):
     OWN_VM = "OwnVm"
 
 
+# Enum members read on every call of an op, bound once: a class-attribute
+# read of a member costs several times a module-global read.
+_CREATE, _OPEN, _LOCAL = Intent.CREATE, Intent.OPEN, Scope.LOCAL
+_SYSTEM_WIDE = HookScope.SYSTEM_WIDE
+
+
 @dataclass(frozen=True)
 class HookGrant:
     """Effective scope of an installed hook: always one context."""
@@ -131,7 +137,7 @@ class SimKernel:
         or CategoryMismatch, outcome)``; a failure changes no object or
         handle. Engine and caller errors raise."""
         self._check_live(caller)
-        outcome = self.engine.resolve(caller, name, category, Intent.CREATE, scope)
+        outcome = self.engine.resolve(caller, name, category, _CREATE, scope)
         effective = outcome[0]
         lock = self._lock
         lock.acquire()
@@ -152,7 +158,7 @@ class SimKernel:
         """As ``create_object``, with ``NotFound`` or ``CategoryMismatch`` as
         the failures; a success adds one to the record's refcount."""
         self._check_live(caller)
-        outcome = self.engine.resolve(caller, name, category, Intent.OPEN, Scope.LOCAL)
+        outcome = self.engine.resolve(caller, name, category, _OPEN, _LOCAL)
         lock = self._lock
         lock.acquire()
         try:
@@ -223,7 +229,7 @@ class SimKernel:
         caller's own context, and a system-wide request is narrowed to it.
         Nothing is denied, so the engine is not asked."""
         self._check_live(caller)
-        return HookGrant(caller.vm, requested_scope is HookScope.SYSTEM_WIDE)
+        return HookGrant(caller.vm, requested_scope is _SYSTEM_WIDE)
 
     # -- sockets (category VI) -------------------------------------------------------
 

@@ -44,6 +44,7 @@ from .engine import (
     EngineCounters,
     EngineSnapshot,
     ReferenceEngine,
+    ResolveOutcome,
     Route,
 )
 from .errors import (
@@ -499,12 +500,16 @@ class Replayer:
 
     In dual mode each create or open of a VM caller whose engine route is
     not ``VmGlobal`` is compared, whole, with the full-scan oracle's
-    outcome, one scan each, and any divergence is recorded. The engine
-    decides such an outcome by step (d), (e), (f) or (g), and the oracle
-    by (f) or (g). Host callers (step (a)) and ``VmGlobal`` outcomes (steps
-    (b) and (c)) do not depend on the host-object list, so the oracle, which
-    holds nothing else, is not asked. Replay is deterministic: identical
-    input yields identical reports.
+    outcome, and any divergence is recorded. The engine decides such an
+    outcome by step (d), (e), (f) or (g), and the oracle by (f) or (g).
+    Host callers (step (a)) and ``VmGlobal`` outcomes (steps (b) and (c))
+    do not depend on the host-object list, so the oracle, which holds
+    nothing else, is not asked. The oracle makes one scan per distinct
+    (name, VM): its answer depends on nothing but the two and its long
+    list, which is loaded once, after the engine's load and before the
+    first resolve can succeed, so each answer is kept and compared again
+    on every later event that asks the same. Replay is deterministic:
+    identical input yields identical reports.
     """
 
     def __init__(self, dual: bool = False):
@@ -517,6 +522,8 @@ class Replayer:
         # (actor pid, original name) -> non-empty stack of open handles
         self._handles: dict[tuple[int, str], list] = {}
         self._divergences: list[dict] = []
+        # (name, vm id) -> the oracle's outcome, asked once per key
+        self._oracle_outcomes: dict[tuple[str, int], ResolveOutcome] = {}
 
     def run(self, events) -> ReplayReport:
         report = ReplayReport()
@@ -594,7 +601,10 @@ class Replayer:
         result["principle"] = route.principle._value_
         reference = self.reference
         if reference is not None and route is not _VM_GLOBAL and caller.vm.id:
-            ref = reference.resolve(name, caller.vm)
+            key = (name, caller.vm.id)
+            ref = self._oracle_outcomes.get(key)
+            if ref is None:
+                ref = self._oracle_outcomes[key] = reference.resolve(name, caller.vm)
             if ref != outcome:
                 self._divergences.append({
                     "seq": event.seq,

@@ -124,6 +124,27 @@ MUTANTS = (
            ("tests/test_pipeline_model.py::test_engine_matches_model",
             "tests/test_oracle.py::TestAsciiDigits::test_unicode_digit_suffix_is_not_a_host_object",
             )),
+    # dual replay keeps the oracle's answers by name alone: a VM is given
+    # the copy the oracle renamed into another VM
+    Mutant("oracle-memo-drops-vm", "ipcconfine/trace.py",
+           "key = (name, caller.vm.id)",
+           "key = name",
+           ("tests/test_golden.py::test_fixture_report_bytes[three_iis-True]",
+            "tests/test_golden.py::test_random_dual_report_bytes",
+            "tests/test_probes.py::test_dual_replay_scans_once_per_host_object_decision",
+            "tests/test_oracle.py::TestLockstepEquivalence::"
+            "test_refused_second_load_between_repeated_opens")),
+    # dual replay loads the oracle first: a refused second load of the long
+    # list still replaces the oracle's list
+    Mutant("oracle-loaded-before-engine", "ipcconfine/trace.py",
+           "        result[\"loaded\"] = self.engine.load_long_list(event.names)\n"
+           "        if self.reference is not None:\n"
+           "            self.reference.load_long_list(event.names)\n",
+           "        if self.reference is not None:\n"
+           "            self.reference.load_long_list(event.names)\n"
+           "        result[\"loaded\"] = self.engine.load_long_list(event.names)\n",
+           ("tests/test_oracle.py::TestLockstepEquivalence::"
+            "test_refused_second_load_between_repeated_opens",)),
     # dual replay never asks the oracle
     Mutant("dual-replay-skips-oracle", "ipcconfine/trace.py",
            "if reference is not None and route is not _VM_GLOBAL and caller.vm.id:",
@@ -196,7 +217,29 @@ MUTANTS = (
            "NAMES = FieldType(list)",
            ("tests/test_trace.py::TestValidation::test_rejected_events",
             "tests/test_trace.py::TestLoneSurrogates::"
-            "test_each_string_field_refuses_one[load_long_list-names]")),
+            "test_each_string_field_refuses_one[load_long_list-names]",
+            "tests/test_trace.py::TestFieldRules::test_a_case_for_every_rule",
+            "tests/test_trace.py::TestFieldRules::"
+            "test_each_rule_refuses_its_bad_value[load_long_list-names]")),
+    # a pid is checked for its type only: pid 0 and negative pids pass
+    Mutant("pid-no-rule", "ipcconfine/trace.py",
+           "PID = FieldType(int, lambda v: None if v >= 1 else \"must be a positive pid\")",
+           "PID = FieldType(int)",
+           ("tests/test_trace.py::TestValidation::test_rejected_events",
+            "tests/test_trace.py::TestFieldRules::test_a_case_for_every_rule",
+            "tests/test_trace.py::TestFieldRules::test_each_rule_refuses_its_bad_value[create-actor]",
+            "tests/test_trace.py::TestFieldRules::test_each_rule_refuses_its_bad_value[send-target]")),
+    # a category is checked for its type only: a message category or an
+    # unknown one passes
+    Mutant("category-no-rule", "ipcconfine/trace.py",
+           "CATEGORY = FieldType(str, _category_error)",
+           "CATEGORY = FieldType(str)",
+           ("tests/test_trace.py::TestValidation::test_rejected_events",
+            "tests/test_trace.py::TestFieldRules::test_a_case_for_every_rule",
+            "tests/test_trace.py::TestFieldRules::"
+            "test_each_rule_refuses_its_bad_value[create-category]",
+            "tests/test_trace.py::TestFieldRules::"
+            "test_each_rule_refuses_its_bad_value[open-category]")),
     # a constrained trace with no private names keeps its global creates
     Mutant("generator-constrained-global", "ipcconfine/trace.py",
            "            global_create = False\n",

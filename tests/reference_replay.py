@@ -1,8 +1,9 @@
 """The reference dual replay: every create and open compared, in lockstep,
 with an unsealed ``PipelineModel``.
 
-``Replayer`` in dual mode asks the full-scan oracle only for the outcomes
-it can decide differently, with one scan each. ``lockstep_replay`` asks
+``Replayer`` in dual mode compares the full-scan oracle only with the
+outcomes it can decide differently, with one scan per distinct (name, VM).
+``lockstep_replay`` asks
 the model everything instead: the model keeps its own global names and
 short list and is never sealed, so it decides every create and open as the
 oracle would if it ran the whole pipeline. ``test_oracle.py`` compares the

@@ -84,10 +84,9 @@ class TestReservedPrefix:
     engine takes none from a caller, and neither engine into its long list."""
 
     # the oracle checks no name after its load
-    @pytest.mark.parametrize("engine_class", [ConfinementEngine])
     @pytest.mark.parametrize("proc", [HOSTP, VM1, VM2])
-    def test_resolve_rejects(self, engine_class, proc):
-        engine = engine_class()
+    def test_resolve_rejects(self, proc):
+        engine = ConfinementEngine()
         engine.load_long_list([r"\srv\alpha"])
         for name in (r"\vm1\secret", r"\vm01\x", r"\vm0\x"):
             with pytest.raises(InvalidName, match="reserved"):
@@ -399,23 +398,8 @@ class TestSeal:
 
 
 class TestCounters:
-    @pytest.mark.parametrize("engine_class,expected", [
-        (ConfinementEngine, {
-            "resolves_total": 8,
-            "global_table_hits": 2,
-            "short_hits": 2,
-            "long_hits": 1,
-            "long_misses": 1,
-            "renames": 4,
-            "host_passthroughs": 3,
-            "post_seal_long_skips": 1,
-            "denials": 0,
-            "host_bypass": 1,
-            "long_list_reads": 2,
-        }),
-    ], ids=["engine"])
-    def test_conservation_over_mixed_sequence(self, engine_class, expected):
-        engine = engine_class()
+    def test_conservation_over_mixed_sequence(self):
+        engine = ConfinementEngine()
         engine.load_long_list(LONG_LIST)
         resolve(engine, HOSTP, r"\srv\alpha")
         resolve(engine, VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL)
@@ -428,7 +412,19 @@ class TestCounters:
         resolve(engine, VM1, r"\srv\alpha")
         c = engine.counters
         assert c.conservation_holds()
-        assert c.to_dict() == expected
+        assert c.to_dict() == {
+            "resolves_total": 8,
+            "global_table_hits": 2,
+            "short_hits": 2,
+            "long_hits": 1,
+            "long_misses": 1,
+            "renames": 4,
+            "host_passthroughs": 3,
+            "post_seal_long_skips": 1,
+            "denials": 0,
+            "host_bypass": 1,
+            "long_list_reads": 2,
+        }
 
     def test_renames_and_passthroughs_are_derived(self):
         c = EngineCounters(global_table_hits=2, short_hits=3, long_hits=5,

@@ -324,10 +324,10 @@ class TestTraceEquivalence:
 
 
 class TestLockstepEquivalence:
-    """A dual replay asks the oracle only for a VM caller's outcomes that
-    are not ``VmGlobal``, one scan each; its report is byte-identical to
-    that of an unsealed model run in lockstep on every create and open
-    (``reference_replay``)."""
+    """A dual replay compares the oracle only with a VM caller's outcomes
+    that are not ``VmGlobal``, with one scan per distinct (name, VM); its
+    report is byte-identical to that of an unsealed model run in lockstep
+    on every create and open (``reference_replay``)."""
 
     @pytest.mark.parametrize("params", [
         TraceParams(event_count=120),
@@ -363,6 +363,48 @@ class TestLockstepEquivalence:
         assert any(e.op == "create" and e.scope == "Local" and e.name in remap.values()
                    for e in events)
         assert replay(events, dual=True).to_json() == lockstep_replay(events).to_json()
+
+    def test_refused_second_load_between_repeated_opens(self):
+        # each oracle answer is kept per (name, VM) and compared again: two
+        # VMs open the same names before and after a refused second load of
+        # another list, which must reach neither the engine nor the oracle
+        names = (r"\srv\alpha", r"\srv\beta", r"\srv\ctl\Pipe7", r"\app\b")
+
+        def opens(pids):
+            return [("open", dict(actor=pid, name=name, category="I_Port"))
+                    for name in names for pid in pids]
+
+        steps = [
+            ("load_long_list", dict(names=list(HOSTS))),
+            ("vm_create", dict(ip="10.0.0.2")),
+            ("vm_create", dict(ip="10.0.0.3")),
+            ("spawn", dict(vm=1)),
+            ("spawn", dict(vm=2)),
+            ("create", dict(actor=1, name=r"\app\b", category="I_Port")),
+            ("create", dict(actor=2, name=r"\app\b", category="I_Port")),
+            ("create", dict(actor=1, name=r"\srv\alpha", category="I_Port")),
+            ("seal", {}),
+            *opens((1, 2)),
+            ("load_long_list", dict(names=[r"\app\b", r"\srv\gamma"],
+                                    expect={"error": "AlreadyLoaded"})),
+            *opens((2, 1)),
+            # asked for the first time: the oracle still holds the first list
+            ("open", dict(actor=1, name=r"\srv\gamma", category="I_Port")),
+            ("open", dict(actor=2, name=r"\srv\gamma", category="I_Port")),
+        ]
+        events = [TraceEvent(seq=seq, op=op, **kwargs)
+                  for seq, (op, kwargs) in enumerate(steps, 1)]
+        replayer = Replayer(dual=True)
+        report = replayer.run(events)
+        assert report.to_json() == lockstep_replay(events).to_json()
+        assert report.assertions_passed == 1 and not report.assertions_failed
+        # the oracle kept its first list: every open of a listed name that
+        # the seal left off the short list diverges, in both rounds, and
+        # the refused list's names do not pass through
+        assert [d["name"] for d in report.divergences] == 2 * [
+            r"\srv\beta", r"\srv\beta", r"\srv\ctl\Pipe7", r"\srv\ctl\Pipe7"]
+        assert {out["route"] for e, out in zip(events, replayer.outcomes)
+                if e.name in (r"\app\b", r"\srv\gamma")} == {"VmPrivate"}
 
     def test_reference_sees_divergences(self):
         # the comparison is not vacuous: the reference reports divergences,

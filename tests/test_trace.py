@@ -568,6 +568,61 @@ class TestLoneSurrogates:
         assert parse_trace(text) == events
 
 
+# (op, field) for every field whose type has a rule, and a value of the
+# field's type that breaks the rule. The values are written here, not read
+# from ``OP_SCHEMA``, so a rule dropped from the schema shows as a case that
+# is accepted.
+_RULE_BREAKERS = {
+    ("load_long_list", "names"): [r"\srv\ok", "relative"],
+    ("vm_create", "ip"): "10.0.0.\ud800",
+    ("spawn", "vm"): -1,
+    ("create", "actor"): 0,
+    ("create", "name"): r"\vm1\a",
+    ("create", "category"): "V_Message",
+    ("create", "scope"): "Shared",
+    ("open", "actor"): -3,
+    ("open", "name"): "a",
+    ("open", "category"): "X_Bad",
+    ("close", "actor"): 0,
+    ("close", "name"): r"\a\b*",
+    ("send", "actor"): 0,
+    ("send", "target"): -1,
+    ("send", "subtype"): "Clip\ud800",
+    ("send", "payload"): "\udfff",
+    ("register_window", "actor"): 0,
+    ("register_window", "class_name"): "Shell\ud800",
+    ("find_window", "actor"): -1,
+    ("find_window", "class_name"): "\ud800",
+    ("remote_thread", "actor"): 0,
+    ("remote_thread", "target"): 0,
+    ("set_hook", "actor"): 0,
+    ("set_hook", "hook_scope"): "Everywhere",
+    ("bind", "actor"): 0,
+    ("bind", "ip"): "\ud800",
+}
+
+
+class TestFieldRules:
+    """Each field rule refuses a value of the right type: the per-field
+    cases the reference walk cannot give, as it reads each rule from the
+    schema it is compared with."""
+
+    def test_a_case_for_every_rule(self):
+        ruled = {(op, name) for op, spec in OP_SCHEMA.items()
+                 for name, kind in spec.required + spec.optional if kind.rule is not None}
+        assert ruled == set(_RULE_BREAKERS)
+
+    @pytest.mark.parametrize("op, field", sorted(_RULE_BREAKERS))
+    def test_each_rule_refuses_its_bad_value(self, op, field):
+        line = {**_full_line(op), field: _RULE_BREAKERS[op, field]}
+        for check in (lambda: parse_trace(json.dumps(line) + "\n"),
+                      lambda: validate_events([TraceEvent(**line)])):
+            with pytest.raises(ValidationError) as exc:
+                check()
+            assert exc.value.seq == 1
+            assert exc.value.reason.startswith(f"{field}: "), exc.value.reason
+
+
 class TestSchema:
     def test_covers_every_payload_field(self):
         payload = {f.name for f in fields(TraceEvent)} - {"seq", "op", "expect"}
