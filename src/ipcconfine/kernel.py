@@ -102,7 +102,11 @@ class SimKernel:
     """Object registry, window table, and socket table behind the engine.
 
     Mutations appear atomic (one plain, non-re-entrant kernel lock).
-    ``create_object`` and ``open_object`` return a failure's error class
+    ``create_object`` and ``open_object`` hold it across their
+    ``engine.resolve``, so each is one critical section and linearizable:
+    no other op sees a name resolved but its object not yet made or found.
+    The lock order is kernel, then engine; the engine never calls the
+    kernel, so there is no cycle. They return a failure's error class
     with the resolve outcome instead of raising it, so a failed create or
     open in a replay costs no raise and no catch. They and ``close``,
     called once per name event of a replay, take the lock with explicit
@@ -137,11 +141,11 @@ class SimKernel:
         or CategoryMismatch, outcome)``; a failure changes no object or
         handle. Engine and caller errors raise."""
         self._check_live(caller)
-        outcome = self.engine.resolve(caller, name, category, _CREATE, scope)
-        effective = outcome[0]
         lock = self._lock
         lock.acquire()
         try:
+            outcome = self.engine.resolve(caller, name, category, _CREATE, scope)
+            effective = outcome[0]
             record = self._objects.get(effective)
             if record is not None:
                 if record.category.group is not category.group:
@@ -158,10 +162,10 @@ class SimKernel:
         """As ``create_object``, with ``NotFound`` or ``CategoryMismatch`` as
         the failures; a success adds one to the record's refcount."""
         self._check_live(caller)
-        outcome = self.engine.resolve(caller, name, category, _OPEN, _LOCAL)
         lock = self._lock
         lock.acquire()
         try:
+            outcome = self.engine.resolve(caller, name, category, _OPEN, _LOCAL)
             record = self._objects.get(outcome[0])
             if record is None:
                 return NotFound, outcome

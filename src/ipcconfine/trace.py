@@ -21,9 +21,10 @@ rename image space and are rejected by validation.
 
 ``OP_SCHEMA`` drives one check. At import, one function per op is generated
 from it and compiled: it checks an event's fields against their types and
-rules, builds the event, and words every error. ``parse_trace`` runs each
-decoded line through its op's function, and ``validate_events`` each event
-built in Python, so the two accept the same events and give the same errors.
+rules, builds the event, and words every error. ``parse_trace`` decodes
+each non-blank line once and runs it through its op's function, and
+``validate_events`` each event built in Python, so the two accept the same
+events and give the same errors.
 
 A parsed event is a :class:`TraceEvent`, a slotted, mutable record: it has no
 per-instance ``__dict__``, and it is neither frozen nor hashable. It holds each
@@ -320,8 +321,8 @@ def _mistyped(op: str, spec: OpSpec, name: str, line: dict) -> str:
 def _not_taken(op: str, keys: frozenset, line: dict) -> str | None:
     """The error of a line's keys beyond ``keys`` that are not null, or None
     if there are none. A key that is no event field counts even when null:
-    ``parse_trace`` then finds the line refused and reports it as the
-    ParseError it is."""
+    the build then fails, and ``parse_trace``'s check of the decoded lines
+    reports the line as the ParseError it is."""
     extra = sorted(key for key, value in line.items()
                    if key not in keys and (value is not None or key not in _KNOWN_FIELDS))
     return f"{op} does not take {extra}" if extra else None
@@ -343,13 +344,14 @@ _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse and validate a JSONL trace.
 
-    Each non-blank line is decoded by one scanner call, and each decoded
-    line is checked and built by its op's generated function in one pass,
-    as ``validate_events`` checks events built in Python; an event holds
-    the values its line decodes to. A text whose per-line scan or build is
-    refused is decoded again line by line (``_decode_lines``): the first
-    line that is bad JSON, or not a JSON object of event fields with
-    ``seq`` and ``op``, is a ParseError, and it beats a ValidationError on
+    Each non-blank line is decoded once: by one scanner call, or, for a
+    line the scanner refuses, by one ``json.loads`` of that line alone,
+    which accepts a line padded with JSON whitespace and words a bad one.
+    The decoded lines are checked and built by their ops' generated
+    functions, as ``validate_events`` checks events built in Python; an
+    event holds the values its line decodes to. The first line that is bad
+    JSON, or not a JSON object of event fields with ``seq`` and ``op``, is
+    a ParseError (see ``_parse_error``), and it beats a ValidationError on
     any earlier line.
     """
     values = []
@@ -359,16 +361,24 @@ def parse_trace(text: str) -> list[TraceEvent]:
         try:
             value, end = _scan_once(line, 0)
         except (StopIteration, ValueError, RecursionError):
-            break
-        if end != len(line) or type(value) is not dict:
-            break
+            end = 0
+        if end != len(line):
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise _parse_error(text, values, f"bad JSON: {exc.msg}") from None
+            except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
+                raise _parse_error(text, values, f"bad JSON: {exc}") from None
         values.append(value)
-    else:
-        try:
-            return _build(values)
-        except ValidationError:
-            pass  # a later line may be a ParseError, which ``_decode_lines`` finds
-    return _build(_decode_lines(text))
+        if type(value) is not dict:
+            raise _parse_error(text, values)
+    try:
+        return _build(values)
+    except ValidationError:
+        error = _parse_error(text, values)
+        if error is None:
+            raise
+        raise error from None
 
 
 def validate_events(events) -> None:
@@ -423,26 +433,19 @@ def _line_error(data) -> str | None:
     return None
 
 
-def _decode_lines(text: str) -> list[dict]:
-    """The object on every non-blank line, each decoded by ``json.loads``,
-    for a text the per-line scan or the build refused. The first line that
-    is bad JSON, or not a JSON object of event fields with ``seq`` and
-    ``op``, is a ParseError."""
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"bad JSON: {exc.msg}") from None
-        except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
-            raise ParseError(lineno, f"bad JSON: {exc}") from None
-        error = _line_error(data)
+def _parse_error(text: str, values: list, message: str | None = None) -> ParseError | None:
+    """The ParseError of the first of ``values``, the decoded non-blank lines
+    of ``text`` in order, that ``_line_error`` refuses; failing that, with
+    ``message``, the error of the line after them, or None. Line numbers are
+    counted again from ``text``; no line is decoded again."""
+    linenos = (lineno for lineno, line in enumerate(text.splitlines(), start=1)
+               if line and not line.isspace())
+    # ``values`` first: the line after them stays unread
+    for value, lineno in zip(values, linenos):
+        error = _line_error(value)
         if error is not None:
-            raise ParseError(lineno, error)
-        values.append(data)
-    return values
+            return ParseError(lineno, error)
+    return None if message is None else ParseError(next(linenos), message)
 
 
 def _expect_error(expect) -> str | None:

@@ -159,32 +159,31 @@ MUTANTS = (
            ("tests/test_probes.py::test_dual_replay_scans_once_per_host_object_decision",)),
     # parse_trace's per-line scan accepts a line with more after its value
     Mutant("parse-no-end-check", "ipcconfine/trace.py",
-           "if end != len(line) or type(value) is not dict:",
-           "if type(value) is not dict:",
+           "if end != len(line):",
+           "if not end:",
            ("tests/test_trace.py::TestParseEquivalence::"
             "test_text_matches_json_loads_path[two_values_on_one_line]",
             "tests/test_trace.py::TestParseEquivalence::"
             "test_text_matches_json_loads_path[line_ends_in_bracket]")),
     # ... and a line whose value is not a JSON object
     Mutant("parse-no-dict-check", "ipcconfine/trace.py",
-           "if end != len(line) or type(value) is not dict:",
-           "if end != len(line):",
+           "        values.append(value)\n"
+           "        if type(value) is not dict:\n"
+           "            raise _parse_error(text, values)\n",
+           "        values.append(value)\n",
            ("tests/test_trace.py::TestParseSerialize::test_non_object_line",
             "tests/test_trace.py::TestParseEquivalence::test_raw_line_matches_json_loads_path",
             "tests/test_trace.py::TestBuilders::test_parse_matches_reference_walk")),
-    # ... and skips a refused line instead of decoding the text line by line
+    # ... and skips a line the scanner refuses instead of decoding it alone
     Mutant("parse-skips-refused-line", "ipcconfine/trace.py",
-           "        if end != len(line) or type(value) is not dict:\n"
-           "            break\n",
-           "        if end != len(line) or type(value) is not dict:\n"
-           "            continue\n",
-           ("tests/test_trace.py::TestParseSerialize::test_non_object_line",
+           "                value = json.loads(line)\n",
+           "                continue\n",
+           ("tests/test_trace.py::TestParseSerialize::test_bad_json_reports_line",
             "tests/test_trace.py::TestParseEquivalence::"
-            "test_raw_line_matches_json_loads_path[trailing_data]",
-            "tests/test_trace.py::TestParseEquivalence::"
-            "test_text_matches_json_loads_path[two_values_on_one_line]")),
-    # ... hands blank lines to the scanner, which refuses them: every padded
-    # text is decoded again line by line
+            "test_raw_line_matches_json_loads_path[padded]",
+            "tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line")),
+    # ... hands blank lines to the scanner, which refuses them: each one is
+    # handed to ``json.loads`` too, which refuses it as well
     Mutant("parse-no-blank-skip", "ipcconfine/trace.py",
            "        if not line or line.isspace():\n"
            "            continue\n"
@@ -193,18 +192,39 @@ MUTANTS = (
            "        try:\n"
            "            value, end = _scan_once(line, 0)\n",
            ("tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line",)),
-    # ... always decodes the text again line by line
+    # ... hands every line to ``json.loads`` as well, as if the scanner had
+    # refused it: each line is decoded twice
     Mutant("parse-always-falls-back", "ipcconfine/trace.py",
-           "            return _build(values)\n",
-           "            _build(values)\n",
+           "if end != len(line):",
+           "if True:",
            ("tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line",
+            "tests/test_trace.py::TestBuilders::test_roundtrip_of_every_op",
             "tests/test_trace.py::TestBuilders::test_null_for_a_field_the_op_does_not_take")),
     # ... raises a ValidationError that a ParseError on a later line beats
     Mutant("parse-no-fallback-on-validation-error", "ipcconfine/trace.py",
-           "            pass  # a later line may be a ParseError, which ``_decode_lines`` finds\n",
-           "            raise\n",
+           "    except ValidationError:\n"
+           "        error = _parse_error(text, values)\n"
+           "        if error is None:\n"
+           "            raise\n"
+           "        raise error from None\n",
+           "    except ValidationError:\n"
+           "        raise\n",
            ("tests/test_trace.py::TestBuilders::test_parse_error_beats_an_earlier_validation_error",
-            "tests/test_trace.py::TestParseSerialize::test_unknown_field")),
+            "tests/test_trace.py::TestParseSerialize::test_unknown_field",
+            "tests/test_trace.py::TestBuilders::test_missing_seq_or_op_is_worded_as_the_call")),
+    # ... raises a bad JSON line's error without checking the lines before it
+    Mutant("parse-bad-json-skips-earlier-lines", "ipcconfine/trace.py",
+           "raise _parse_error(text, values, f\"bad JSON: {exc.msg}\") from None",
+           "raise ParseError(len(values) + 1, f\"bad JSON: {exc.msg}\") from None",
+           ("tests/test_trace.py::TestBuilders::test_parse_error_on_an_earlier_line_beats_bad_json",)),
+    # ... numbers the decoded lines with the blank lines left out of the count
+    Mutant("parse-error-lines-skip-blanks", "ipcconfine/trace.py",
+           "    linenos = (lineno for lineno, line in enumerate(text.splitlines(), start=1)\n"
+           "               if line and not line.isspace())\n",
+           "    linenos = iter(range(1, len(text.splitlines()) + 1))\n",
+           ("tests/test_trace.py::TestBuilders::test_missing_seq_or_op_is_worded_as_the_call",
+            "tests/test_trace.py::TestBuilders::"
+            "test_parse_error_on_an_earlier_line_beats_bad_json[after_blank_lines]")),
     # a serialized event keeps its null fields: every trace and report digest moves
     Mutant("to-dict-keeps-null", "ipcconfine/trace.py",
            "if (value := getattr(self, name)) is not None}",
@@ -246,6 +266,31 @@ MUTANTS = (
            "            pass\n",
            ("tests/test_trace.py::TestRandomTraces::"
             "test_constrained_trace_with_only_host_names_drops_global_creates",)),
+    # a create resolves its name before it takes the kernel lock: another
+    # op sees the name resolved and its object not yet made
+    Mutant("kernel-create-resolve-outside-lock", "ipcconfine/kernel.py",
+           "        lock = self._lock\n"
+           "        lock.acquire()\n"
+           "        try:\n"
+           "            outcome = self.engine.resolve(caller, name, category, _CREATE, scope)\n",
+           "        outcome = self.engine.resolve(caller, name, category, _CREATE, scope)\n"
+           "        lock = self._lock\n"
+           "        lock.acquire()\n"
+           "        try:\n",
+           ("tests/test_concurrency.py::TestKernelLinearizability::"
+            "test_an_op_paused_in_resolve_is_atomic[create-open]",)),
+    # ... and an open: it finds an object its resolve did not route to
+    Mutant("kernel-open-resolve-outside-lock", "ipcconfine/kernel.py",
+           "        lock = self._lock\n"
+           "        lock.acquire()\n"
+           "        try:\n"
+           "            outcome = self.engine.resolve(caller, name, category, _OPEN, _LOCAL)\n",
+           "        outcome = self.engine.resolve(caller, name, category, _OPEN, _LOCAL)\n"
+           "        lock = self._lock\n"
+           "        lock.acquire()\n"
+           "        try:\n",
+           ("tests/test_concurrency.py::TestKernelLinearizability::"
+            "test_an_op_paused_in_resolve_is_atomic[open-create]",)),
     # a window lookup returns the VM's first window, whatever its class
     Mutant("find-window-ignores-class", "ipcconfine/kernel.py",
            "if record.class_name == class_name:",

@@ -133,6 +133,13 @@ class TestScenario:
         assert "OK" in capsys.readouterr().out
         assert main(["replay", path]) == 0
 
+    def test_random_divergence_is_printed(self, capsys):
+        assert main(["scenario", "random", "--dual-oracle", "--seed", "0", "--events", "60"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "replayed 81 events: 0 assertions passed, 0 failed, 1 divergences",
+            r"  seq 69: \srv\host-0010 engine=VmPrivate reference=HostPassthrough",
+        ]
+
     def test_random_params_rejected(self, capsys):
         assert main(["scenario", "random", "--events", "10", "--seal-at", "99"]) == 2
 

@@ -198,6 +198,77 @@ class TestKernelStress:
         assert engine.counters.denials == 200
 
 
+def _kernel_and_two_procs():
+    """A fresh kernel with an empty long list, and two processes of VM 1."""
+    registry = VmRegistry()
+    engine = ConfinementEngine()
+    engine.load_long_list([])
+    kernel = SimKernel(registry, engine)
+    vm = registry.vm_create("10.0.0.2")
+    return kernel, registry.process_spawn(vm), registry.process_spawn(vm)
+
+
+def _result(returned) -> tuple[str, str]:
+    """A create's or open's result class and route."""
+    handle, outcome = returned
+    return "Handle" if type(handle) is Handle else handle.__name__, outcome.route.value
+
+
+_NAME = r"\x\N"
+_NAME_OPS = {
+    "create": lambda kernel, proc: kernel.create_object(proc, _NAME, PORT, Scope.GLOBAL),
+    "open": lambda kernel, proc: kernel.open_object(proc, _NAME, PORT),
+}
+
+
+class TestKernelLinearizability:
+    """A create or an open is one critical section: no other op sees its
+    name resolved but its object not yet made or found. Process A of VM 1
+    runs one op in a worker thread and pauses inside ``engine.resolve``,
+    after the engine has decided; process B of the same VM runs the other
+    op from the main thread. Both results must be those of one of the two
+    sequential orders."""
+
+    # how long A waits inside its resolve for B to finish; B, blocked
+    # behind A's kernel section, cannot end the wait sooner
+    PAUSE_S = 0.5
+
+    @pytest.mark.parametrize("a_op, b_op", [("create", "open"), ("open", "create")])
+    def test_an_op_paused_in_resolve_is_atomic(self, a_op, b_op):
+        # A's and B's results in each sequential order, each on a fresh kernel
+        sequential = []
+        for a_first in (True, False):
+            kernel, a, b = _kernel_and_two_procs()
+            runs = [(a_op, a), (b_op, b)]
+            results = {proc.pid: _result(_NAME_OPS[op](kernel, proc))
+                       for op, proc in (runs if a_first else runs[::-1])}
+            sequential.append((results[a.pid], results[b.pid]))
+        assert sequential[0] != sequential[1]
+
+        kernel, a, b = _kernel_and_two_procs()
+        resolve = kernel.engine.resolve
+        resolved, released = threading.Event(), threading.Event()
+
+        def paused(caller, *args):
+            outcome = resolve(caller, *args)
+            if caller is a:
+                resolved.set()
+                released.wait(self.PAUSE_S)
+            return outcome
+
+        kernel.engine.resolve = paused
+        a_result = []
+        thread = threading.Thread(target=lambda: a_result.append(_result(_NAME_OPS[a_op](kernel, a))))
+        thread.start()
+        try:
+            assert resolved.wait(10)
+            b_result = _result(_NAME_OPS[b_op](kernel, b))
+        finally:
+            released.set()
+            thread.join(10)
+        assert (a_result[0], b_result) in sequential
+
+
 def free_in_another_thread(lock) -> bool:
     """True if a second thread can take ``lock`` at once. The engine's lock
     is re-entrant, so the thread that raised could take it while still
@@ -267,6 +338,15 @@ class TestLockRelease:
         kernel, proc = kernel_proc
         kernel.create_object(proc, r"\app\a", PORT)
         assert kernel.open_object(proc, r"\app\a", SYNC)[0] is CategoryMismatch
+        assert free_in_another_thread(kernel._lock)
+        assert free_in_another_thread(kernel.engine._lock)
+
+    @pytest.mark.parametrize("op", ["create", "open"])
+    def test_name_op_releases_on_invalid_name(self, kernel_proc, op):
+        kernel, proc = kernel_proc
+        call = kernel.create_object if op == "create" else kernel.open_object
+        with pytest.raises(InvalidName):
+            call(proc, "no-leading-backslash", PORT)
         assert free_in_another_thread(kernel._lock)
         assert free_in_another_thread(kernel.engine._lock)
 

@@ -159,14 +159,14 @@ def test_one_name_rule_at_every_entry_point(name, message):
     assert errors == dict.fromkeys(errors, message)
 
 
-# the oracle has no stored outcomes and checks no name after its load
-@pytest.mark.parametrize("engine_class", [ConfinementEngine])
+# the engine only: the oracle has no stored outcomes and checks no name
+# after its load
 class TestStoredOutcomes:
     """A VM's hit in a table of stored outcomes returns before the name
     check; every other resolve is checked, errors in the same order."""
 
-    def warm(self, engine_class):
-        engine = engine_class()
+    def warm(self):
+        engine = ConfinementEngine()
         engine.load_long_list(LONG_LIST + (r"\srv\Global\h",))
         resolve(engine, VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL)
         for name in (r"\srv\alpha", r"\srv\Global\h"):
@@ -175,8 +175,8 @@ class TestStoredOutcomes:
 
     @pytest.mark.parametrize("seal", [False, True])
     @pytest.mark.parametrize("name", [123, ["x"], None, b"\\srv\\alpha"])
-    def test_non_str_name_is_invalid(self, engine_class, seal, name):
-        engine = self.warm(engine_class)
+    def test_non_str_name_is_invalid(self, seal, name):
+        engine = self.warm()
         if seal:
             engine.seal_host_objects()
         before = engine.counters.copy()
@@ -187,8 +187,8 @@ class TestStoredOutcomes:
                 resolve(engine, proc, name, Intent.CREATE, Scope.GLOBAL)
         assert engine.counters == before
 
-    def test_error_order_before_load(self, engine_class):
-        engine = engine_class()
+    def test_error_order_before_load(self):
+        engine = ConfinementEngine()
         for name in ("no-lead-sep", r"\vm1\x", 123, ["x"]):
             with pytest.raises(BadCategory):
                 resolve(engine, VM1, name, category=MESSAGE)
@@ -197,8 +197,8 @@ class TestStoredOutcomes:
         with pytest.raises(NotLoaded):
             resolve(engine, VM1, r"\a\b")
 
-    def test_global_create_of_short_listed_name_is_vm_global(self, engine_class):
-        engine = self.warm(engine_class)
+    def test_global_create_of_short_listed_name_is_vm_global(self):
+        engine = self.warm()
         out = resolve(engine, VM2, r"\srv\alpha", Intent.CREATE, Scope.GLOBAL)
         assert out == ResolveOutcome(r"\vm2\srv\alpha", Route.VM_GLOBAL)
         # a literal Global component makes a Local create global too

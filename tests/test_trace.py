@@ -119,7 +119,8 @@ _RAW_LINES = {
 
 class TestParseEquivalence:
     """The per-line scan gives what ``json.loads`` gives, events and error
-    messages alike."""
+    messages alike: ``_never_scans`` makes the scanner refuse every line,
+    so each goes through the ``json.loads`` of a refused line."""
 
     # the rpcss fixture: TestParseSerialize.test_roundtrip_fixture
     @pytest.mark.parametrize("events", [
@@ -148,8 +149,8 @@ class TestParseEquivalence:
         monkeypatch.setattr(trace, "_scan_once", _never_scans)
         assert outcome(text) == scanned
 
-    # multi-line texts: the per-line scan gives what the line-by-line path
-    # through ``json.loads`` gives, events or error
+    # multi-line texts: the per-line scan gives what ``json.loads`` of each
+    # line gives, events or error
     @pytest.mark.parametrize("text", [
         pytest.param(_SEAL + ", " + _SEAL.replace("1", "2") + "\n" + _SEAL.replace("1", "3"),
                      id="two_values_on_one_line"),
@@ -185,25 +186,58 @@ class TestParseEquivalence:
         monkeypatch.setattr(trace, "_scan_once", _never_scans)
         assert outcome(text) == scanned
 
-    def test_one_scanner_call_per_line(self, monkeypatch):
-        """Each line of a valid trace is decoded once, and a blank line not
-        at all."""
-        calls = []
-
-        def counted(line, idx):
-            calls.append(line)
-            return scan(line, idx)
-
-        scan = trace._scan_once
-        monkeypatch.setattr(trace, "_scan_once", counted)
-        monkeypatch.setattr(trace, "_decode_lines", lambda text: pytest.fail("decoded again"))
+    def test_one_scanner_call_per_line(self, decoded):
+        """Each non-blank line of a trace is scanned once, and a blank line
+        not at all; only a line the scanner refuses, such as a padded one,
+        is handed to ``json.loads``, once."""
+        scans, loads = decoded
         events = fixture_three_iis()
         text = serialize_trace(events)
+        lines = text.splitlines()
         assert parse_trace(text) == events
-        assert calls == text.splitlines()
-        calls.clear()
+        assert scans == lines and loads == []
+        scans.clear()
         assert parse_trace("\n" + text.replace("\n", "\n \n")) == events
-        assert calls == text.splitlines()
+        assert scans == lines and loads == []
+        scans.clear()
+        padded = lines[:5] + [" " + lines[5] + "\t"] + lines[6:]
+        assert parse_trace("\n".join(padded)) == events
+        assert scans == padded and loads == [padded[5]]
+
+    def test_a_refused_text_is_not_decoded_again(self, decoded):
+        """A bad last line is decoded once more, alone; a ValidationError
+        on the first line decodes no line again."""
+        scans, loads = decoded
+        text = serialize_trace(fixture_three_iis())
+        with pytest.raises(ParseError, match=re.escape("line 35: bad JSON")):
+            parse_trace(text + "{nope\n")
+        assert loads == ["{nope"] and len(scans) == 35
+        scans.clear()
+        loads.clear()
+        bad_first = text.replace('"names": []', '"names": [1]', 1)
+        with pytest.raises(ValidationError, match=re.escape("seq 1: names: ")):
+            parse_trace(bad_first)
+        assert loads == [] and len(scans) == 34
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The lines ``parse_trace`` hands to the scanner and to ``json.loads``,
+    each in a list, in call order."""
+    scans, loads = [], []
+    scan, json_loads = trace._scan_once, json.loads
+
+    def counted_scan(line, idx):
+        scans.append(line)
+        return scan(line, idx)
+
+    def counted_loads(line):
+        loads.append(line)
+        return json_loads(line)
+
+    monkeypatch.setattr(trace, "_scan_once", counted_scan)
+    monkeypatch.setattr(json, "loads", counted_loads)
+    return scans, loads
 
 
 # a valid value for every payload field
@@ -365,7 +399,7 @@ class TestBuilders:
             without = {k: v for k, v in line.items() if k != name}
             assert build(1, without) == event_from_line(without), name
 
-    def test_roundtrip_of_every_op(self, monkeypatch):
+    def test_roundtrip_of_every_op(self, decoded, monkeypatch):
         events = [event_from_line({**_full_line(op), "seq": seq})
                   for seq, op in enumerate(OP_SCHEMA, start=1)]
         # and one without its optional fields
@@ -374,21 +408,22 @@ class TestBuilders:
         assert {event.op for event in events} == set(OP_SCHEMA)
 
         def refused(*args):
-            raise AssertionError("a line was refused")
+            raise AssertionError("the field walk ran")
 
-        # every line is checked and built by its op's function: the line
-        # path and the field walk never run
-        monkeypatch.setattr(trace, "_decode_lines", refused)
+        # every line is scanned once and checked and built by its op's
+        # function: no line is decoded again, and the field walk never runs
         monkeypatch.setattr(trace, "validate_events", refused)
-        assert parse_trace(serialize_trace(events)) == events
+        text = serialize_trace(events)
+        assert parse_trace(text) == events
+        assert decoded == (text.splitlines(), [])
 
-    def test_null_for_a_field_the_op_does_not_take(self, monkeypatch):
-        """A null stands for an absent field: such a line is built in the
-        one-call pass, and the line path never runs."""
+    def test_null_for_a_field_the_op_does_not_take(self, decoded):
+        """A null stands for an absent field: such a line is built from its
+        one scan, and no line is decoded again."""
         text = ('{"seq": 1, "op": "seal", "name": null}\n'
                 '{"seq": 2, "op": "spawn", "vm": 1, "names": null, "scope": null}\n')
-        monkeypatch.setattr(trace, "_decode_lines", lambda text: pytest.fail("line path ran"))
         assert parse_trace(text) == [ev(1, "seal"), ev(2, "spawn", vm=1)]
+        assert decoded == (text.splitlines(), [])
         assert parse_trace(text) == reference_parse(text)
 
     def test_parse_error_beats_an_earlier_validation_error(self):
@@ -398,6 +433,16 @@ class TestBuilders:
         with pytest.raises(ValidationError, match=re.escape(
                 "seq 1: vm: must be a non-negative integer")):
             parse_trace(text.replace(',"bogus":1', ""))
+
+    @pytest.mark.parametrize("text, lineno", [
+        pytest.param('{"seq":1,"op":"seal","bogus":1}\n{nope\n', 1, id="first_line"),
+        pytest.param('\n{"seq":1,"op":"seal"}\n \n{"seq":2,"op":"seal","bogus":null}\n{nope\n', 4,
+                     id="after_blank_lines"),
+    ])
+    def test_parse_error_on_an_earlier_line_beats_bad_json(self, text, lineno):
+        with pytest.raises(ParseError, match=re.escape(f"line {lineno}: unknown fields: ['bogus']")):
+            parse_trace(text)
+        assert outcome(text) == outcome(text, reference_parse)
 
     @pytest.mark.parametrize("line, missing", [
         ('{"op": "seal"}', "1 required positional argument: 'seq'"),
