@@ -27,8 +27,11 @@ each non-blank line once and runs it through its op's function, and
 events and give the same errors.
 
 A parsed event is a :class:`TraceEvent`, a slotted, mutable record: it has no
-per-instance ``__dict__``, and it is neither frozen nor hashable. It holds each
-field as the JSON line does, ``names`` as a list. Nothing in parsing,
+per-instance ``__dict__``, and it is neither frozen nor hashable. Each field
+holds a value equal to its JSON line's, ``names`` as a list. The fields
+replay reads (``name``, ``category``, ``scope``, ``hook_scope``,
+``class_name`` and ``ip``) hold an equal value, shared: one string object
+per distinct value (see ``_shared``), not one per line. Nothing in parsing,
 validation or replay assigns to an event after it is built.
 """
 
@@ -91,10 +94,12 @@ class TraceEvent:
     """One trace event: ``seq``, ``op`` and the op's payload fields.
 
     A slotted, mutable record: building one makes one slot store per field
-    and no per-instance ``__dict__``. Each field holds its JSON value, so
-    ``names`` is a list. Events are therefore not hashable, and nothing
-    stops an assignment to a field; parsing, validation and replay never
-    assign to one.
+    and no per-instance ``__dict__``. Each field holds a value equal to its
+    JSON value, so ``names`` is a list, and a field whose
+    :class:`FieldType` is ``shared`` holds an equal value, shared: one
+    object per distinct value. Events are therefore not hashable, and
+    nothing stops an assignment to a field; parsing, validation and replay
+    never assign to one.
     """
 
     seq: int
@@ -125,20 +130,24 @@ _COMMON_FIELDS = frozenset({"seq", "op", "expect"})
 
 
 class FieldType:
-    """A payload field's exact type and the rule its value must meet.
+    """A payload field's exact type, the rule its value must meet, and
+    whether events share its value.
 
     The type is matched exactly, so ``True`` is not an ``int``; it is the
-    type of the JSON value, which the ``TraceEvent`` field holds as it is.
-    ``rule`` takes a value of that type and returns an error message, or
-    None. Only the function generated for each op that takes the field
-    applies them (see ``_compile_builders``).
+    type of the JSON value. ``rule`` takes a value of that type and returns
+    an error message, or None. A ``shared`` field's value, once accepted,
+    is swapped for the one object ``_shared`` holds for it, so the
+    ``TraceEvent`` field holds an equal value, shared; any other field holds
+    the JSON value as it is. Only the function generated for each op that
+    takes the field applies them (see ``_compile_builders``).
     """
 
-    __slots__ = ("type", "rule")
+    __slots__ = ("type", "rule", "shared")
 
-    def __init__(self, type_: type, rule=None):
+    def __init__(self, type_: type, rule=None, shared: bool = False):
         self.type = type_
         self.rule = rule
+        self.shared = shared
 
 
 class OpSpec:
@@ -162,6 +171,19 @@ class OpSpec:
 # One parse per distinct category string, 0.16 us per call cached against
 # 2.09 uncached; validation warms it for replay.
 _category = lru_cache(maxsize=64)(IpcCategory.parse)
+
+
+@lru_cache(maxsize=4096)
+def _shared(value: str) -> str:
+    """The one object held for each distinct accepted value of a shared
+    field. A trace repeats a few hundred names, categories and scopes on
+    tens of thousands of lines, and the JSON scanner makes a new string for
+    each. The cache is bounded, where ``sys.intern`` is not: from CPython
+    3.12 interned strings are immortal, so a long-lived process would keep
+    every name it ever parsed. Past the bound, equal values may be two
+    objects, never unequal ones."""
+    return value
+
 
 _SCOPES = {None: Scope.LOCAL, **{s.value: s for s in Scope}}
 _VM_GLOBAL = Route.VM_GLOBAL
@@ -216,16 +238,17 @@ def _one_of(values):
 PID = FieldType(int, lambda v: None if v >= 1 else "must be a positive pid")
 VM = FieldType(int, lambda v: None if v >= 0 else "must be a non-negative integer")
 PORT = FieldType(int)
-TEXT = FieldType(str, _text_error)
+TEXT = FieldType(str, _text_error, shared=True)
+# text that events do not share: a send's subtype and payload, unique per event
+MESSAGE = FieldType(str, _text_error)
 # A trace repeats a few hundred names thousands of times: each distinct name
-# is decided once, 0.14 us per check cached against 0.51 uncached. ``NAMES``
-# holds raw JSON values, not all hashable. ``CATEGORY`` needs no cache of its
-# own, as its rule parses through ``_category``.
-NAME = FieldType(str, lru_cache(maxsize=4096)(_name_error))
+# or category is decided once, a name 0.14 us per check cached against 0.51
+# uncached. ``NAMES`` holds raw JSON values, not all hashable.
+NAME = FieldType(str, lru_cache(maxsize=4096)(_name_error), shared=True)
 NAMES = FieldType(list, _names_error)
-CATEGORY = FieldType(str, _category_error)
-SCOPE = FieldType(str, _one_of({s.value for s in Scope}))
-HOOK_SCOPE = FieldType(str, _one_of(set(_HOOK_SCOPES)))
+CATEGORY = FieldType(str, lru_cache(maxsize=64)(_category_error), shared=True)
+SCOPE = FieldType(str, _one_of({s.value for s in Scope}), shared=True)
+HOOK_SCOPE = FieldType(str, _one_of(set(_HOOK_SCOPES)), shared=True)
 
 # The trace schema: every op, its handler and its payload fields. Parsing,
 # validation and replay dispatch all read this table. ``seq``, ``op`` and
@@ -241,7 +264,7 @@ OP_SCHEMA = {
     # a send's subtype and payload are checked text; replay reads neither,
     # as the kernel decides a message and stores none
     "send": OpSpec("_send", {"actor": PID, "target": PID},
-                   {"subtype": TEXT, "payload": TEXT}),
+                   {"subtype": MESSAGE, "payload": MESSAGE}),
     "register_window": OpSpec("_register_window", {"actor": PID, "class_name": TEXT}),
     "find_window": OpSpec("_find_window", {"actor": PID, "class_name": TEXT}),
     "remote_thread": OpSpec("_remote_thread", {"actor": PID, "target": PID}),
@@ -273,18 +296,26 @@ def _compile_builders(schema: dict) -> dict:
     field at all; then each optional field that is not null in turn. No
     rule is restated here: the function calls each field's own. ``_build``
     checks ``seq``, the op and ``expect``.
+
+    A line holds no key the op does not take when its length is the count
+    of the keys it does: ``seq``, ``op``, every required field (each is
+    there, as it passed its type), and each optional field and ``expect``
+    that is in the line. Only a line of another length goes to
+    ``_not_taken``, which words the error or finds only null fields.
     """
-    namespace = {"TraceEvent": TraceEvent}
+    namespace = {"TraceEvent": TraceEvent, "shared": _shared}
     source = []
     for op, spec in schema.items():
-        keys = spec.fields | _COMMON_FIELDS
-        namespace.update({f"keys_{op}": keys, f"mistyped_{op}": partial(_mistyped, op, spec),
-                          f"not_taken_{op}": partial(_not_taken, op, keys)})
+        namespace.update({f"mistyped_{op}": partial(_mistyped, op, spec),
+                          f"not_taken_{op}": partial(_not_taken, op, spec.fields | _COMMON_FIELDS)})
         source.append(f"def build_{op}(seq, line):")
         for name, kind in spec.required:
             source.append(f"    {name} = line.get({name!r})")
             source += _field_source(op, name, kind, "    ", namespace)
-        source += [f"    if not line.keys() <= keys_{op} and (error := not_taken_{op}(line)):",
+        # seq, op, the required fields, and each optional field and expect in the line
+        count = f"{2 + len(spec.required)}" + "".join(
+            f" + ({name!r} in line)" for name in (*dict(spec.optional), "expect"))
+        source += [f"    if len(line) != {count} and (error := not_taken_{op}(line)):",
                    "        return error"]
         for name, kind in spec.optional:
             source += [f"    {name} = line.get({name!r})", f"    if {name} is not None:"]
@@ -298,7 +329,8 @@ def _compile_builders(schema: dict) -> dict:
 
 
 def _field_source(op: str, name: str, kind: FieldType, pad: str, namespace: dict) -> list[str]:
-    """The lines of a builder that test one field's type and rule."""
+    """The lines of a builder that test one field's type and rule and, for a
+    shared field, swap the accepted value for its shared object."""
     namespace[kind.type.__name__] = kind.type
     lines = [f"{pad}if type({name}) is not {kind.type.__name__}:",
              f"{pad}    return mistyped_{op}({name!r}, line)"]
@@ -306,6 +338,8 @@ def _field_source(op: str, name: str, kind: FieldType, pad: str, namespace: dict
         namespace[f"rule_{op}_{name}"] = kind.rule
         lines += [f"{pad}if (error := rule_{op}_{name}({name})) is not None:",
                   f"{pad}    return {name + ': '!r} + error"]
+    if kind.shared:
+        lines.append(f"{pad}{name} = shared({name})")
     return lines
 
 
@@ -320,9 +354,10 @@ def _mistyped(op: str, spec: OpSpec, name: str, line: dict) -> str:
 
 def _not_taken(op: str, keys: frozenset, line: dict) -> str | None:
     """The error of a line's keys beyond ``keys`` that are not null, or None
-    if there are none. A key that is no event field counts even when null:
-    the build then fails, and ``parse_trace``'s check of the decoded lines
-    reports the line as the ParseError it is."""
+    if there are none; a builder calls it only for a line whose length is
+    not the count of the keys it takes. A key that is no event field counts
+    even when null: the build then fails, and ``parse_trace``'s check of the
+    decoded lines reports the line as the ParseError it is."""
     extra = sorted(key for key, value in line.items()
                    if key not in keys and (value is not None or key not in _KNOWN_FIELDS))
     return f"{op} does not take {extra}" if extra else None

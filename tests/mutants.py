@@ -252,14 +252,28 @@ MUTANTS = (
     # a category is checked for its type only: a message category or an
     # unknown one passes
     Mutant("category-no-rule", "ipcconfine/trace.py",
-           "CATEGORY = FieldType(str, _category_error)",
-           "CATEGORY = FieldType(str)",
+           "CATEGORY = FieldType(str, lru_cache(maxsize=64)(_category_error), shared=True)",
+           "CATEGORY = FieldType(str, shared=True)",
            ("tests/test_trace.py::TestValidation::test_rejected_events",
             "tests/test_trace.py::TestFieldRules::test_a_case_for_every_rule",
             "tests/test_trace.py::TestFieldRules::"
             "test_each_rule_refuses_its_bad_value[create-category]",
             "tests/test_trace.py::TestFieldRules::"
             "test_each_rule_refuses_its_bad_value[open-category]")),
+    # a builder keeps the decoded string of a shared field: each line holds
+    # its own copy
+    Mutant("builder-no-sharing", "ipcconfine/trace.py",
+           "        lines.append(f\"{pad}{name} = shared({name})\")\n",
+           "        pass\n",
+           ("tests/test_trace.py::TestSharing::test_equal_values_are_one_object_across_parses",
+            "tests/test_trace.py::TestSharing::test_one_object_per_distinct_value")),
+    # a builder counts one key too many: a line with one extra key, null or
+    # not, never reaches ``_not_taken``, so an unknown field is dropped
+    Mutant("builder-key-count-one-over", "ipcconfine/trace.py",
+           "count = f\"{2 + len(spec.required)}\"",
+           "count = f\"{3 + len(spec.required)}\"",
+           ("tests/test_trace.py::TestParseSerialize::test_unknown_field",
+            "tests/test_trace.py::TestBuilders::test_accepted_keys_are_the_ops_fields")),
     # a constrained trace with no private names keeps its global creates
     Mutant("generator-constrained-global", "ipcconfine/trace.py",
            "            global_create = False\n",

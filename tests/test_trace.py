@@ -10,7 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ipcconfine import trace
 from ipcconfine.cli import main
@@ -369,6 +369,8 @@ class TestBuilders:
 
     @settings(max_examples=400, deadline=None)
     @given(text=_plausible_texts())
+    # a valid line, then one that is no JSON object: drawn only now and then
+    @example(text='{"seq": 1, "op": "seal"}\n[1, 2]\n')
     def test_parse_matches_reference_walk(self, text):
         assert outcome(text) == outcome(text, reference_parse)
 
@@ -647,6 +649,38 @@ _RULE_BREAKERS = {
 }
 
 
+# the error each rule breaker gives, written out: a cached rule or a shared
+# value must not change a word of it
+_RULE_ERRORS = {
+    ("load_long_list", "names"): r"names: object name must start with '\\': 'relative'",
+    ("vm_create", "ip"): "ip: must be UTF-8 text, holds a lone surrogate",
+    ("spawn", "vm"): "vm: must be a non-negative integer",
+    ("create", "actor"): "actor: must be a positive pid",
+    ("create", "name"): r"name: reserved vm-prefix name '\\vm1\\a'",
+    ("create", "category"): "category: not a name-addressed category: V_Message",
+    ("create", "scope"): "scope: must be one of ['Global', 'Local'], got 'Shared'",
+    ("open", "actor"): "actor: must be a positive pid",
+    ("open", "name"): r"name: object name must start with '\\': 'a'",
+    ("open", "category"): "category: unknown IPC group 'X_Bad'",
+    ("close", "actor"): "actor: must be a positive pid",
+    ("close", "name"): r"name: '*' only allowed as a trailing suffix pattern: '\\a\\b*'",
+    ("send", "actor"): "actor: must be a positive pid",
+    ("send", "target"): "target: must be a positive pid",
+    ("send", "subtype"): "subtype: must be UTF-8 text, holds a lone surrogate",
+    ("send", "payload"): "payload: must be UTF-8 text, holds a lone surrogate",
+    ("register_window", "actor"): "actor: must be a positive pid",
+    ("register_window", "class_name"): "class_name: must be UTF-8 text, holds a lone surrogate",
+    ("find_window", "actor"): "actor: must be a positive pid",
+    ("find_window", "class_name"): "class_name: must be UTF-8 text, holds a lone surrogate",
+    ("remote_thread", "actor"): "actor: must be a positive pid",
+    ("remote_thread", "target"): "target: must be a positive pid",
+    ("set_hook", "actor"): "actor: must be a positive pid",
+    ("set_hook", "hook_scope"): "hook_scope: must be one of ['OwnVm', 'SystemWide'], got 'Everywhere'",
+    ("bind", "actor"): "actor: must be a positive pid",
+    ("bind", "ip"): "ip: must be UTF-8 text, holds a lone surrogate",
+}
+
+
 class TestFieldRules:
     """Each field rule refuses a value of the right type: the per-field
     cases the reference walk cannot give, as it reads each rule from the
@@ -655,17 +689,94 @@ class TestFieldRules:
     def test_a_case_for_every_rule(self):
         ruled = {(op, name) for op, spec in OP_SCHEMA.items()
                  for name, kind in spec.required + spec.optional if kind.rule is not None}
-        assert ruled == set(_RULE_BREAKERS)
+        assert ruled == set(_RULE_BREAKERS) == set(_RULE_ERRORS)
 
     @pytest.mark.parametrize("op, field", sorted(_RULE_BREAKERS))
     def test_each_rule_refuses_its_bad_value(self, op, field):
         line = {**_full_line(op), field: _RULE_BREAKERS[op, field]}
+        # twice over: a cached rule answers the second check from its cache
         for check in (lambda: parse_trace(json.dumps(line) + "\n"),
-                      lambda: validate_events([TraceEvent(**line)])):
+                      lambda: validate_events([TraceEvent(**line)])) * 2:
             with pytest.raises(ValidationError) as exc:
                 check()
             assert exc.value.seq == 1
             assert exc.value.reason.startswith(f"{field}: "), exc.value.reason
+            assert exc.value.reason == _RULE_ERRORS[op, field]
+
+
+# the fields replay reads, whose equal values parsed events share
+_SHARED_FIELDS = frozenset({"name", "category", "scope", "hook_scope", "class_name", "ip"})
+_SHARED_CASES = [(op, name) for op, spec in OP_SCHEMA.items()
+                 for name in sorted(spec.fields & _SHARED_FIELDS)]
+
+
+def _objects_and_values(events, field: str) -> tuple[int, int]:
+    """How many string objects, and how many distinct values, ``field``
+    holds across ``events``."""
+    held = [value for event in events if (value := getattr(event, field)) is not None]
+    return len({id(value) for value in held}), len(set(held))
+
+
+class TestSharing:
+    """A parsed event holds one string object per distinct value of each
+    field replay reads, whatever line or parse it came from; a send's
+    subtype and payload, unique per event, are held as decoded."""
+
+    def test_the_schema_shares_the_fields_replay_reads(self):
+        shared = {name for spec in OP_SCHEMA.values()
+                  for name, kind in spec.required + spec.optional if kind.shared}
+        assert shared == _SHARED_FIELDS
+
+    @pytest.mark.parametrize("op, field", _SHARED_CASES)
+    def test_equal_values_are_one_object_across_parses(self, op, field):
+        line = _full_line(op)
+        text = json.dumps(line) + "\n" + json.dumps({**line, "seq": 2}) + "\n"
+        # each parse decodes every line to new strings
+        events = parse_trace(text) + parse_trace(text)
+        assert [getattr(event, field) for event in events] == [line[field]] * 4
+        assert _objects_and_values(events, field) == (1, 1)
+
+    def test_send_subtype_and_payload_are_not_shared(self):
+        line = {"seq": 1, "op": "send", "actor": 1, "target": 2,
+                "subtype": "Clipboard", "payload": "hello"}
+        text = json.dumps(line) + "\n" + json.dumps({**line, "seq": 2}) + "\n"
+        before = trace._shared.cache_info()
+        events = parse_trace(text) + parse_trace(text)
+        assert trace._shared.cache_info() == before
+        assert _objects_and_values(events, "subtype") == (4, 1)
+        assert _objects_and_values(events, "payload") == (4, 1)
+
+    def test_more_distinct_names_than_the_cache_holds(self):
+        """Past the cache's bound, an evicted value is held afresh: the
+        events are those of the reference walk, twice over."""
+        count = trace._shared.cache_info().maxsize + 904
+        names = [rf"\app\obj-{i:05d}" for i in range(count)]
+        events = [ev(1, "load_long_list", names=[]), ev(2, "vm_create", ip="10.0.0.2"),
+                  ev(3, "spawn", vm=1)]
+        for name in names * 2:
+            events.append(ev(len(events) + 1, "create", actor=1, name=name,
+                             category="IV_Sync:Mutex", scope="Local"))
+        text = serialize_trace(events)
+        parsed = parse_trace(text)
+        assert parsed == reference_parse(text) == events
+        assert _objects_and_values(parsed, "name")[1] == count
+
+    def test_one_object_per_distinct_value(self):
+        """A count, not a timing: on a trace that repeats its values, each
+        shared field holds as many objects as it has distinct values."""
+        events = generate_random_trace(5, TraceParams(event_count=600, seal_position=300,
+                                                      pattern_count=2))
+        for i in range(200):
+            actor = 1 + i % 5
+            trace._emit(events, "set_hook", actor=actor, hook_scope=("OwnVm", "SystemWide")[i % 2])
+            trace._emit(events, "register_window", actor=actor, class_name=f"Shell-{i % 3}")
+            trace._emit(events, "find_window", actor=actor, class_name=f"Shell-{i % 4}")
+            trace._emit(events, "bind", actor=actor, ip=("0.0.0.0", "10.0.0.2")[i % 2], port=80)
+        parsed = parse_trace(serialize_trace(events))
+        assert parsed == events
+        for field in sorted(_SHARED_FIELDS):
+            objects, values = _objects_and_values(parsed, field)
+            assert objects == values and values < len(parsed) / 10, field
 
 
 class TestSchema:
