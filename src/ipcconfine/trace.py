@@ -22,17 +22,18 @@ rename image space and are rejected by validation.
 ``OP_SCHEMA`` drives one check. At import, one function per op is generated
 from it and compiled: it checks an event's fields against their types and
 rules, builds the event, and words every error. ``parse_trace`` decodes
-each non-blank line once and runs it through its op's function, and
-``validate_events`` each event built in Python, so the two accept the same
-events and give the same errors.
+each non-blank line once and runs it through its op's function in the same
+pass, and ``validate_events`` each event built in Python, so the two accept
+the same events and give the same errors.
 
 A parsed event is a :class:`TraceEvent`, a slotted, mutable record: it has no
 per-instance ``__dict__``, and it is neither frozen nor hashable. Each field
 holds a value equal to its JSON line's, ``names`` as a list. The fields
 replay reads (``name``, ``category``, ``scope``, ``hook_scope``,
 ``class_name`` and ``ip``) hold an equal value, shared: one string object
-per distinct value (see ``_shared``), not one per line. Nothing in parsing,
-validation or replay assigns to an event after it is built.
+per distinct value, from its kind's cache (see :class:`FieldType`), not one
+per line. Nothing in parsing, validation or replay assigns to an event
+after it is built.
 """
 
 from __future__ import annotations
@@ -135,11 +136,18 @@ class FieldType:
 
     The type is matched exactly, so ``True`` is not an ``int``; it is the
     type of the JSON value. ``rule`` takes a value of that type and returns
-    an error message, or None. A ``shared`` field's value, once accepted,
-    is swapped for the one object ``_shared`` holds for it, so the
-    ``TraceEvent`` field holds an equal value, shared; any other field holds
-    the JSON value as it is. Only the function generated for each op that
-    takes the field applies them (see ``_compile_builders``).
+    an error message, or None. A kind made with ``shared=True`` keeps one
+    bounded cache, ``shared``: ``value -> (rule(value), value)``, so each
+    distinct value is checked once, and the ``TraceEvent`` field holds the
+    one object the cache keeps for an equal value. A trace repeats a few
+    hundred names, categories and scopes on tens of thousands of lines, and
+    the JSON scanner makes a new string for each. The cache is bounded,
+    where ``sys.intern`` is not: from CPython 3.12 interned strings are
+    immortal, so a long-lived process would keep every name it ever parsed.
+    Past the bound, equal values may be two objects, never unequal ones.
+    Any other kind's ``shared`` is None, and its field holds the JSON value
+    as it is. Only the function generated for each op that takes the field
+    applies them (see ``_compile_builders``).
     """
 
     __slots__ = ("type", "rule", "shared")
@@ -147,7 +155,8 @@ class FieldType:
     def __init__(self, type_: type, rule=None, shared: bool = False):
         self.type = type_
         self.rule = rule
-        self.shared = shared
+        self.shared = lru_cache(maxsize=4096)(
+            lambda value: (None if rule is None else rule(value), value)) if shared else None
 
 
 class OpSpec:
@@ -171,18 +180,6 @@ class OpSpec:
 # One parse per distinct category string, 0.16 us per call cached against
 # 2.09 uncached; validation warms it for replay.
 _category = lru_cache(maxsize=64)(IpcCategory.parse)
-
-
-@lru_cache(maxsize=4096)
-def _shared(value: str) -> str:
-    """The one object held for each distinct accepted value of a shared
-    field. A trace repeats a few hundred names, categories and scopes on
-    tens of thousands of lines, and the JSON scanner makes a new string for
-    each. The cache is bounded, where ``sys.intern`` is not: from CPython
-    3.12 interned strings are immortal, so a long-lived process would keep
-    every name it ever parsed. Past the bound, equal values may be two
-    objects, never unequal ones."""
-    return value
 
 
 _SCOPES = {None: Scope.LOCAL, **{s.value: s for s in Scope}}
@@ -241,12 +238,10 @@ PORT = FieldType(int)
 TEXT = FieldType(str, _text_error, shared=True)
 # text that events do not share: a send's subtype and payload, unique per event
 MESSAGE = FieldType(str, _text_error)
-# A trace repeats a few hundred names thousands of times: each distinct name
-# or category is decided once, a name 0.14 us per check cached against 0.51
-# uncached. ``NAMES`` holds raw JSON values, not all hashable.
-NAME = FieldType(str, lru_cache(maxsize=4096)(_name_error), shared=True)
+NAME = FieldType(str, _name_error, shared=True)
+# not shared: a list is not hashable, nor are all the JSON values it holds
 NAMES = FieldType(list, _names_error)
-CATEGORY = FieldType(str, lru_cache(maxsize=64)(_category_error), shared=True)
+CATEGORY = FieldType(str, _category_error, shared=True)
 SCOPE = FieldType(str, _one_of({s.value for s in Scope}), shared=True)
 HOOK_SCOPE = FieldType(str, _one_of(set(_HOOK_SCOPES)), shared=True)
 
@@ -294,7 +289,7 @@ def _compile_builders(schema: dict) -> dict:
     null (naming every null one), of another type or against its rule; the
     fields the op does not take that are not null, and any key that is no
     field at all; then each optional field that is not null in turn. No
-    rule is restated here: the function calls each field's own. ``_build``
+    rule is restated here: the function calls each field's own. ``_event``
     checks ``seq``, the op and ``expect``.
 
     A line holds no key the op does not take when its length is the count
@@ -303,7 +298,7 @@ def _compile_builders(schema: dict) -> dict:
     that is in the line. Only a line of another length goes to
     ``_not_taken``, which words the error or finds only null fields.
     """
-    namespace = {"TraceEvent": TraceEvent, "shared": _shared}
+    namespace = {"TraceEvent": TraceEvent}
     source = []
     for op, spec in schema.items():
         namespace.update({f"mistyped_{op}": partial(_mistyped, op, spec),
@@ -329,18 +324,22 @@ def _compile_builders(schema: dict) -> dict:
 
 
 def _field_source(op: str, name: str, kind: FieldType, pad: str, namespace: dict) -> list[str]:
-    """The lines of a builder that test one field's type and rule and, for a
-    shared field, swap the accepted value for its shared object."""
+    """The lines of a builder that test one field's type and rule; a shared
+    field's one call to its kind's cache gives the rule's error and the
+    value's shared object."""
     namespace[kind.type.__name__] = kind.type
     lines = [f"{pad}if type({name}) is not {kind.type.__name__}:",
              f"{pad}    return mistyped_{op}({name!r}, line)"]
-    if kind.rule is not None:
+    if kind.shared is not None:
+        namespace[f"rule_{op}_{name}"] = kind.shared
+        lines += [f"{pad}error, {name} = rule_{op}_{name}({name})",
+                  f"{pad}if error is not None:"]
+    elif kind.rule is not None:
         namespace[f"rule_{op}_{name}"] = kind.rule
-        lines += [f"{pad}if (error := rule_{op}_{name}({name})) is not None:",
-                  f"{pad}    return {name + ': '!r} + error"]
-    if kind.shared:
-        lines.append(f"{pad}{name} = shared({name})")
-    return lines
+        lines.append(f"{pad}if (error := rule_{op}_{name}({name})) is not None:")
+    else:
+        return lines
+    return lines + [f"{pad}    return {name + ': '!r} + error"]
 
 
 def _mistyped(op: str, spec: OpSpec, name: str, line: dict) -> str:
@@ -357,7 +356,7 @@ def _not_taken(op: str, keys: frozenset, line: dict) -> str | None:
     if there are none; a builder calls it only for a line whose length is
     not the count of the keys it takes. A key that is no event field counts
     even when null: the build then fails, and ``parse_trace``'s check of the
-    decoded lines reports the line as the ParseError it is."""
+    line reports it as the ParseError it is."""
     extra = sorted(key for key, value in line.items()
                    if key not in keys and (value is not None or key not in _KNOWN_FIELDS))
     return f"{op} does not take {extra}" if extra else None
@@ -377,20 +376,24 @@ _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
-    """Parse and validate a JSONL trace.
+    """Parse and validate a JSONL trace, in one pass over its lines.
 
     Each non-blank line is decoded once: by one scanner call, or, for a
     line the scanner refuses, by one ``json.loads`` of that line alone,
     which accepts a line padded with JSON whitespace and words a bad one.
-    The decoded lines are checked and built by their ops' generated
-    functions, as ``validate_events`` checks events built in Python; an
-    event holds the values its line decodes to. The first line that is bad
-    JSON, or not a JSON object of event fields with ``seq`` and ``op``, is
-    a ParseError (see ``_parse_error``), and it beats a ValidationError on
-    any earlier line.
+    Each decoded line is built at once (see ``_event``), as
+    ``validate_events`` checks events built in Python; an event holds the
+    values its line decodes to. The first line that is bad JSON, or not a
+    JSON object of event fields with ``seq`` and ``op`` (``_line_error``),
+    is a ParseError, and it beats a ValidationError on any earlier line. A
+    line that builds passes ``_line_error``, so only the line whose build
+    fails and the lines after it are checked, and those only decoded.
     """
-    values = []
-    for line in text.splitlines():
+    events = []
+    append = events.append
+    error = None   # the first ValidationError, raised if no ParseError follows
+    last_seq = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.isspace():
             continue
         try:
@@ -401,55 +404,55 @@ def parse_trace(text: str) -> list[TraceEvent]:
             try:
                 value = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise _parse_error(text, values, f"bad JSON: {exc.msg}") from None
+                raise ParseError(lineno, f"bad JSON: {exc.msg}") from None
             except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
-                raise _parse_error(text, values, f"bad JSON: {exc}") from None
-        values.append(value)
-        if type(value) is not dict:
-            raise _parse_error(text, values)
-    try:
-        return _build(values)
-    except ValidationError:
-        error = _parse_error(text, values)
-        if error is None:
-            raise
-        raise error from None
+                raise ParseError(lineno, f"bad JSON: {exc}") from None
+        if error is None and type(value) is dict:
+            event = _event(value, last_seq)
+            if type(event) is TraceEvent:
+                last_seq = event.seq
+                append(event)
+                continue
+            error = event
+        message = _line_error(value)
+        if message is not None:
+            raise ParseError(lineno, message)
+    if error is not None:
+        raise error
+    return events
 
 
 def validate_events(events) -> None:
     """Check events built in Python, each by its op's generated function;
     the first invalid one is a ValidationError."""
-    _build({f: getattr(event, f) for f in _EVENT_FIELDS} for event in events)
-
-
-def _build(lines) -> list[TraceEvent]:
-    """The event of each dict of event fields, from a decoded line or a
-    Python-built event, checked and built by its op's function in
-    ``_BUILDERS``; the first that is not a valid event, with ``seq`` above
-    the one before, is a ValidationError."""
-    events = []
-    append = events.append
-    builder_of = _BUILDERS.get
     last_seq = 0
-    for line in lines:
-        seq = line.get("seq")
-        if type(seq) is not int or seq <= last_seq:
-            raise ValidationError(seq if type(seq) is int else -1,
-                                  f"seq must be a strictly increasing positive integer (after {last_seq})")
-        op = line.get("op")
-        build = builder_of(op) if type(op) is str else None
-        if build is None:
-            raise ValidationError(seq, f"unknown op {op!r}")
-        event = build(seq, line)
-        if type(event) is str:
-            raise ValidationError(seq, event)
-        if event.expect is not None:
-            error = _expect_error(event.expect)
-            if error is not None:
-                raise ValidationError(seq, error)
-        last_seq = seq
-        append(event)
-    return events
+    for event in events:
+        built = _event({f: getattr(event, f) for f in _EVENT_FIELDS}, last_seq)
+        if type(built) is not TraceEvent:
+            raise built
+        last_seq = built.seq
+
+
+def _event(line: dict, last_seq: int) -> TraceEvent | ValidationError:
+    """The event of a dict of event fields, from a decoded line or a
+    Python-built event, checked and built by its op's function in
+    ``_BUILDERS``; or, not raised, the ValidationError of its first fault:
+    a ``seq`` not above ``last_seq``, an unknown op, its fields, then its
+    ``expect``."""
+    seq = line.get("seq")
+    if type(seq) is not int or seq <= last_seq:
+        return ValidationError(seq if type(seq) is int else -1,
+                               f"seq must be a strictly increasing positive integer (after {last_seq})")
+    op = line.get("op")
+    build = _BUILDERS.get(op) if type(op) is str else None
+    if build is None:
+        return ValidationError(seq, f"unknown op {op!r}")
+    event = build(seq, line)
+    if type(event) is str:
+        return ValidationError(seq, event)
+    if event.expect is not None and (error := _expect_error(event.expect)) is not None:
+        return ValidationError(seq, error)
+    return event
 
 
 def _line_error(data) -> str | None:
@@ -466,21 +469,6 @@ def _line_error(data) -> str | None:
         except TypeError as exc:
             return str(exc)
     return None
-
-
-def _parse_error(text: str, values: list, message: str | None = None) -> ParseError | None:
-    """The ParseError of the first of ``values``, the decoded non-blank lines
-    of ``text`` in order, that ``_line_error`` refuses; failing that, with
-    ``message``, the error of the line after them, or None. Line numbers are
-    counted again from ``text``; no line is decoded again."""
-    linenos = (lineno for lineno, line in enumerate(text.splitlines(), start=1)
-               if line and not line.isspace())
-    # ``values`` first: the line after them stays unread
-    for value, lineno in zip(values, linenos):
-        error = _line_error(value)
-        if error is not None:
-            return ParseError(lineno, error)
-    return None if message is None else ParseError(next(linenos), message)
 
 
 def _expect_error(expect) -> str | None:

@@ -165,12 +165,10 @@ MUTANTS = (
             "test_text_matches_json_loads_path[two_values_on_one_line]",
             "tests/test_trace.py::TestParseEquivalence::"
             "test_text_matches_json_loads_path[line_ends_in_bracket]")),
-    # ... and a line whose value is not a JSON object
+    # ... and builds a line whose value is not a JSON object
     Mutant("parse-no-dict-check", "ipcconfine/trace.py",
-           "        values.append(value)\n"
-           "        if type(value) is not dict:\n"
-           "            raise _parse_error(text, values)\n",
-           "        values.append(value)\n",
+           "if error is None and type(value) is dict:",
+           "if error is None:",
            ("tests/test_trace.py::TestParseSerialize::test_non_object_line",
             "tests/test_trace.py::TestParseEquivalence::test_raw_line_matches_json_loads_path",
             "tests/test_trace.py::TestBuilders::test_parse_matches_reference_walk")),
@@ -200,31 +198,37 @@ MUTANTS = (
            ("tests/test_trace.py::TestParseEquivalence::test_one_scanner_call_per_line",
             "tests/test_trace.py::TestBuilders::test_roundtrip_of_every_op",
             "tests/test_trace.py::TestBuilders::test_null_for_a_field_the_op_does_not_take")),
-    # ... raises a ValidationError that a ParseError on a later line beats
+    # ... raises a ValidationError that a ParseError on its line or a later
+    # one beats
     Mutant("parse-no-fallback-on-validation-error", "ipcconfine/trace.py",
-           "    except ValidationError:\n"
-           "        error = _parse_error(text, values)\n"
-           "        if error is None:\n"
-           "            raise\n"
-           "        raise error from None\n",
-           "    except ValidationError:\n"
-           "        raise\n",
+           "            error = event\n",
+           "            raise event\n",
            ("tests/test_trace.py::TestBuilders::test_parse_error_beats_an_earlier_validation_error",
             "tests/test_trace.py::TestParseSerialize::test_unknown_field",
             "tests/test_trace.py::TestBuilders::test_missing_seq_or_op_is_worded_as_the_call")),
-    # ... raises a bad JSON line's error without checking the lines before it
+    # ... no longer checks a line once a line has failed its build: a later
+    # line's bad JSON, or the ValidationError, beats the ParseError of the
+    # line that failed
     Mutant("parse-bad-json-skips-earlier-lines", "ipcconfine/trace.py",
-           "raise _parse_error(text, values, f\"bad JSON: {exc.msg}\") from None",
-           "raise ParseError(len(values) + 1, f\"bad JSON: {exc.msg}\") from None",
-           ("tests/test_trace.py::TestBuilders::test_parse_error_on_an_earlier_line_beats_bad_json",)),
-    # ... numbers the decoded lines with the blank lines left out of the count
+           "        message = _line_error(value)\n",
+           "        message = _line_error(value) if error is None else None\n",
+           ("tests/test_trace.py::TestBuilders::test_parse_error_on_an_earlier_line_beats_bad_json",
+            "tests/test_trace.py::TestBuilders::test_parse_error_beats_an_earlier_validation_error",
+            "tests/test_trace.py::TestParseSerialize::test_unknown_field")),
+    # ... numbers the lines with the blank lines left out of the count
     Mutant("parse-error-lines-skip-blanks", "ipcconfine/trace.py",
-           "    linenos = (lineno for lineno, line in enumerate(text.splitlines(), start=1)\n"
-           "               if line and not line.isspace())\n",
-           "    linenos = iter(range(1, len(text.splitlines()) + 1))\n",
+           "for lineno, line in enumerate(text.splitlines(), start=1):",
+           "for lineno, line in enumerate(filter(str.strip, text.splitlines()), start=1):",
            ("tests/test_trace.py::TestBuilders::test_missing_seq_or_op_is_worded_as_the_call",
             "tests/test_trace.py::TestBuilders::"
             "test_parse_error_on_an_earlier_line_beats_bad_json[after_blank_lines]")),
+    # ... numbers the lines from 0
+    Mutant("parse-lines-numbered-from-zero", "ipcconfine/trace.py",
+           "for lineno, line in enumerate(text.splitlines(), start=1):",
+           "for lineno, line in enumerate(text.splitlines(), start=0):",
+           ("tests/test_trace.py::TestParseSerialize::test_bad_json_reports_line",
+            "tests/test_trace.py::TestBuilders::test_missing_seq_or_op_is_worded_as_the_call",
+            "tests/test_trace.py::TestBuilders::test_parse_error_on_an_earlier_line_beats_bad_json")),
     # a serialized event keeps its null fields: every trace and report digest moves
     Mutant("to-dict-keeps-null", "ipcconfine/trace.py",
            "if (value := getattr(self, name)) is not None}",
@@ -252,7 +256,7 @@ MUTANTS = (
     # a category is checked for its type only: a message category or an
     # unknown one passes
     Mutant("category-no-rule", "ipcconfine/trace.py",
-           "CATEGORY = FieldType(str, lru_cache(maxsize=64)(_category_error), shared=True)",
+           "CATEGORY = FieldType(str, _category_error, shared=True)",
            "CATEGORY = FieldType(str, shared=True)",
            ("tests/test_trace.py::TestValidation::test_rejected_events",
             "tests/test_trace.py::TestFieldRules::test_a_case_for_every_rule",
@@ -261,10 +265,10 @@ MUTANTS = (
             "tests/test_trace.py::TestFieldRules::"
             "test_each_rule_refuses_its_bad_value[open-category]")),
     # a builder keeps the decoded string of a shared field: each line holds
-    # its own copy
+    # its own copy, though the cache still answers the rule
     Mutant("builder-no-sharing", "ipcconfine/trace.py",
-           "        lines.append(f\"{pad}{name} = shared({name})\")\n",
-           "        pass\n",
+           "lines += [f\"{pad}error, {name} = rule_{op}_{name}({name})\",",
+           "lines += [f\"{pad}error = rule_{op}_{name}({name})[0]\",",
            ("tests/test_trace.py::TestSharing::test_equal_values_are_one_object_across_parses",
             "tests/test_trace.py::TestSharing::test_one_object_per_distinct_value")),
     # a builder counts one key too many: a line with one extra key, null or

@@ -164,8 +164,12 @@ class TestProcess:
 
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-    def run(self, *argv):
-        env = {**os.environ, "PYTHONPATH": self.SRC}
+    def run(self, *argv, log=None):
+        """Run the CLI with ``IPCCONFINE_LOG`` set to ``log``, or unset."""
+        env = {key: value for key, value in os.environ.items() if key != "IPCCONFINE_LOG"}
+        env["PYTHONPATH"] = self.SRC
+        if log is not None:
+            env["IPCCONFINE_LOG"] = log
         return subprocess.run([sys.executable, "-m", "ipcconfine.cli", *argv],
                               env=env, capture_output=True, text=True, timeout=60)
 
@@ -182,6 +186,20 @@ class TestProcess:
             done = self.run(*argv)
             assert done.returncode == code, (argv, done.stderr)
             assert "Traceback" not in done.stderr, argv
+
+    def test_log_level_from_the_environment(self):
+        """``IPCCONFINE_LOG=info`` prints the engine's info lines on stderr;
+        unset, or a name that is no level, it is warn, which prints neither.
+        Stdout is the same in every case."""
+        info = ["INFO ipcconfine.engine: long host-object list loaded: 12 entries",
+                "INFO ipcconfine.engine: host-object flag set; short list frozen at 12 entries"]
+        runs = {log: self.run("scenario", "rpcss", log=log) for log in ("info", None, "bogus")}
+        for log, done in runs.items():
+            assert done.returncode == 0, (log, done.stderr)
+            assert done.stdout == runs["info"].stdout, log
+        assert runs["info"].stderr.splitlines() == info
+        assert runs[None].stderr == runs["bogus"].stderr == ""
+        assert "0 divergences" in runs[None].stdout
 
 
 _SEAL_LINES = b'{"seq": 1, "op": "seal"}\n{"seq": 2, "op": "seal"}\r\n'

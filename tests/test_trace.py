@@ -710,6 +710,11 @@ _SHARED_CASES = [(op, name) for op, spec in OP_SCHEMA.items()
                  for name in sorted(spec.fields & _SHARED_FIELDS)]
 
 
+# each kind whose equal values events share, with its cache
+_SHARED_KINDS = {kind for spec in OP_SCHEMA.values()
+                 for _, kind in spec.required + spec.optional if kind.shared is not None}
+
+
 def _objects_and_values(events, field: str) -> tuple[int, int]:
     """How many string objects, and how many distinct values, ``field``
     holds across ``events``."""
@@ -717,10 +722,24 @@ def _objects_and_values(events, field: str) -> tuple[int, int]:
     return len({id(value) for value in held}), len(set(held))
 
 
+def _repeating_events() -> list[TraceEvent]:
+    """A valid trace that repeats a few values of every shared field."""
+    events = generate_random_trace(5, TraceParams(event_count=600, seal_position=300,
+                                                  pattern_count=2))
+    for i in range(200):
+        actor = 1 + i % 5
+        trace._emit(events, "set_hook", actor=actor, hook_scope=("OwnVm", "SystemWide")[i % 2])
+        trace._emit(events, "register_window", actor=actor, class_name=f"Shell-{i % 3}")
+        trace._emit(events, "find_window", actor=actor, class_name=f"Shell-{i % 4}")
+        trace._emit(events, "bind", actor=actor, ip=("0.0.0.0", "10.0.0.2")[i % 2], port=80)
+    return events
+
+
 class TestSharing:
     """A parsed event holds one string object per distinct value of each
     field replay reads, whatever line or parse it came from; a send's
-    subtype and payload, unique per event, are held as decoded."""
+    subtype and payload, unique per event, are held as decoded. Each shared
+    kind's one cache also answers its rule, once per distinct value."""
 
     def test_the_schema_shares_the_fields_replay_reads(self):
         shared = {name for spec in OP_SCHEMA.values()
@@ -740,16 +759,19 @@ class TestSharing:
         line = {"seq": 1, "op": "send", "actor": 1, "target": 2,
                 "subtype": "Clipboard", "payload": "hello"}
         text = json.dumps(line) + "\n" + json.dumps({**line, "seq": 2}) + "\n"
-        before = trace._shared.cache_info()
+        kinds = [kind for _, kind in OP_SCHEMA["send"].optional]
+        assert kinds == [trace.MESSAGE] * 2 and trace.MESSAGE.shared is None
+        before = {kind: kind.shared.cache_info() for kind in _SHARED_KINDS}
         events = parse_trace(text) + parse_trace(text)
-        assert trace._shared.cache_info() == before
+        assert {kind: kind.shared.cache_info() for kind in _SHARED_KINDS} == before
         assert _objects_and_values(events, "subtype") == (4, 1)
         assert _objects_and_values(events, "payload") == (4, 1)
 
     def test_more_distinct_names_than_the_cache_holds(self):
         """Past the cache's bound, an evicted value is held afresh: the
         events are those of the reference walk, twice over."""
-        count = trace._shared.cache_info().maxsize + 904
+        maxsize = trace.NAME.shared.cache_info().maxsize
+        count = maxsize + 904
         names = [rf"\app\obj-{i:05d}" for i in range(count)]
         events = [ev(1, "load_long_list", names=[]), ev(2, "vm_create", ip="10.0.0.2"),
                   ev(3, "spawn", vm=1)]
@@ -760,23 +782,38 @@ class TestSharing:
         parsed = parse_trace(text)
         assert parsed == reference_parse(text) == events
         assert _objects_and_values(parsed, "name")[1] == count
+        assert trace.NAME.shared.cache_info().currsize == maxsize
 
     def test_one_object_per_distinct_value(self):
         """A count, not a timing: on a trace that repeats its values, each
         shared field holds as many objects as it has distinct values."""
-        events = generate_random_trace(5, TraceParams(event_count=600, seal_position=300,
-                                                      pattern_count=2))
-        for i in range(200):
-            actor = 1 + i % 5
-            trace._emit(events, "set_hook", actor=actor, hook_scope=("OwnVm", "SystemWide")[i % 2])
-            trace._emit(events, "register_window", actor=actor, class_name=f"Shell-{i % 3}")
-            trace._emit(events, "find_window", actor=actor, class_name=f"Shell-{i % 4}")
-            trace._emit(events, "bind", actor=actor, ip=("0.0.0.0", "10.0.0.2")[i % 2], port=80)
+        events = _repeating_events()
         parsed = parse_trace(serialize_trace(events))
         assert parsed == events
         for field in sorted(_SHARED_FIELDS):
             objects, values = _objects_and_values(parsed, field)
             assert objects == values and values < len(parsed) / 10, field
+
+    def test_a_shared_rule_runs_once_per_distinct_value(self):
+        """Across two parses of a repeating trace, each shared kind's cache
+        is asked once per field it checks, and its rule runs once per
+        distinct value: the cache's misses."""
+        events = _repeating_events()
+        asked = {kind: [] for kind in _SHARED_KINDS}
+        for event in events:
+            spec = OP_SCHEMA[event.op]
+            for name, kind in spec.required + spec.optional:
+                if kind in asked and (value := getattr(event, name)) is not None:
+                    asked[kind].append(value)
+        assert all(asked.values())
+        text = serialize_trace(events)
+        for kind in _SHARED_KINDS:
+            kind.shared.cache_clear()
+        assert parse_trace(text) + parse_trace(text) == events * 2
+        for kind, values in asked.items():
+            info = kind.shared.cache_info()
+            assert info.misses == len(set(values)) < len(values), values[:3]
+            assert info.hits + info.misses == 2 * len(values), values[:3]
 
 
 class TestSchema:
@@ -1105,6 +1142,16 @@ class TestReports:
         events = fixture_rpcss()
         assert replay(events).to_json() == replay(events).to_json()
         assert replay(events, dual=True).to_json() == replay(events, dual=True).to_json()
+
+    def test_broken_counter_conservation_fails_the_run(self):
+        """``run`` checks the engine's conservation identity when it ends: a
+        resolve that no step counted is an AssertionError, not a report."""
+        replayer = Replayer()
+        replayer.engine.counters.resolves_total += 1
+        with pytest.raises(AssertionError, match=re.escape(
+                "counter conservation violated: EngineCounters(resolves_total=31,")):
+            replayer.run(fixture_rpcss())
+        assert Replayer().run(fixture_rpcss()).counters.resolves_total == 30
 
     def test_assertion_totals_cover_expect_clauses(self):
         for events in (fixture_rpcss(), fixture_three_iis(),
