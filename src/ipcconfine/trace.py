@@ -34,13 +34,19 @@ replay reads (``name``, ``category``, ``scope``, ``hook_scope``,
 per distinct value, from its kind's cache (see :class:`FieldType`), not one
 per line. Nothing in parsing, validation or replay assigns to an event
 after it is built.
+
+Replay keeps each event's result as one fixed-width row of one flat list,
+not as a dict per event (see :class:`Replayer`); ``Replayer.outcomes``
+reads the rows as a sequence of fresh dicts, one per event, in event order.
 """
 
 from __future__ import annotations
 
 import json
 import json.scanner
+import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 
@@ -521,8 +527,72 @@ class ReplayReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+# The result keys of each shape of row, one constant per shape. A row is
+# ``_ROW`` slots of ``Replayer._rows``: its keys, ``seq``, ``op``, and up to
+# four values, padded with None.
+_ROW = 7
+_LOADED = ("seq", "op", "loaded")
+_VM_CREATED = ("seq", "op", "vm")
+_SPAWNED = ("seq", "op", "pid")
+_RESOLVED = ("seq", "op", "effective_name", "route", "principle")
+_REFUSED = ("seq", "op", "error", "effective_name", "route", "principle")
+_BARE = ("seq", "op")
+_SENT = ("seq", "op", "delivery", "decision")
+_FOUND = ("seq", "op", "found", "decision")
+_THREAD = ("seq", "op", "decision", "reason")
+_HOOKED = ("seq", "op", "decision", "effective_vm", "narrowed")
+_BOUND = ("seq", "op", "effective_ip", "effective_port")
+_ERROR = ("seq", "op", "error")
+
+
+class Outcomes(Sequence):
+    """A read-only view of a replayer's rows: item ``i`` is a fresh dict of
+    event ``i``'s result, its keys in the order of the row's shape. Equal to
+    a list of equal dicts."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows) // _ROW
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("outcome index out of range")
+        start = index * _ROW
+        rows = self._rows
+        return dict(zip(rows[start], rows[start + 1:start + _ROW]))
+
+    def __iter__(self):
+        rows = self._rows
+        for start in range(0, len(rows), _ROW):
+            yield dict(zip(rows[start], rows[start + 1:start + _ROW]))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Outcomes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Outcomes({list(self)!r})"
+
+
 class Replayer:
     """Executes a validated event list against a fresh engine + kernel.
+
+    Each event's result is one row of ``_ROW`` slots in the flat list
+    ``_rows``: the keys of its shape, ``seq``, ``op`` and up to four values,
+    padded with None. Each handler returns its row as one tuple, which
+    ``run`` copies into the list, so the list holds no container per event.
+    ``outcomes`` is a read-only sequence over the rows that gives one fresh
+    dict per event, in event order.
 
     In dual mode each create or open of a VM caller whose engine route is
     not ``VmGlobal`` is compared, whole, with the full-scan oracle's
@@ -543,7 +613,7 @@ class Replayer:
         self.engine = ConfinementEngine()
         self.kernel = SimKernel(self.registry, self.engine)
         self.reference = ReferenceEngine() if dual else None
-        self.outcomes: list[dict] = []
+        self._rows: list = []
         self.seal_snapshot: EngineSnapshot | None = None
         # (actor pid, original name) -> non-empty stack of open handles
         self._handles: dict[tuple[int, str], list] = {}
@@ -551,14 +621,21 @@ class Replayer:
         # (name, vm id) -> the oracle's outcome, asked once per key
         self._oracle_outcomes: dict[tuple[str, int], ResolveOutcome] = {}
 
+    @property
+    def outcomes(self) -> Outcomes:
+        """Each event's result, as a fresh dict, in event order."""
+        return Outcomes(self._rows)
+
     def run(self, events) -> ReplayReport:
         report = ReplayReport()
+        extend = self._rows.extend
+        execute = self._execute
         for event in events:
-            result = self._execute(event)
-            self.outcomes.append(result)
+            row = execute(event)
+            extend(row)
             report.events_run += 1
             if event.expect is not None:
-                diffs = self._check_expect(event.expect, result)
+                diffs = self._check_expect(event.expect, dict(zip(row[0], row[1:])))
                 if diffs:
                     report.assertions_failed.append({"seq": event.seq, "diffs": diffs})
                 else:
@@ -569,15 +646,15 @@ class Replayer:
             raise AssertionError(f"counter conservation violated: {report.counters}")
         return report
 
-    def _execute(self, event: TraceEvent) -> dict:
-        result = {"seq": event.seq, "op": event.op}
+    def _execute(self, event: TraceEvent) -> tuple:
+        """The event's row, from its handler, or the row of an error that
+        replay records."""
         handler = _HANDLERS.get(event.op)
         if handler is None:
             raise ReplayError(event.seq, f"unknown op {event.op!r}")
         try:
-            handler(self, event, result)
+            return handler(self, event)
         except ConfinementError as exc:
-            result["error"] = exc.code
             # a KernelError is a normal, assertable outcome of an op contract
             # (bind's ``AddressInUse``; the kernel returns a failed create's
             # or open's class, which ``_create_or_open`` records with the
@@ -585,26 +662,29 @@ class Replayer:
             # aborts the run unless the event expects it
             if not isinstance(exc, KernelError) and (event.expect or {}).get("error") is None:
                 raise ReplayError(event.seq, f"{exc.code}: {exc}") from exc
-        return result
+            return (_ERROR, event.seq, event.op, exc.code, None, None, None)
 
-    # -- one handler per op, named in OP_SCHEMA -------------------------------
+    # -- one handler per op, named in OP_SCHEMA; each returns the event's row --
 
-    def _load_long_list(self, event: TraceEvent, result: dict) -> None:
-        result["loaded"] = self.engine.load_long_list(event.names)
+    def _load_long_list(self, event: TraceEvent) -> tuple:
+        loaded = self.engine.load_long_list(event.names)
         if self.reference is not None:
             self.reference.load_long_list(event.names)
+        return (_LOADED, event.seq, event.op, loaded, None, None, None)
 
-    def _vm_create(self, event: TraceEvent, result: dict) -> None:
-        result["vm"] = self.registry.vm_create(event.ip).id
+    def _vm_create(self, event: TraceEvent) -> tuple:
+        vm = self.registry.vm_create(event.ip).id
+        return (_VM_CREATED, event.seq, event.op, vm, None, None, None)
 
-    def _spawn(self, event: TraceEvent, result: dict) -> None:
-        result["pid"] = self.registry.process_spawn(VmId(event.vm)).pid
+    def _spawn(self, event: TraceEvent) -> tuple:
+        pid = self.registry.process_spawn(VmId(event.vm)).pid
+        return (_SPAWNED, event.seq, event.op, pid, None, None, None)
 
-    def _create_or_open(self, event: TraceEvent, result: dict) -> None:
-        """Run a create or an open through the kernel and record its result:
-        the new handle, or the failure's error code, then the outcome's
-        fields. In dual mode the outcome is compared with the oracle's (see
-        the class docstring)."""
+    def _create_or_open(self, event: TraceEvent) -> tuple:
+        """Run a create or an open through the kernel and return its row:
+        the failure's error code, if it failed, then the outcome's fields.
+        In dual mode the outcome is compared with the oracle's (see the
+        class docstring)."""
         caller = self.registry.process(event.actor)
         name = event.name
         if event.op == "create":
@@ -612,6 +692,8 @@ class Replayer:
                 caller, name, _category(event.category), _SCOPES[event.scope])
         else:
             handle, outcome = self.kernel.open_object(caller, name, _category(event.category))
+        # the outcome's fields, in ``to_dict`` order
+        effective_name, route = outcome
         if type(handle) is Handle:
             key = (event.actor, name)
             stack = self._handles.get(key)
@@ -619,12 +701,11 @@ class Replayer:
                 self._handles[key] = [handle]
             else:
                 stack.append(handle)
+            row = (_RESOLVED, event.seq, event.op, effective_name, route._value_,
+                   route.principle._value_, None)
         else:
-            result["error"] = handle.code
-        # the outcome's fields, in ``to_dict`` order
-        result["effective_name"], route = outcome
-        result["route"] = route._value_
-        result["principle"] = route.principle._value_
+            row = (_REFUSED, event.seq, event.op, handle.code, effective_name, route._value_,
+                   route.principle._value_)
         reference = self.reference
         if reference is not None and route is not _VM_GLOBAL and caller.vm.id:
             key = (name, caller.vm.id)
@@ -638,8 +719,9 @@ class Replayer:
                     "engine": outcome.to_dict(),
                     "reference": ref.to_dict(),
                 })
+        return row
 
-    def _close(self, event: TraceEvent, result: dict) -> None:
+    def _close(self, event: TraceEvent) -> tuple:
         key = (event.actor, event.name)
         stack = self._handles.get(key)
         if stack is None:
@@ -648,46 +730,47 @@ class Replayer:
         if not stack:
             del self._handles[key]
         self.kernel.close(handle)
+        return (_BARE, event.seq, event.op, None, None, None, None)
 
-    def _send(self, event: TraceEvent, result: dict) -> None:
+    def _send(self, event: TraceEvent) -> tuple:
         sender = self.registry.process(event.actor)
         target = self.registry.process(event.target)
-        delivered = self.kernel.send_message(sender, target)
-        result["delivery"] = "Delivered" if delivered else "Blocked"
-        result["decision"] = "Allow" if delivered else "Deny"
+        if self.kernel.send_message(sender, target):
+            return (_SENT, event.seq, event.op, "Delivered", "Allow", None, None)
+        return (_SENT, event.seq, event.op, "Blocked", "Deny", None, None)
 
-    def _register_window(self, event: TraceEvent, result: dict) -> None:
+    def _register_window(self, event: TraceEvent) -> tuple:
         self.kernel.register_window(self.registry.process(event.actor), event.class_name)
+        return (_BARE, event.seq, event.op, None, None, None, None)
 
-    def _find_window(self, event: TraceEvent, result: dict) -> None:
+    def _find_window(self, event: TraceEvent) -> tuple:
         caller = self.registry.process(event.actor)
-        found = self.kernel.find_window(caller, event.class_name)
-        result["found"] = found is not None
-        result["decision"] = "Allow" if found is not None else "Deny"
+        if self.kernel.find_window(caller, event.class_name) is not None:
+            return (_FOUND, event.seq, event.op, True, "Allow", None, None)
+        return (_FOUND, event.seq, event.op, False, "Deny", None, None)
 
-    def _remote_thread(self, event: TraceEvent, result: dict) -> None:
+    def _remote_thread(self, event: TraceEvent) -> tuple:
         caller = self.registry.process(event.actor)
         target = self.registry.process(event.target)
-        allowed = self.kernel.create_remote_thread(caller, target)
-        result["decision"] = "Allow" if allowed else "Deny"
-        result["reason"] = "SameVm" if allowed else "CrossVm"
+        if self.kernel.create_remote_thread(caller, target):
+            return (_THREAD, event.seq, event.op, "Allow", "SameVm", None, None)
+        return (_THREAD, event.seq, event.op, "Deny", "CrossVm", None, None)
 
-    def _set_hook(self, event: TraceEvent, result: dict) -> None:
+    def _set_hook(self, event: TraceEvent) -> tuple:
         caller = self.registry.process(event.actor)
         grant = self.kernel.set_hook(caller, _HOOK_SCOPES[event.hook_scope])
-        result["decision"] = "Allow"
-        result["effective_vm"] = grant.effective_vm.id
-        result["narrowed"] = grant.narrowed
+        return (_HOOKED, event.seq, event.op, "Allow", grant.effective_vm.id, grant.narrowed, None)
 
-    def _bind(self, event: TraceEvent, result: dict) -> None:
+    def _bind(self, event: TraceEvent) -> tuple:
         caller = self.registry.process(event.actor)
-        binding = self.kernel.bind_socket(caller, event.ip, event.port)
-        result["effective_ip"], result["effective_port"] = binding.effective
+        ip, port = self.kernel.bind_socket(caller, event.ip, event.port).effective
+        return (_BOUND, event.seq, event.op, ip, port, None, None)
 
-    def _seal(self, event: TraceEvent, result: dict) -> None:
+    def _seal(self, event: TraceEvent) -> tuple:
         # the oracle has no flag, so it is not sealed
         self.engine.seal_host_objects()
         self.seal_snapshot = self.engine.snapshot()
+        return (_BARE, event.seq, event.op, None, None, None, None)
 
     def _check_expect(self, expect: dict, result: dict) -> list[dict]:
         diffs = []

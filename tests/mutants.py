@@ -137,12 +137,12 @@ MUTANTS = (
     # dual replay loads the oracle first: a refused second load of the long
     # list still replaces the oracle's list
     Mutant("oracle-loaded-before-engine", "ipcconfine/trace.py",
-           "        result[\"loaded\"] = self.engine.load_long_list(event.names)\n"
+           "        loaded = self.engine.load_long_list(event.names)\n"
            "        if self.reference is not None:\n"
            "            self.reference.load_long_list(event.names)\n",
            "        if self.reference is not None:\n"
            "            self.reference.load_long_list(event.names)\n"
-           "        result[\"loaded\"] = self.engine.load_long_list(event.names)\n",
+           "        loaded = self.engine.load_long_list(event.names)\n",
            ("tests/test_oracle.py::TestLockstepEquivalence::"
             "test_refused_second_load_between_repeated_opens",)),
     # dual replay never asks the oracle
@@ -157,6 +157,22 @@ MUTANTS = (
            "if reference is not None and route is not _VM_GLOBAL and caller.vm.id:",
            "if reference is not None and route is Route.VM_PRIVATE and caller.vm.id:",
            ("tests/test_probes.py::test_dual_replay_scans_once_per_host_object_decision",)),
+    # a delivered send's row is one slot short: every later row is read
+    # from the wrong slots
+    Mutant("row-padded-one-short", "ipcconfine/trace.py",
+           'return (_SENT, event.seq, event.op, "Delivered", "Allow", None, None)',
+           'return (_SENT, event.seq, event.op, "Delivered", "Allow", None)',
+           ("tests/test_trace.py::TestReplaySemantics::test_outcome_of_every_op",
+            "tests/test_trace.py::TestOutcomes::test_every_row_is_seven_slots",
+            "tests/test_trace.py::TestOutcomes::test_every_shape_keeps_its_key_order",
+            "tests/test_probes.py::test_replay_keeps_no_gc_container_per_event")),
+    # the outcomes view does not wrap a negative index
+    Mutant("outcomes-negative-index-unwrapped", "ipcconfine/trace.py",
+           "        if index < 0:\n"
+           "            index += len(self)\n",
+           "",
+           ("tests/test_trace.py::TestOutcomes::test_negative_indexes_wrap",
+            "tests/test_oracle.py::TestConstructedDivergence::test_failed_open_diverges")),
     # parse_trace's per-line scan accepts a line with more after its value
     Mutant("parse-no-end-check", "ipcconfine/trace.py",
            "if end != len(line):",

@@ -23,13 +23,15 @@ def lockstep_replay(events) -> ReplayReport:
     outcomes is recorded as a divergence, as a dual replay records one."""
     model = None
 
-    def load(replayer: Replayer, event, result: dict) -> None:
+    def load(replayer: Replayer, event) -> tuple:
         nonlocal model
-        Replayer._load_long_list(replayer, event, result)
+        row = Replayer._load_long_list(replayer, event)
         model = PipelineModel(event.names)
+        return row
 
-    def create_or_open(replayer: Replayer, event, result: dict) -> None:
-        Replayer._create_or_open(replayer, event, result)
+    def create_or_open(replayer: Replayer, event) -> tuple:
+        row = Replayer._create_or_open(replayer, event)
+        result = dict(zip(row[0], row[1:]))
         engine = result["effective_name"], result["route"]
         vm = replayer.registry.process(event.actor).vm.id
         reference = model.resolve(vm, event.name, event.op == "create",
@@ -42,6 +44,7 @@ def lockstep_replay(events) -> ReplayReport:
                 "reference": {"effective_name": reference[0], "route": reference[1],
                               "principle": PRINCIPLES[reference[1]]},
             })
+        return row
 
     handlers = trace._HANDLERS
     saved = {op: handlers[op] for op in ("load_long_list", "create", "open")}

@@ -12,10 +12,12 @@ expected to diverge is read from the lockstep replay against the model,
 ``reference_replay.diverging_names``, never from the engine itself.
 """
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ipcconfine.engine import ConfinementEngine, ReferenceEngine, ResolveOutcome, Route
 from ipcconfine.model import Intent, PORT, ProcessRef, Scope, VmId, unrename
@@ -134,6 +136,8 @@ class TestWildcardLookup:
                       st.text(alphabet="0159\u00b2\u0661", max_size=4)),
             min_size=1, max_size=10),
     )
+    # a name whose digit stem is a pattern prefix with no digit at its end
+    @example(prefixes=["a"], exact=[], names=[("a", "5")])
     def test_engine_lookup_matches_full_scan(self, prefixes, exact, names):
         long_list = [rf"\p\{p}*" for p in prefixes] + [rf"\p\{e}" for e in exact]
         engine, reference = ConfinementEngine(), ReferenceEngine()
@@ -425,3 +429,69 @@ class TestLockstepEquivalence:
             assert unrename(div["engine"]["effective_name"])[1] == name
             assert div["reference"] == {"effective_name": name, "route": "HostPassthrough",
                                         "principle": "HostObject"}
+
+
+def moved_seal(events, k: int) -> list[TraceEvent]:
+    """``events`` with its one seal moved to follow the first ``k`` other
+    events, renumbered from 1."""
+    others = [e for e in events if e.op != "seal"]
+    moved = others[:k] + [TraceEvent(0, "seal")] + others[k:]
+    return [replace(e, seq=seq) for seq, e in enumerate(moved, 1)]
+
+
+def seal_price(events) -> tuple[int, int]:
+    """A dual replay's ``post_seal_long_skips`` and divergence count."""
+    report = replay(events, dual=True)
+    return report.counters.post_seal_long_skips, len(report.divergences)
+
+
+class TestSealCurve:
+    """The seal's price as an exact curve. Routes do not depend on kernel
+    state, and the short list only grows before the seal, so a later seal
+    freezes a superset of it: moving the one seal later never adds a
+    divergence, and each divergence is where the lockstep model predicts."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**20),
+           params=st.builds(TraceParams,
+                            vm_count=st.integers(1, 3), process_count=st.integers(1, 4),
+                            name_pool_size=st.integers(1, 12),
+                            host_fraction=st.sampled_from([0.3, 0.5, 1.0]),
+                            global_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+                            event_count=st.integers(0, 50), seal_position=st.just(0),
+                            pattern_count=st.integers(0, 2)))
+    def test_generated_traces(self, seed, params):
+        counts = []
+        previous = None
+        for k in range(0, params.event_count + 1, 5):
+            events = generate_random_trace(seed, replace(params, seal_position=k))
+            assert len(events) <= 80
+            # the same events each time, the seal moved
+            rest = [(e.op, e.actor, e.name, e.scope) for e in events if e.op != "seal"]
+            assert previous in (None, rest)
+            previous = rest
+            report = replay(events, dual=True)
+            assert {d["name"] for d in report.divergences} == diverging_names(events)
+            counts.append(len(report.divergences))
+        assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("fixture", [fixture_rpcss, fixture_three_iis])
+    def test_fixtures_at_every_position(self, fixture):
+        counts = []
+        others = sum(1 for e in fixture() if e.op != "seal")
+        # from 1: a seal before the long list is loaded aborts the replay
+        for k in range(1, others + 1):
+            events = moved_seal(fixture(), k)
+            report = replay(events, dual=True)
+            assert {d["name"] for d in report.divergences} == diverging_names(events)
+            counts.append(len(report.divergences))
+        assert counts == sorted(counts, reverse=True)
+
+    def test_rpcss_curve_is_the_readme_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = [tuple(map(int, row)) for row in
+                 re.findall(r"^\| (\d+) \| (\d+) \| (\d+) \|$", readme, re.M)]
+        # every 5th position, and the fixture's own: after its last event
+        assert [k for k, _, _ in table] == [5, 10, 15, 20, 25, 30, 34]
+        assert moved_seal(fixture_rpcss(), 34) == fixture_rpcss()
+        assert [(k, *seal_price(moved_seal(fixture_rpcss(), k))) for k, _, _ in table] == table

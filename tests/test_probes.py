@@ -6,6 +6,9 @@ to count its calls. The engine's own code runs unchanged, so the counts are
 those of the hot path, and they do not vary with machine load.
 """
 
+import gc
+import sys
+import tracemalloc
 from collections import Counter, OrderedDict
 
 import pytest
@@ -418,3 +421,52 @@ def test_dual_replay_scans_once_per_host_object_decision(probes, monkeypatch):
     # and the counted constructor counts
     NotFound("x")
     assert made == [NotFound]
+
+
+def _send_trace(count: int = 2000) -> list[TraceEvent]:
+    """A loaded long list, one VM, one process, then ``count`` same-VM sends."""
+    events = [TraceEvent(1, "load_long_list", names=[]),
+              TraceEvent(2, "vm_create", ip="10.0.0.2"),
+              TraceEvent(3, "spawn", vm=1)]
+    events += [TraceEvent(4 + i, "send", actor=1, target=1) for i in range(count)]
+    return events
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="counts CPython's cyclic-GC allocations")
+def test_replay_keeps_no_gc_container_per_event():
+    """Replay keeps each event's result in a flat list of rows, so the net
+    count of GC-tracked allocations over a run does not grow with its
+    events: one dict per event made it rise by about one per event."""
+    events = _send_trace()
+    replayer = Replayer()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        replayer.run(events)
+        rise = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(replayer.outcomes) == len(events)
+    assert rise < 100, rise
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="measures CPython's object sizes")
+def test_replay_keeps_at_most_100_bytes_per_event():
+    """A row is seven slots of one list, 56 bytes plus the list's spare
+    room; a result dict per event kept about 190."""
+    events = _send_trace()
+    replayer = Replayer()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        replayer.run(events)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / len(events) <= 100, kept / len(events)

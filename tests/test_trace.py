@@ -882,6 +882,90 @@ class TestFuzz:
         assert main(["replay", str(path), "--dual-oracle"]) in (0, 1, 2)
 
 
+def every_op_events() -> list[TraceEvent]:
+    """One event of every op, and every shape of result: pid 1 is the
+    host's, pids 2 and 3 are vm1's, pid 4 is vm2's."""
+    return [
+        ev(1, "load_long_list", names=[r"\srv\host"]),
+        ev(2, "vm_create", ip="10.0.0.2"),
+        ev(3, "vm_create", ip="10.0.0.3"),
+        ev(4, "spawn", vm=0),
+        ev(5, "spawn", vm=1),
+        ev(6, "spawn", vm=1),
+        ev(7, "spawn", vm=2),
+        ev(8, "create", actor=1, name=r"\srv\host", category="I_Port"),
+        ev(9, "open", actor=2, name=r"\srv\host", category="I_Port"),
+        ev(10, "create", actor=2, name=r"\a\b", category="II_PseudoFile:NamedPipe",
+           scope="Global"),
+        ev(11, "close", actor=2, name=r"\a\b"),
+        ev(12, "seal"),
+        ev(13, "open", actor=4, name=r"\a\b", category="II_PseudoFile"),
+        ev(14, "send", actor=2, target=3, subtype="Clipboard", payload="x"),
+        ev(15, "send", actor=2, target=4),
+        ev(16, "send", actor=1, target=2),
+        ev(17, "register_window", actor=3, class_name="Shell_TrayWnd"),
+        ev(18, "find_window", actor=2, class_name="Shell_TrayWnd"),
+        ev(19, "find_window", actor=4, class_name="Shell_TrayWnd"),
+        ev(20, "remote_thread", actor=2, target=3),
+        ev(21, "remote_thread", actor=2, target=4),
+        ev(22, "remote_thread", actor=1, target=2),
+        ev(23, "set_hook", actor=2, hook_scope="SystemWide"),
+        ev(24, "set_hook", actor=2, hook_scope="OwnVm"),
+        ev(25, "set_hook", actor=1, hook_scope="SystemWide"),
+        ev(26, "set_hook", actor=1, hook_scope="OwnVm"),
+        ev(27, "bind", actor=2, ip="0.0.0.0", port=80),
+        ev(28, "bind", actor=4, ip="0.0.0.0", port=80),
+        ev(29, "bind", actor=3, ip="0.0.0.0", port=80),
+        ev(30, "bind", actor=1, ip="192.168.1.1", port=80),
+        ev(31, "create", actor=1, name=r"\srv\host", category="I_Port"),
+    ]
+
+
+# the result of each of ``every_op_events()``, keys in the order replay gives them
+EVERY_OP_OUTCOMES = [
+    {"seq": 1, "op": "load_long_list", "loaded": 1},
+    {"seq": 2, "op": "vm_create", "vm": 1},
+    {"seq": 3, "op": "vm_create", "vm": 2},
+    {"seq": 4, "op": "spawn", "pid": 1},
+    {"seq": 5, "op": "spawn", "pid": 2},
+    {"seq": 6, "op": "spawn", "pid": 3},
+    {"seq": 7, "op": "spawn", "pid": 4},
+    {"seq": 8, "op": "create", "effective_name": r"\srv\host",
+     "route": "HostPassthrough", "principle": "HostObject"},
+    {"seq": 9, "op": "open", "effective_name": r"\srv\host",
+     "route": "HostPassthrough", "principle": "HostObject"},
+    {"seq": 10, "op": "create", "effective_name": r"\vm1\a\b",
+     "route": "VmGlobal", "principle": "GlobalObject"},
+    {"seq": 11, "op": "close"},
+    {"seq": 12, "op": "seal"},
+    {"seq": 13, "op": "open", "error": "NotFound", "effective_name": r"\vm2\a\b",
+     "route": "VmPrivate", "principle": "Isolation"},
+    {"seq": 14, "op": "send", "delivery": "Delivered", "decision": "Allow"},
+    {"seq": 15, "op": "send", "delivery": "Blocked", "decision": "Deny"},
+    {"seq": 16, "op": "send", "delivery": "Blocked", "decision": "Deny"},
+    {"seq": 17, "op": "register_window"},
+    {"seq": 18, "op": "find_window", "found": True, "decision": "Allow"},
+    {"seq": 19, "op": "find_window", "found": False, "decision": "Deny"},
+    {"seq": 20, "op": "remote_thread", "decision": "Allow", "reason": "SameVm"},
+    {"seq": 21, "op": "remote_thread", "decision": "Deny", "reason": "CrossVm"},
+    {"seq": 22, "op": "remote_thread", "decision": "Deny", "reason": "CrossVm"},
+    {"seq": 23, "op": "set_hook", "decision": "Allow", "effective_vm": 1,
+     "narrowed": True},
+    {"seq": 24, "op": "set_hook", "decision": "Allow", "effective_vm": 1,
+     "narrowed": False},
+    {"seq": 25, "op": "set_hook", "decision": "Allow", "effective_vm": 0,
+     "narrowed": True},
+    {"seq": 26, "op": "set_hook", "decision": "Allow", "effective_vm": 0,
+     "narrowed": False},
+    {"seq": 27, "op": "bind", "effective_ip": "10.0.0.2", "effective_port": 80},
+    {"seq": 28, "op": "bind", "effective_ip": "10.0.0.3", "effective_port": 80},
+    {"seq": 29, "op": "bind", "error": "AddressInUse"},
+    {"seq": 30, "op": "bind", "effective_ip": "192.168.1.1", "effective_port": 80},
+    {"seq": 31, "op": "create", "error": "AlreadyExists", "effective_name": r"\srv\host",
+     "route": "HostPassthrough", "principle": "HostObject"},
+]
+
+
 class TestReplaySemantics:
     def test_unexpected_outcome_error_is_recorded_not_fatal(self):
         events = preamble() + [
@@ -1047,87 +1131,91 @@ class TestReplaySemantics:
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_outcome_of_every_op(self, dual):
-        """Every op's outcome keys, pinned: pid 1 is the host's, pids 2 and
-        3 are vm1's, pid 4 is vm2's."""
-        events = [
-            ev(1, "load_long_list", names=[r"\srv\host"]),
-            ev(2, "vm_create", ip="10.0.0.2"),
-            ev(3, "vm_create", ip="10.0.0.3"),
-            ev(4, "spawn", vm=0),
-            ev(5, "spawn", vm=1),
-            ev(6, "spawn", vm=1),
-            ev(7, "spawn", vm=2),
-            ev(8, "create", actor=1, name=r"\srv\host", category="I_Port"),
-            ev(9, "open", actor=2, name=r"\srv\host", category="I_Port"),
-            ev(10, "create", actor=2, name=r"\a\b", category="II_PseudoFile:NamedPipe",
-               scope="Global"),
-            ev(11, "close", actor=2, name=r"\a\b"),
-            ev(12, "seal"),
-            ev(13, "open", actor=4, name=r"\a\b", category="II_PseudoFile"),
-            ev(14, "send", actor=2, target=3, subtype="Clipboard", payload="x"),
-            ev(15, "send", actor=2, target=4),
-            ev(16, "send", actor=1, target=2),
-            ev(17, "register_window", actor=3, class_name="Shell_TrayWnd"),
-            ev(18, "find_window", actor=2, class_name="Shell_TrayWnd"),
-            ev(19, "find_window", actor=4, class_name="Shell_TrayWnd"),
-            ev(20, "remote_thread", actor=2, target=3),
-            ev(21, "remote_thread", actor=2, target=4),
-            ev(22, "remote_thread", actor=1, target=2),
-            ev(23, "set_hook", actor=2, hook_scope="SystemWide"),
-            ev(24, "set_hook", actor=2, hook_scope="OwnVm"),
-            ev(25, "set_hook", actor=1, hook_scope="SystemWide"),
-            ev(26, "set_hook", actor=1, hook_scope="OwnVm"),
-            ev(27, "bind", actor=2, ip="0.0.0.0", port=80),
-            ev(28, "bind", actor=4, ip="0.0.0.0", port=80),
-            ev(29, "bind", actor=3, ip="0.0.0.0", port=80),
-            ev(30, "bind", actor=1, ip="192.168.1.1", port=80),
-        ]
+        """Every op's outcome keys, pinned (see ``every_op_events``)."""
+        events = every_op_events()
         replayer = Replayer(dual=dual)
         report = replayer.run(events)
-        assert replayer.outcomes == [
-            {"seq": 1, "op": "load_long_list", "loaded": 1},
-            {"seq": 2, "op": "vm_create", "vm": 1},
-            {"seq": 3, "op": "vm_create", "vm": 2},
-            {"seq": 4, "op": "spawn", "pid": 1},
-            {"seq": 5, "op": "spawn", "pid": 2},
-            {"seq": 6, "op": "spawn", "pid": 3},
-            {"seq": 7, "op": "spawn", "pid": 4},
-            {"seq": 8, "op": "create", "effective_name": r"\srv\host",
-             "route": "HostPassthrough", "principle": "HostObject"},
-            {"seq": 9, "op": "open", "effective_name": r"\srv\host",
-             "route": "HostPassthrough", "principle": "HostObject"},
-            {"seq": 10, "op": "create", "effective_name": r"\vm1\a\b",
-             "route": "VmGlobal", "principle": "GlobalObject"},
-            {"seq": 11, "op": "close"},
-            {"seq": 12, "op": "seal"},
-            {"seq": 13, "op": "open", "error": "NotFound", "effective_name": r"\vm2\a\b",
-             "route": "VmPrivate", "principle": "Isolation"},
-            {"seq": 14, "op": "send", "delivery": "Delivered", "decision": "Allow"},
-            {"seq": 15, "op": "send", "delivery": "Blocked", "decision": "Deny"},
-            {"seq": 16, "op": "send", "delivery": "Blocked", "decision": "Deny"},
-            {"seq": 17, "op": "register_window"},
-            {"seq": 18, "op": "find_window", "found": True, "decision": "Allow"},
-            {"seq": 19, "op": "find_window", "found": False, "decision": "Deny"},
-            {"seq": 20, "op": "remote_thread", "decision": "Allow", "reason": "SameVm"},
-            {"seq": 21, "op": "remote_thread", "decision": "Deny", "reason": "CrossVm"},
-            {"seq": 22, "op": "remote_thread", "decision": "Deny", "reason": "CrossVm"},
-            {"seq": 23, "op": "set_hook", "decision": "Allow", "effective_vm": 1,
-             "narrowed": True},
-            {"seq": 24, "op": "set_hook", "decision": "Allow", "effective_vm": 1,
-             "narrowed": False},
-            {"seq": 25, "op": "set_hook", "decision": "Allow", "effective_vm": 0,
-             "narrowed": True},
-            {"seq": 26, "op": "set_hook", "decision": "Allow", "effective_vm": 0,
-             "narrowed": False},
-            {"seq": 27, "op": "bind", "effective_ip": "10.0.0.2", "effective_port": 80},
-            {"seq": 28, "op": "bind", "effective_ip": "10.0.0.3", "effective_port": 80},
-            {"seq": 29, "op": "bind", "error": "AddressInUse"},
-            {"seq": 30, "op": "bind", "effective_ip": "192.168.1.1", "effective_port": 80},
-        ]
+        assert replayer.outcomes == EVERY_OP_OUTCOMES
         assert {e.op for e in events} == set(OP_SCHEMA)
         # two blocked sends and two denied remote threads; hooks deny nothing
         assert report.counters.denials == 4
         assert report.ok and not report.divergences
+
+
+class TestOutcomes:
+    """``Replayer.outcomes`` is a read-only sequence over the replayer's rows:
+    each item a fresh dict of one event's result, in event order."""
+
+    @pytest.fixture(params=[False, True], ids=["single", "dual"])
+    def outcomes(self, request):
+        replayer = Replayer(dual=request.param)
+        replayer.run(every_op_events())
+        return replayer.outcomes
+
+    def test_every_shape_keeps_its_key_order(self, outcomes):
+        assert [list(o) for o in outcomes] == [list(o) for o in EVERY_OP_OUTCOMES]
+        assert [list(outcomes[i]) for i in range(len(outcomes))] == [
+            list(o) for o in EVERY_OP_OUTCOMES]
+
+    def test_every_row_is_seven_slots(self):
+        """One row per event: its shape's keys, seq, op, then its values
+        padded with None to the fixed width."""
+        replayer = Replayer()
+        replayer.run(every_op_events())
+        rows = replayer._rows
+        assert len(rows) == 7 * len(EVERY_OP_OUTCOMES)
+        for i, expected in enumerate(EVERY_OP_OUTCOMES):
+            row = rows[7 * i:7 * i + 7]
+            assert row[0] == tuple(expected)
+            assert row[1:] == [*expected.values(), *[None] * (6 - len(expected))]
+
+    def test_negative_indexes_wrap(self, outcomes):
+        n = len(EVERY_OP_OUTCOMES)
+        assert outcomes[-1] == EVERY_OP_OUTCOMES[-1]
+        assert outcomes[-2] == EVERY_OP_OUTCOMES[-2]
+        assert outcomes[-n] == EVERY_OP_OUTCOMES[0]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                outcomes[index]
+
+    def test_slices_len_and_iteration(self, outcomes):
+        assert len(outcomes) == len(EVERY_OP_OUTCOMES)
+        assert list(outcomes) == EVERY_OP_OUTCOMES
+        assert list(reversed(outcomes)) == EVERY_OP_OUTCOMES[::-1]
+        for piece in (slice(2, 5), slice(-3, None), slice(None, None, -4),
+                      slice(40, None), slice(None)):
+            assert outcomes[piece] == EVERY_OP_OUTCOMES[piece]
+        assert outcomes.index(EVERY_OP_OUTCOMES[12]) == 12
+        assert EVERY_OP_OUTCOMES[12] in outcomes
+
+    def test_a_returned_dict_is_fresh(self, outcomes):
+        first = outcomes[12]
+        first["route"] = "changed"
+        del first["seq"]
+        for result in outcomes:
+            result.clear()
+        outcomes[-1].clear()
+        assert outcomes[12] is not outcomes[12]
+        assert list(outcomes) == EVERY_OP_OUTCOMES
+
+    def test_equal_to_a_list_of_equal_dicts_only(self, outcomes):
+        assert outcomes == EVERY_OP_OUTCOMES and EVERY_OP_OUTCOMES == outcomes
+        assert outcomes != EVERY_OP_OUTCOMES[:-1]
+        assert outcomes != [*EVERY_OP_OUTCOMES[:-1], {"seq": 31, "op": "create"}]
+        other = Replayer()
+        other.run(every_op_events())
+        assert outcomes == other.outcomes
+        assert outcomes != tuple(EVERY_OP_OUTCOMES)
+
+    def test_read_only(self, outcomes):
+        with pytest.raises(TypeError):
+            outcomes[0] = {}
+        with pytest.raises(TypeError):
+            del outcomes[0]
+        replayer = Replayer()
+        with pytest.raises(AttributeError):
+            replayer.outcomes = []
+        assert replayer.outcomes == [] and len(replayer.outcomes) == 0
 
 
 class TestReports:
