@@ -1,7 +1,10 @@
 """Shared fixtures and the acceptance-criteria summary section."""
 
+from collections import Counter
+
 import pytest
 
+import ipcconfine.engine as engine_module
 from ipcconfine import ConfinementEngine, SimKernel, VmRegistry
 from ipcconfine.model import HOST, VmId
 
@@ -47,6 +50,21 @@ def vm1_proc(registry):
 @pytest.fixture
 def vm2_proc(registry):
     return registry.process_spawn(VmId(2))
+
+
+@pytest.fixture
+def probes(monkeypatch) -> Counter:
+    """Lookup counts by label, with the engine module's name checks counted
+    under ``"check"``."""
+    counts = Counter()
+    check = engine_module.check_object_name
+
+    def counted_check(*args, **kwargs):
+        counts["check"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "check_object_name", counted_check)
+    return counts
 
 
 # one PASS/FAIL line per acceptance criterion in the terminal summary

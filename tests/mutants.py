@@ -102,6 +102,33 @@ MUTANTS = (
                "tests/test_engine.py::TestPipeline::test_miss_renames",
                "tests/test_engine.py::TestCounters::test_conservation_over_mixed_sequence",
                "tests/test_acceptance.py::test_criterion_4_short_list_frozen_after_seal")),
+    # a name enters the checked names before its check: a name that fails
+    # raises once, and the next resolve of it skips the check
+    Mutant("checked-before-check", "ipcconfine/engine.py",
+           "                check_object_name(name)\n"
+           "                if len(checked) >= _CHECKED_MAX:\n"
+           "                    checked.clear()\n"
+           "                checked[name] = None\n",
+           "                if len(checked) >= _CHECKED_MAX:\n"
+           "                    checked.clear()\n"
+           "                checked[name] = None\n"
+           "                check_object_name(name)\n",
+           ("tests/test_engine.py::TestCheckedNames::test_a_name_that_fails_is_checked_every_time",)),
+    # a str subclass uses the checked names too: one that equals and hashes
+    # as a checked name borrows its check
+    Mutant("checked-any-type", "ipcconfine/engine.py",
+           "if type(name) is not str:",
+           "if not isinstance(name, str):",
+           ("tests/test_engine.py::TestCheckedNames::test_a_str_subclass_never_borrows_a_check",)),
+    # the checked names are never cleared: the engine keeps every name
+    Mutant("checked-unbounded", "ipcconfine/engine.py",
+           "                if len(checked) >= _CHECKED_MAX:\n"
+           "                    checked.clear()\n",
+           "",
+           ("tests/test_engine.py::TestCheckedNames::"
+            "test_past_the_bound_outcomes_and_counters_are_a_fresh_engines",
+            "tests/test_engine.py::TestCheckedNames::"
+            "test_two_threads_across_the_bound_match_a_sequential_run")),
     # the engine's long list without its prefix probe: no pattern matches a
     # name whose prefix does not end in a digit
     Mutant("listed-no-prefix-probe", "ipcconfine/engine.py",

@@ -1,9 +1,11 @@
 """Resolve pipeline, host-object table mechanics, and VM-id access decisions."""
 
 import json
+import threading
 
 import pytest
 
+import ipcconfine.engine as engine_module
 from ipcconfine.engine import (
     ConfinementEngine,
     EngineCounters,
@@ -208,6 +210,203 @@ class TestStoredOutcomes:
         assert resolve(engine, VM1, r"\srv\alpha").route is Route.HOST_PASSTHROUGH
         # an Open of the same names still passes through for other VMs
         assert resolve(engine, VM1, r"\srv\Global\h").route is Route.HOST_PASSTHROUGH
+
+
+def loaded() -> ConfinementEngine:
+    engine = ConfinementEngine()
+    engine.load_long_list(LONG_LIST)
+    return engine
+
+
+def outcome_or_error(engine, proc, name):
+    try:
+        return resolve(engine, proc, name)
+    except InvalidName as exc:
+        return type(exc)
+
+
+# the engine only: the oracle checks no name after its load
+class TestCheckedNames:
+    """An engine checks each distinct str name once: ``_checked`` keeps the
+    names that passed the check, and only those, up to its bound. Counted
+    with the ``probes`` fixture, which counts the engine's name checks."""
+
+    # two or three resolves of one name that reach the check, by the steps
+    # named; the engine is sealed first where the steps need it
+    REPEATS = {
+        "a, a": ([(HOSTP, r"\srv\gamma", Intent.OPEN, Scope.LOCAL)] * 2, False,
+                 {"host_bypass": 2}),
+        "b, b": ([(VM1, r"\obj\g", Intent.CREATE, Scope.GLOBAL),
+                  (VM2, r"\obj\g", Intent.CREATE, Scope.GLOBAL)], False,
+                 {"global_table_hits": 2}),
+        "e, e": ([(VM1, r"\srv\beta", Intent.OPEN, Scope.LOCAL)] * 2, True,
+                 {"post_seal_long_skips": 2}),
+        "a, f": ([(HOSTP, r"\srv\alpha", Intent.OPEN, Scope.LOCAL),
+                  (VM1, r"\srv\alpha", Intent.OPEN, Scope.LOCAL)], False,
+                 {"host_bypass": 1, "long_hits": 1}),
+        "f, b": ([(VM1, r"\Device\NamedPipe\ctl\Pipe7", Intent.OPEN, Scope.LOCAL),
+                  (VM2, r"\Device\NamedPipe\ctl\Pipe7", Intent.CREATE, Scope.GLOBAL)], False,
+                 {"long_hits": 1, "global_table_hits": 1}),
+        "g, g, g": ([(VM1, r"\app\x", Intent.OPEN, Scope.LOCAL),
+                     (VM1, r"\app\x", Intent.OPEN, Scope.LOCAL),
+                     (VM2, r"\app\x", Intent.OPEN, Scope.LOCAL)], False,
+                    {"long_misses": 3}),
+    }
+
+    @pytest.mark.parametrize("steps", list(REPEATS))
+    def test_a_repeated_name_is_checked_once(self, probes, steps):
+        calls, seal, moved = self.REPEATS[steps]
+
+        def engine_in_state():
+            engine = loaded()
+            if seal:
+                engine.seal_host_objects()
+            return engine
+
+        # a fresh engine per call: each checks the name
+        fresh = [resolve(engine_in_state(), *call) for call in calls]
+        engine = engine_in_state()
+        probes.clear()
+        outcomes = [resolve(engine, *call) for call in calls]
+        assert probes["check"] == 1
+        assert list(engine._checked) == [calls[0][1]]
+        assert outcomes == fresh
+        counters = vars(engine.counters)
+        assert {key: value for key, value in counters.items()
+                if value and key != "resolves_total"} == moved
+
+    @pytest.mark.parametrize("proc", [HOSTP, VM1])
+    @pytest.mark.parametrize("name", ["no-lead-sep", r"\vm1\x", "\\a\\\\b", "\\"])
+    def test_a_name_that_fails_is_checked_every_time(self, probes, proc, name):
+        engine = loaded()
+        probes.clear()
+        for _ in range(2):
+            with pytest.raises(InvalidName):
+                resolve(engine, proc, name)
+        assert probes["check"] == 2
+        assert engine._checked == {}
+        assert engine.counters.resolves_total == 0
+
+    def test_a_str_subclass_never_borrows_a_check(self, probes):
+        engine = loaded()
+        resolve(engine, VM1, r"\app\x")
+
+        class Lookalike(str):
+            """Equal to, and hashed as, the checked name ``\\app\\x``."""
+
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return hash(r"\app\x")
+
+        bad = Lookalike("no-lead-sep")
+        assert bad == r"\app\x" and hash(bad) == hash(r"\app\x") and r"\app\x" in engine._checked
+        probes.clear()
+        for proc in (VM1, VM2, HOSTP):
+            with pytest.raises(InvalidName):
+                resolve(engine, proc, bad)
+        # a valid one is checked on every call, and never kept
+        good = Lookalike(r"\app\y")
+        for _ in range(2):
+            assert resolve(engine, VM2, good).effective_name == r"\vm2\app\y"
+        assert probes["check"] == 5
+        assert list(engine._checked) == [r"\app\x"]
+
+    def test_errors_keep_their_order(self, probes):
+        engine = ConfinementEngine()
+        for _ in range(2):
+            with pytest.raises(NotLoaded):
+                resolve(engine, VM1, r"\a\b")
+        assert r"\a\b" in engine._checked
+        with pytest.raises(BadCategory):
+            resolve(engine, VM1, r"\a\b", category=MESSAGE)
+        engine.load_long_list(LONG_LIST)
+        assert resolve(engine, VM1, r"\a\b").effective_name == r"\vm1\a\b"
+        assert probes["check"] == 1 + len(LONG_LIST)
+
+    def test_engines_do_not_share_checked_names(self, probes):
+        first, second = loaded(), loaded()
+        probes.clear()
+        for engine in (first, second, first, second):
+            resolve(engine, VM1, r"\app\x")
+        assert probes["check"] == 2
+        assert first._checked == second._checked == {r"\app\x": None}
+        assert first._checked is not second._checked
+
+    def test_past_the_bound_outcomes_and_counters_are_a_fresh_engines(self, probes):
+        """4 097 distinct names, VM and host callers and failing names
+        among them, resolved twice over: the engine keeps at most 4 096, and
+        each call's outcome, or error, and the counters are what a fresh
+        engine gives for that call alone."""
+        limit = engine_module._CHECKED_MAX
+        assert limit == 4_096
+        names = [rf"\app\obj-{i:05d}" for i in range(limit + 1)]
+        calls = []
+        for i, name in enumerate(names):
+            calls.append((HOSTP if i % 5 == 0 else VM1, name))
+            if i % 7 == 0:  # a reserved first component
+                calls.append((VM2, rf"\vm3\obj-{i:05d}"))
+        engine = loaded()
+        got, want, checks = [], [], []
+        total = EngineCounters()
+        for _ in range(2):
+            checks.append(0)
+            for proc, name in calls:
+                before = probes["check"]
+                got.append(outcome_or_error(engine, proc, name))
+                checks[-1] += probes["check"] - before
+                fresh = loaded()
+                want.append(outcome_or_error(fresh, proc, name))
+                for key in ("resolves_total", "host_bypass", "long_misses"):
+                    setattr(total, key, getattr(total, key) + getattr(fresh.counters, key))
+            assert len(engine._checked) <= limit
+        assert got == want
+        assert got.count(InvalidName) == 2 * len(range(0, len(names), 7))
+        assert engine.counters == total
+        assert names[-1] in engine._checked
+        # cleared when full: the first pass keeps only its last name, so
+        # the second checks every call again
+        assert checks == [len(calls), len(calls)]
+
+    def test_two_threads_across_the_bound_match_a_sequential_run(self):
+        """Two threads resolve overlapping names, more than the bound holds,
+        failing names and long-list names among them: each thread's
+        outcomes and errors, and the counters, are those of a sequential
+        run of the same calls."""
+        limit = engine_module._CHECKED_MAX
+        pool = [rf"\app\obj-{i:05d}" for i in range(limit + 600)]
+        pool[::50] = ["bad-name"] * len(pool[::50])
+        pool[3::50] = [rf"\Device\NamedPipe\ctl\Pipe{i}" for i in range(len(pool[3::50]))]
+        pool[5::50] = [LONG_LIST[i % 3] for i in range(len(pool[5::50]))]
+        workers = [(VM1, pool), (VM2, pool[limit // 2:] + pool[:limit // 2])]
+
+        def run(engine, proc, names, into):
+            for name in names:
+                into.append(outcome_or_error(engine, proc, name))
+
+        sequential = loaded()
+        expected = []
+        for proc, names in workers:
+            expected.append([])
+            run(sequential, proc, names, expected[-1])
+
+        engine = loaded()
+        results = [[], []]
+        barrier = threading.Barrier(2)
+
+        def worker(index):
+            barrier.wait()
+            run(engine, *workers[index], results[index])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == expected
+        assert engine.counters == sequential.counters
+        assert len(engine._checked) <= limit
 
 
 class TestResolveOutcome:

@@ -282,6 +282,7 @@ class TestConstructedDivergence:
 class TestTraceEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**20))
+    @example(seed=0)
     def test_constrained_traces_never_diverge(self, seed):
         params = TraceParams(event_count=80, seal_position=40)
         events = generate_random_trace(seed, params, constrained=True)
@@ -341,6 +342,7 @@ class TestLockstepEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**20),
            seal_position=st.integers(min_value=0, max_value=120))
+    @example(seed=0, seal_position=60)
     def test_unconstrained_traces(self, params, seed, seal_position):
         events = generate_random_trace(seed, replace(params, seal_position=seal_position),
                                        constrained=False)
@@ -353,6 +355,7 @@ class TestLockstepEquivalence:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**20))
+    @example(seed=0)
     def test_literal_global_component(self, seed):
         # the generator names no object with a literal Global component, so
         # every third private name is moved under one: a Local-scope create

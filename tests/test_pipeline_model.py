@@ -10,7 +10,7 @@ differs from the engine exactly where (e) renames a listed name.
 
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ipcconfine.engine import ConfinementEngine, ReferenceEngine
 from ipcconfine.model import PORT, Intent, ProcessRef, Scope, VmId
@@ -69,9 +69,28 @@ def engines(long_list):
     return engine, oracle, PipelineModel(long_list)
 
 
+# one drawable case that breaks each step, so a run does not rely on its
+# random draws: a Local create global by its component (b), another VM's
+# open of it (c), a long hit (f) and a pattern hit, a short-list hit that
+# moves to the front (d), a Global create of a short-listed name, and a
+# miss (g) whose non-ASCII digit the oracle's pattern must refuse
+SEQUENCE = [
+    (0, r"\srv\a", False, False),           # (a)
+    (1, r"\app\Global\z", True, False),     # (b), a Global component
+    (1, r"\app\Global\z", False, False),    # (c)
+    (2, r"\app\Global\z", False, False),    # (g): another VM's global
+    (1, r"\srv\a", False, False),           # (f)
+    (2, r"\p\y0", False, False),            # (f), a pattern ending in a letter
+    (2, r"\srv\a", False, False),           # (d), moved to the front
+    (2, r"\srv\a", True, True),             # (b) of a short-listed name
+    (1, "\\p\\y\u0661", False, False),     # (g): no ASCII digit
+]
+
+
 @settings(max_examples=500, deadline=None)
 @given(long_list=st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=8),
        ops=st.lists(RESOLVES, min_size=8, max_size=40), seal_at=st.integers(0, 41))
+@example(long_list=[r"\srv\a", r"\p\y*"], ops=SEQUENCE, seal_at=41)
 def test_engine_matches_model(long_list, ops, seal_at):
     """Random resolves, with a seal before the one at ``seal_at``, or none
     when ``seal_at`` is past the end."""

@@ -13,7 +13,6 @@ from collections import Counter, OrderedDict
 
 import pytest
 
-import ipcconfine.engine as engine_module
 from ipcconfine.engine import ConfinementEngine, ReferenceEngine
 from ipcconfine.errors import KernelError, NotFound
 from ipcconfine.kernel import SimKernel
@@ -87,27 +86,13 @@ def recording(compared: list) -> type:
     return ClassName
 
 
-@pytest.fixture
-def probes(monkeypatch) -> Counter:
-    """Lookup counts by label, with the engine module's name checks counted
-    under ``"check"``."""
-    counts = Counter()
-    check = engine_module.check_object_name
-
-    def counted_check(*args, **kwargs):
-        counts["check"] += 1
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(engine_module, "check_object_name", counted_check)
-    return counts
-
-
 def count_tables(engine, probes: Counter) -> None:
     """Swap the engine's host-object containers for counting copies."""
     engine._exact = counting(dict, probes, "exact")(engine._exact)
     engine._prefixes = counting(dict, probes, "prefix")(engine._prefixes)
     engine._digit_stems = counting(frozenset, probes, "digit_stem")(engine._digit_stems)
     engine._short = counting(OrderedDict, probes, "short")(engine._short)
+    engine._checked = counting(dict, probes, "checked")(engine._checked)
 
 
 def resolve(engine, proc, name, intent=Intent.OPEN, scope=Scope.LOCAL):
@@ -337,7 +322,10 @@ def count_replayer(replayer: Replayer, probes: Counter) -> None:
 def test_instance_work_is_flat_in_vm_count(probes):
     """One web-server instance's events make the same counted work, lookups,
     scanned elements, name checks and class-name comparisons alike, at 4
-    and at 1 024 instances, for the first instance as for the last."""
+    and at 1 024 instances: the first instance as the first, the last as
+    the last. The first checks its four names; a later one checks only its
+    own pipe's, as the engine keeps the names it checked, and makes as many
+    lookups as the first."""
     compared = []
     ClassName = recording(compared)
     seen = {}
@@ -357,10 +345,15 @@ def test_instance_work_is_flat_in_vm_count(probes):
             assert report.ok, report.assertions_failed
             if index in (0, count - 1):
                 seen[count, index] = probes + Counter(class_name=len(compared))
-    first = seen[4, 0]
+    first, last = seen[4, 0], seen[4, 3]
+    assert seen[1_024, 0] == first and seen[1_024, 1_023] == last, seen
     assert first["check"] == 4 and first["exact"] == 4 and first["class_name"] == 1
     assert first["_objects"] and first["_windows"] and first["_bindings"]
-    assert all(counts == first for counts in seen.values()), seen
+    assert last["check"] == 1
+    # every lookup but the check itself is the same for the first and the last
+    lookups = [counts - Counter(check=counts["check"]) for counts in seen.values()]
+    assert all(counts == lookups[0] for counts in lookups), seen
+    assert lookups[0]["checked"] == 4
 
 
 def test_dual_replay_scans_once_per_host_object_decision(probes, monkeypatch):
